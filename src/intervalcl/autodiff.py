@@ -153,7 +153,9 @@ class Tensor:
         a, b = self.value, other.value
 
         def backward(grad):
-            return (grad @ b.T, a.T @ grad)
+            # A constant operand's gradient would be discarded: skip its gemm.
+            return (grad @ b.T if self.requires_grad else None,
+                    a.T @ grad if other.requires_grad else None)
 
         out._backward = backward
         return out
@@ -404,6 +406,27 @@ def minimum(a, b):
         out._backward = backward
         return out
     return np.minimum(a, b)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer ``x @ w.T + b`` as one tape node.
+
+    ``x`` is (B, in), ``w`` is (out, in) and ``b`` is (out,). The value is
+    computed exactly as the matmul -> transpose -> add chain computes it,
+    but the weight gradient ``grad.T @ x`` comes out C-ordered instead of as
+    a transposed view. For B = 1 every weight-gradient entry is a single
+    product, so all three gradients are bitwise those of the chain; for
+    B > 1 the gemm orientation changes the summation order.
+    """
+    out = Tensor(x.value @ w.value.T + b.value, (x, w, b))
+
+    def backward(grad):
+        return (grad @ w.value if x.requires_grad else None,
+                grad.T @ x.value if w.requires_grad else None,
+                grad.sum(axis=0) if b.requires_grad else None)
+
+    out._backward = backward
+    return out
 
 
 def concat(parts, axis=0):

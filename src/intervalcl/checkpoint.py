@@ -5,6 +5,15 @@ target architecture, the hypernetwork (layout, weights, embeddings, frozen
 batchnorm moments, completed-task count), the accuracy table recorded so
 far, and the seed. Floats are written with their shortest round-tripping
 representation, so save -> load -> save reproduces the file byte for byte.
+
+The file is compact JSON with sorted keys. ``save_checkpoint`` writes the
+bytes ``json.dump(..., sort_keys=True, allow_nan=False, separators=(",",
+":"))`` would write, but streams them: the small structure goes through
+``json.dumps``, and each array's data through ``json.dumps`` of bounded
+slices. ``json.dump`` is avoided because it always takes the pure-Python
+encoder, which made writing a hypernetwork's weights the bulk of the
+save; encoding the whole document with ``json.dumps`` instead would hold
+it, and every array as a Python list, in memory at once.
 """
 
 from __future__ import annotations
@@ -28,17 +37,76 @@ class CheckpointError(ValueError):
 # ---- array and spec codecs ----------------------------------------------
 
 
-def _encode_array(array: np.ndarray) -> dict:
-    array = np.asarray(array, dtype=np.float64)
-    data = []
-    for value in array.ravel().tolist():
-        if math.isnan(value):
-            data.append(None)
-        elif not math.isfinite(value):
+_JSON_OPTIONS = {"sort_keys": True, "allow_nan": False, "separators": (",", ":")}
+_SLICE = 8192  # array values encoded per json.dumps call
+
+
+class _Array:
+    """float64 array stored as ``{"data":[...],"shape":[...]}``, NaN as null.
+
+    Infinities cannot be stored and are refused here, before the file is
+    opened.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, array):
+        array = np.asarray(array, dtype=np.float64)
+        infinite = np.isinf(array)
+        if infinite.any():
+            value = float(array[infinite][0])
             raise CheckpointError(f"cannot store non-finite value {value}")
-        else:
-            data.append(value)
-    return {"shape": list(array.shape), "data": data}
+        self.values = array
+
+    def write(self, fh) -> None:
+        flat = self.values.reshape(-1)
+        fh.write('{"data":[')
+        for start in range(0, flat.size, _SLICE):
+            chunk = flat[start:start + _SLICE]
+            values = chunk.tolist()
+            if np.isnan(chunk).any():
+                values = [None if v != v else v for v in values]
+            if start:
+                fh.write(",")
+            fh.write(json.dumps(values, **_JSON_OPTIONS)[1:-1])
+        fh.write('],"shape":')
+        fh.write(json.dumps(list(self.values.shape), **_JSON_OPTIONS))
+        fh.write("}")
+
+
+def _holds_array(obj) -> bool:
+    if isinstance(obj, _Array):
+        return True
+    if isinstance(obj, dict):
+        return any(_holds_array(v) for v in obj.values())
+    if isinstance(obj, list):
+        return any(_holds_array(v) for v in obj)
+    return False
+
+
+def _write_json(fh, obj) -> None:
+    """Write ``obj`` as ``json.dump`` with ``_JSON_OPTIONS`` would, streaming
+    the ``_Array`` values in it; containers holding them have string keys."""
+    if isinstance(obj, _Array):
+        obj.write(fh)
+    elif not _holds_array(obj):
+        fh.write(json.dumps(obj, **_JSON_OPTIONS))
+    elif isinstance(obj, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                fh.write(",")
+            fh.write(json.dumps(key))
+            fh.write(":")
+            _write_json(fh, obj[key])
+        fh.write("}")
+    else:
+        fh.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                fh.write(",")
+            _write_json(fh, item)
+        fh.write("]")
 
 
 def _decode_array(obj) -> np.ndarray:
@@ -100,22 +168,21 @@ def save_checkpoint(path: str, hypernet: Hypernetwork, spec: NetworkSpec, *,
                 "hidden": list(layout.hidden),
                 "task_count": layout.task_count,
             },
-            "embeddings": _encode_array(hypernet.embeddings),
-            "weights": [{"w": _encode_array(w), "b": _encode_array(b)}
+            "embeddings": _Array(hypernet.embeddings),
+            "weights": [{"w": _Array(w), "b": _Array(b)}
                         for w, b in hypernet.weights],
             "bn_stats": {
-                str(task): [{"mean": _encode_array(m), "var": _encode_array(v)}
+                str(task): [{"mean": _Array(m), "var": _Array(v)}
                             for m, v in stats]
                 for task, stats in sorted(hypernet.bn_stats.items())
             },
             "trained_tasks": hypernet.trained_tasks,
         },
-        "results": None if results is None else _encode_array(results.values),
+        "results": None if results is None else _Array(results.values),
         "extra": extra or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, allow_nan=False,
-                  separators=(",", ":"))
+        _write_json(fh, payload)
         fh.write("\n")
 
 

@@ -415,7 +415,7 @@ class Hypernetwork:
         for i, (w, b) in enumerate(self.weights):
             wt = leaves.setdefault(f"w{i}", Tensor.parameter(w))
             bt = leaves.setdefault(f"b{i}", Tensor.parameter(b))
-            x = x @ wt.transpose((1, 0)) + bt
+            x = ad.linear(x, wt, bt)
             if i < last:
                 x = x.relu()
         return x.reshape(self.layout.target_size), leaves

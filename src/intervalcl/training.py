@@ -31,6 +31,17 @@ class Adam:
 
     Moment state is kept per parameter name; updates happen in place so
     aliased views (task embedding rows) stay live.
+
+    The moments and two scratch buffers per parameter are allocated once
+    and every step runs in place, allocating nothing. The in-place sequence
+    performs exactly the operations, in exactly the order, of the textbook
+    expressions
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + ((1 - b2) * g) * g
+        param -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
+
+    so each step is bitwise identical to evaluating them with temporaries.
     """
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -40,18 +51,31 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
+        # name -> [m, v, scratch, scratch, step count]
+        self.state: dict[str, list] = {}
 
     def update(self, name: str, param: np.ndarray, grad: np.ndarray):
-        m, v, t = self.state.get(name, (np.zeros_like(param),
-                                        np.zeros_like(param), 0))
+        state = self.state.get(name)
+        if state is None:
+            state = [np.zeros(param.shape) for _ in range(4)] + [0]
+            self.state[name] = state
+        m, v, num, den, t = state
         t += 1
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        self.state[name] = (m, v, t)
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        state[4] = t
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=num)
+        num *= grad
+        v += num
+        np.divide(m, 1.0 - self.beta1 ** t, out=num)
+        num *= self.lr
+        np.divide(v, 1.0 - self.beta2 ** t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        param -= num
 
 
 class SGD:

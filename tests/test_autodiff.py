@@ -95,6 +95,51 @@ def test_linear_regression_matches_finite_differences_tightly():
     assert ad.grad_check(build, [w, b]) <= 1e-7
 
 
+def test_linear_is_bitwise_the_matmul_transpose_add_chain():
+    # One input row: each weight-gradient entry is a single product, so the
+    # fused node must reproduce the chain's value and gradients exactly.
+    rng = np.random.default_rng(11)
+    x_val = rng.normal(size=(1, 7))
+    w_val = rng.normal(size=(5, 7))
+    b_val = rng.normal(size=5)
+    upstream = rng.normal(size=(1, 5))
+
+    def run(op):
+        x, w, b = (Tensor.parameter(v.copy()) for v in (x_val, w_val, b_val))
+        out = op(x, w, b)
+        (out * upstream).sum().backward()
+        return out.value, x.grad, w.grad, b.grad
+
+    fused = run(ad.linear)
+    chain = run(lambda x, w, b: x @ w.transpose((1, 0)) + b)
+    for got, want in zip(fused, chain):
+        assert np.array_equal(got, want)
+    assert fused[2].flags.c_contiguous
+
+
+def test_linear_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    x = Tensor.parameter(rng.normal(size=(3, 4)))
+    w = Tensor.parameter(rng.normal(size=(2, 4)))
+    b = Tensor.parameter(rng.normal(size=2))
+
+    def build():
+        return ad.linear(x, w, b).sigmoid().sum()
+
+    assert ad.grad_check(build, [x, w, b]) <= 1e-8
+
+
+def test_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(13)
+    x = Tensor.constant(rng.normal(size=(1, 3)))
+    w = Tensor.parameter(rng.normal(size=(2, 3)))
+    b = Tensor.parameter(rng.normal(size=2))
+    ad.linear(x, w, b).sum().backward()
+    (x @ w.transpose((1, 0))).sum().backward()
+    assert x.grad is None
+    assert np.array_equal(w.grad, 2.0 * np.repeat(x.value, 2, axis=0))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_composite_ops_match_finite_differences(seed):
     rng = np.random.default_rng(seed)

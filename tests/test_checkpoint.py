@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from intervalcl import checkpoint
 from intervalcl.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -128,6 +129,73 @@ class TestRoundTrip:
         save_checkpoint(path, h, spec)
         loaded = load_checkpoint(path)
         assert np.array_equal(loaded.hypernet.embeddings, h.embeddings)
+
+
+def _reference_bytes(h, spec, seed, results, extra):
+    """The file as one ``json.dump`` of the whole payload would write it."""
+    def encode(array):
+        flat = np.asarray(array, dtype=np.float64).ravel().tolist()
+        return {"shape": list(np.shape(array)),
+                "data": [None if v != v else v for v in flat]}
+
+    payload = {
+        "format": checkpoint.FORMAT_VERSION,
+        "seed": seed,
+        "spec": spec_to_json(spec),
+        "hypernet": {
+            "layout": {"target_size": h.layout.target_size,
+                       "embedding_dim": h.layout.embedding_dim,
+                       "hidden": list(h.layout.hidden),
+                       "task_count": h.layout.task_count},
+            "embeddings": encode(h.embeddings),
+            "weights": [{"w": encode(w), "b": encode(b)} for w, b in h.weights],
+            "bn_stats": {str(task): [{"mean": encode(m), "var": encode(v)}
+                                     for m, v in stats]
+                         for task, stats in sorted(h.bn_stats.items())},
+            "trained_tasks": h.trained_tasks,
+        },
+        "results": encode(results.values),
+        "extra": extra,
+    }
+    text = json.dumps(payload, sort_keys=True, allow_nan=False,
+                      separators=(",", ":")) + "\n"
+    return text.encode("utf-8")
+
+
+class TestStreamedWriter:
+    @pytest.fixture
+    def wide_model(self):
+        # Hidden width makes the first generator weight span three slices.
+        spec = NetworkSpec((3,), mlp_layers([5], 2), classes=2)
+        h = Hypernetwork(spec.total_params, 4, [checkpoint._SLICE // 2 + 1],
+                         task_count=3, rng=np.random.default_rng(5))
+        w0 = h.weights[0][0].reshape(-1)
+        assert w0.size > 2 * checkpoint._SLICE
+        w0[checkpoint._SLICE - 1] = np.nan
+        w0[checkpoint._SLICE] = np.nan
+        w0[-1] = np.nan
+        h.bn_stats = {0: [(np.array([0.5, np.nan]), np.array([1.0, 2.0]))],
+                      10: [(np.zeros(2), np.ones(2))]}
+        h.trained_tasks = 2
+        return h, spec
+
+    def test_bytes_equal_one_json_dump(self, tmp_path, wide_model, results):
+        h, spec = wide_model
+        extra = {"note": "caf\u00e9", "nested": {"b": [1, 2.5], "a": None}}
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), h, spec, seed=3, results=results,
+                        extra=extra)
+        assert path.read_bytes() == _reference_bytes(h, spec, 3, results, extra)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinity_is_refused_by_name(self, tmp_path, wide_model, value):
+        h, spec = wide_model
+        h.weights[1][0][3, 7] = value
+        path = tmp_path / "model.json"
+        with pytest.raises(CheckpointError,
+                           match=f"non-finite value {float(value)}$"):
+            save_checkpoint(str(path), h, spec)
+        assert not path.exists()
 
 
 class TestValidation:

@@ -37,20 +37,28 @@ def small_setup(task_count=1, seed=7):
 
 
 def test_adam_matches_hand_stepped_reference():
-    param = np.array([1.0, -2.0])
-    grads = [np.array([0.5, 1.0]), np.array([-0.25, 0.75])]
+    # Bitwise against the textbook expressions, on 2-d parameters fed
+    # transposed (non-contiguous) gradients, two names interleaved.
+    rng = np.random.default_rng(3)
+    params = {"a": rng.normal(size=(3, 5)), "b": rng.normal(size=(4, 2))}
     opt = training.Adam(lr=0.1)
-    ref = param.copy()
-    m = np.zeros(2)
-    v = np.zeros(2)
-    for t, g in enumerate(grads, start=1):
-        opt.update("p", param, g)
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        m_hat = m / (1.0 - 0.9 ** t)
-        v_hat = v / (1.0 - 0.999 ** t)
-        ref -= 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
-    assert np.allclose(param, ref, atol=1e-15)
+    ref = {name: p.copy() for name, p in params.items()}
+    moments = {name: (np.zeros(p.shape), np.zeros(p.shape))
+               for name, p in params.items()}
+    for t in range(1, 13):
+        for name in ("a", "b"):
+            g = rng.normal(size=params[name].shape[::-1]).T
+            assert not g.flags.c_contiguous
+            opt.update(name, params[name], g)
+            m, v = moments[name]
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            moments[name] = (m, v)
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            ref[name] -= 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    for name in params:
+        assert np.array_equal(params[name], ref[name])
 
 
 def test_adam_first_step_has_unit_scale():
