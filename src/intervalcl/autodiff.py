@@ -4,12 +4,20 @@ A ``Tensor`` wraps a float64 ndarray and records the operation that produced
 it. Calling :meth:`Tensor.backward` on a scalar output walks the graph once in
 reverse topological order and accumulates gradients into every node that
 requires them. The op set is deliberately small: exactly what dense/conv
-interval networks, their losses, and gradient-based attacks need.
+interval networks, their losses, and gradient-based attacks need, and
+nothing else:
 
-Most helpers in this module (``relu``, ``sigmoid``, ``exp``, ...) accept either
-a ``Tensor`` or a plain ndarray and return the same kind. Layer math written
-against these helpers runs on the tape during training and on raw arrays
-during evaluation without a second implementation.
+- arithmetic: ``+``, ``-``, ``*``, ``/``, ``@`` and the dense node ``linear``;
+- elementwise: ``abs``, ``relu``, ``sigmoid``, ``sqrt``;
+- reductions: ``sum``, ``mean``, ``max`` along one axis;
+- shape: ``reshape``, ``transpose``, indexing, and the sliding-window
+  gathers ``extract_patches`` (convolution) and ``pool_windows`` (pooling);
+- losses: ``softmax`` and ``softmax_cross_entropy``.
+
+The module-level helpers (``relu``, ``sigmoid``, ``sqrt``, ...) accept
+either a ``Tensor`` or a plain ndarray and return the same kind. Layer math
+written against these helpers runs on the tape during training and on raw
+arrays during evaluation without a second implementation.
 """
 
 from __future__ import annotations
@@ -132,18 +140,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = Tensor(self.value ** exponent, (self,))
-        base = self.value
-
-        def backward(grad):
-            return (grad * exponent * base ** (exponent - 1),)
-
-        out._backward = backward
-        return out
-
     def __matmul__(self, other):
         other = self._coerce(other)
         if self.value.ndim != 2 or other.value.ndim != 2:
@@ -185,18 +181,6 @@ class Tensor:
         out._backward = lambda grad: (grad * s * (1.0 - s),)
         return out
 
-    def exp(self):
-        e = np.exp(self.value)
-        out = Tensor(e, (self,))
-        out._backward = lambda grad: (grad * e,)
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.value), (self,))
-        v = self.value
-        out._backward = lambda grad: (grad / v,)
-        return out
-
     def sqrt(self):
         r = np.sqrt(self.value)
         out = Tensor(r, (self,))
@@ -226,24 +210,6 @@ class Tensor:
     def max(self, axis, keepdims=False):
         """Max along one axis; ties route gradient to the first maximum."""
         idx = np.argmax(self.value, axis=axis)
-        out_val = np.take_along_axis(self.value, np.expand_dims(idx, axis), axis)
-        if not keepdims:
-            out_val = np.squeeze(out_val, axis)
-        out = Tensor(out_val, (self,))
-        shape = self.value.shape
-
-        def backward(grad):
-            g = grad if keepdims else np.expand_dims(grad, axis)
-            gx = np.zeros(shape)
-            np.put_along_axis(gx, np.expand_dims(idx, axis), g, axis)
-            return (gx,)
-
-        out._backward = backward
-        return out
-
-    def min(self, axis, keepdims=False):
-        """Min along one axis; ties route gradient to the first minimum."""
-        idx = np.argmin(self.value, axis=axis)
         out_val = np.take_along_axis(self.value, np.expand_dims(idx, axis), axis)
         if not keepdims:
             out_val = np.squeeze(out_val, axis)
@@ -358,54 +324,12 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def exp(x):
-    return x.exp() if isinstance(x, Tensor) else np.exp(x)
-
-
-def log(x):
-    return x.log() if isinstance(x, Tensor) else np.log(x)
-
-
 def sqrt(x):
     return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
 
 
 def absolute(x):
     return abs(x) if isinstance(x, Tensor) else np.abs(x)
-
-
-def maximum(a, b):
-    """Elementwise max; on the tape, ties route gradient to ``a``."""
-    if isinstance(a, Tensor) or isinstance(b, Tensor):
-        ta = a if isinstance(a, Tensor) else Tensor.constant(a)
-        tb = b if isinstance(b, Tensor) else Tensor.constant(b)
-        pick_a = (ta.value >= tb.value).astype(np.float64)
-        out = Tensor(np.maximum(ta.value, tb.value), (ta, tb))
-
-        def backward(grad):
-            return (_unbroadcast(grad * pick_a, ta.value.shape),
-                    _unbroadcast(grad * (1.0 - pick_a), tb.value.shape))
-
-        out._backward = backward
-        return out
-    return np.maximum(a, b)
-
-
-def minimum(a, b):
-    """Elementwise min; on the tape, ties route gradient to ``a``."""
-    if isinstance(a, Tensor) or isinstance(b, Tensor):
-        ta = a if isinstance(a, Tensor) else Tensor.constant(a)
-        tb = b if isinstance(b, Tensor) else Tensor.constant(b)
-        pick_a = (ta.value <= tb.value).astype(np.float64)
-        out = Tensor(np.minimum(ta.value, tb.value), (ta, tb))
-
-        def backward(grad):
-            return (_unbroadcast(grad * pick_a, ta.value.shape),
-                    _unbroadcast(grad * (1.0 - pick_a), tb.value.shape))
-
-        out._backward = backward
-        return out
-    return np.minimum(a, b)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -429,21 +353,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def concat(parts, axis=0):
-    if any(isinstance(p, Tensor) for p in parts):
-        tensors = [p if isinstance(p, Tensor) else Tensor.constant(p) for p in parts]
-        out = Tensor(np.concatenate([t.value for t in tensors], axis=axis), tensors)
-        sizes = [t.value.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-        out._backward = lambda grad: tuple(np.split(grad, splits, axis=axis))
-        return out
-    return np.concatenate(parts, axis=axis)
+def _sliding_windows(x, kh, kw, sh, sw, per_channel):
+    """Gather the (kh, kw) windows of an NHWC batch with valid padding.
 
-
-def _patch_grid(height, width, kh, kw, sh, sw):
-    """Index grids mapping an NHWC input to its (kh, kw) sliding windows."""
+    The windows come out (B, OH, OW, kh*kw, C) with ``per_channel``, else
+    flattened to (B, OH, OW, kh*kw*C), kernel-position major, channel
+    minor. On the tape, backward scatters each window's gradient back onto
+    the input positions it read, summing where windows overlap.
+    """
+    val = x.value if isinstance(x, Tensor) else x
+    if val.ndim != 4:
+        raise ValueError(f"expected NHWC input, got shape {val.shape}")
     if kh < 1 or kw < 1 or sh < 1 or sw < 1:
         raise ValueError(f"window {kh}x{kw} and stride {sh}x{sw} must be positive")
+    batch, height, width, channels = val.shape
     if kh > height or kw > width:
         raise ValueError(
             f"window {kh}x{kw} does not fit input {height}x{width}")
@@ -451,7 +374,21 @@ def _patch_grid(height, width, kh, kw, sh, sw):
     ow = (width - kw) // sw + 1
     rows = (np.arange(oh) * sh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
     cols = (np.arange(ow) * sw)[None, :, None, None] + np.arange(kw)[None, None, None, :]
-    return oh, ow, rows, cols
+    gathered = val[:, rows, cols, :]  # (B, OH, OW, kh, kw, C)
+    tail = (kh * kw, channels) if per_channel else (kh * kw * channels,)
+    windows = gathered.reshape((batch, oh, ow) + tail)
+    if not isinstance(x, Tensor):
+        return windows
+    out = Tensor(windows, (x,))
+
+    def backward(grad):
+        gx = np.zeros(val.shape)
+        np.add.at(gx, (slice(None), rows, cols, slice(None)),
+                  grad.reshape(gathered.shape))
+        return (gx,)
+
+    out._backward = backward
+    return out
 
 
 def extract_patches(x, kh, kw, sh, sw):
@@ -460,48 +397,12 @@ def extract_patches(x, kh, kw, sh, sw):
     Input (B, H, W, C) becomes (B, OH, OW, kh*kw*C) with valid padding; each
     output row is the flattened window, kernel-position major, channel minor.
     """
-    val = x.value if isinstance(x, Tensor) else x
-    if val.ndim != 4:
-        raise ValueError(f"expected NHWC input, got shape {val.shape}")
-    batch, height, width, channels = val.shape
-    oh, ow, rows, cols = _patch_grid(height, width, kh, kw, sh, sw)
-    gathered = val[:, rows, cols, :]  # (B, OH, OW, kh, kw, C)
-    flat = gathered.reshape(batch, oh, ow, kh * kw * channels)
-    if not isinstance(x, Tensor):
-        return flat
-    out = Tensor(flat, (x,))
-
-    def backward(grad):
-        gx = np.zeros(val.shape)
-        g6 = grad.reshape(batch, oh, ow, kh, kw, channels)
-        np.add.at(gx, (slice(None), rows, cols, slice(None)), g6)
-        return (gx,)
-
-    out._backward = backward
-    return out
+    return _sliding_windows(x, kh, kw, sh, sw, per_channel=False)
 
 
 def pool_windows(x, window, stride):
     """Sliding windows kept per channel: (B, H, W, C) -> (B, OH, OW, w*w, C)."""
-    val = x.value if isinstance(x, Tensor) else x
-    if val.ndim != 4:
-        raise ValueError(f"expected NHWC input, got shape {val.shape}")
-    batch, height, width, channels = val.shape
-    oh, ow, rows, cols = _patch_grid(height, width, window, window, stride, stride)
-    gathered = val[:, rows, cols, :]
-    grouped = gathered.reshape(batch, oh, ow, window * window, channels)
-    if not isinstance(x, Tensor):
-        return grouped
-    out = Tensor(grouped, (x,))
-
-    def backward(grad):
-        gx = np.zeros(val.shape)
-        g6 = grad.reshape(batch, oh, ow, window, window, channels)
-        np.add.at(gx, (slice(None), rows, cols, slice(None)), g6)
-        return (gx,)
-
-    out._backward = backward
-    return out
+    return _sliding_windows(x, window, window, stride, stride, per_channel=True)
 
 
 def softmax(x, axis=-1):

@@ -160,8 +160,8 @@ def make_trainer_config(cfg) -> TrainerConfig:
     return TrainerConfig(
         steps=t["steps"], batch_size=t["batch"], lr=t["lr"],
         optimizer=t["optimizer"],
-        loss=LossConfig(kappa=t["kappa"], beta=t["beta"], eps=t["eps"],
-                        alpha=t["alpha"], decay=t["decay"]),
+        loss=LossConfig(beta=t["beta"], eps=t["eps"], alpha=t["alpha"],
+                        decay=t["decay"]),
         use_interval_mixup=t["use_interval_mixup"], seed=t["seed"],
         val_every=t["val_every"], model_selection=t["model_selection"])
 
@@ -278,18 +278,9 @@ def cmd_eval(cfg, checkpoint_path: str) -> Path:
         table = loaded.results.values.copy()
         table[-1, :] = clean_row
         if not np.isnan(np.diag(table)).any():
-            rows.append(("bwt", None,
-                         metrics_from_table(table).backward_transfer))
+            rows.append(("bwt", None, metrics(table).backward_transfer))
     write_csv(out_dir / "eval.csv", ("kind", "task", "value"), rows)
     return out_dir
-
-
-def metrics_from_table(values: np.ndarray):
-    from intervalcl.evaluation import ResultMatrix
-
-    result = ResultMatrix(values.shape[0])
-    result.values = values
-    return metrics(result)
 
 
 def cmd_certify(cfg, checkpoint_path: str, grid) -> Path:

@@ -12,7 +12,7 @@ import configparser
 import io
 from dataclasses import dataclass
 
-DECAY_CHOICES = ("linear", "quadratic", "log", "cos")
+from intervalcl.losses import DECAY_KINDS
 
 
 class ConfigError(ValueError):
@@ -73,12 +73,10 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "beta": Field("float", 0.01, "hypernetwork output regularizer weight"),
         "eps": Field("float", 0.0, "target certification radius"),
         "alpha": Field("float", 0.1, "Beta(alpha, alpha) mixing parameter"),
-        "kappa": Field("float", 0.5,
-                       "clean/worst-case blend outside the annealed loop"),
         "use_interval_mixup": Field("bool", True,
                                     "train on interpolated hypercubes"),
         "decay": Field("str", "linear", "virtual-sample radius decay",
-                       choices=DECAY_CHOICES),
+                       choices=DECAY_KINDS),
         "seed": Field("int", 0, "training seed"),
         "val_every": Field("int", 50, "steps between validation passes"),
         "model_selection": Field("bool", True,

@@ -1,15 +1,22 @@
-"""Interval tensors and sound propagation rules for network layers.
+"""Layer kernels, interval tensors, and sound propagation rules.
+
+Each layer kind has one kernel here that point batches and boxes share:
+``linear_map`` (``x @ W.T``), ``conv2d`` (bias-free, valid padding),
+``activation`` (the monotone nonlinearities) and ``pool`` (average or max).
+The point forward pass calls a kernel directly; the interval rule for the
+same layer wraps it.
 
 An ``IntervalTensor`` carries elementwise lower and upper bounds. Each rule
 maps an input box to an output box that contains every image of a point from
-the input box; affine rules use the midpoint/radius form, monotone
-activations apply to both bounds, and batch normalization computes its
-statistics over both bounds jointly so that a zero-radius input reproduces
-the plain point computation exactly.
+the input box; affine rules send the midpoint through the kernel and the
+radius through the kernel with absolute weights, monotone activations and
+pooling apply the kernel to both bounds, and batch normalization computes
+its statistics over both bounds jointly so that a zero-radius input
+reproduces the plain point computation exactly.
 
-Payloads may be ndarrays or autodiff Tensors; the rules are written against
-the dual-mode helpers in :mod:`intervalcl.autodiff` and work identically in
-both modes.
+Payloads may be ndarrays or autodiff Tensors; the kernels are written
+against the dual-mode helpers in :mod:`intervalcl.autodiff` and work
+identically in both modes.
 """
 
 from __future__ import annotations
@@ -71,10 +78,51 @@ class IntervalTensor:
                     and np.all(v <= _raw(self.upper) + slack))
 
 
-def _matmul_wt(x, weight):
+# ---- kernels shared by points and boxes ----------------------------------
+
+
+def linear_map(x, weight):
     """Batched ``x @ weight.T`` for ndarray or Tensor operands."""
     wt = weight.transpose((1, 0)) if isinstance(weight, Tensor) else weight.T
     return x @ wt
+
+
+def conv2d(x, kernel, stride=1):
+    """Bias-free valid-padding NHWC convolution as one patch matmul.
+
+    ``kernel`` has shape (kh, kw, c_in, c_out).
+    """
+    kh, kw, c_in, c_out = _raw(kernel).shape
+    patches = ad.extract_patches(x, kh, kw, stride, stride)
+    batch, oh, ow, width = _raw(patches).shape
+    flat = patches.reshape(batch * oh * ow, width)
+    kflat = kernel.reshape(kh * kw * c_in, c_out)
+    return (flat @ kflat).reshape(batch, oh, ow, c_out)
+
+
+_MONOTONE = {"relu": ad.relu, "sigmoid": ad.sigmoid}
+
+
+def activation(x, kind: str):
+    """Monotone nonlinearity ``kind`` applied elementwise."""
+    try:
+        fn = _MONOTONE[kind]
+    except KeyError:
+        raise ValueError(f"unknown activation {kind!r}") from None
+    return fn(x)
+
+
+def pool(x, kind: str, window: int, stride: int):
+    """Average or max over each (window, window) patch, per channel."""
+    windows = ad.pool_windows(x, window, stride)
+    if kind == "avg":
+        return windows.mean(axis=3)
+    if kind == "max":
+        return windows.max(axis=3)
+    raise ValueError(f"unknown pooling kind {kind!r}")
+
+
+# ---- interval rules ------------------------------------------------------
 
 
 def interval_affine(iv: IntervalTensor, weight, bias) -> IntervalTensor:
@@ -92,50 +140,34 @@ def interval_affine(iv: IntervalTensor, weight, bias) -> IntervalTensor:
         raise ValueError(f"bias shape {_raw(bias).shape} does not match out width")
     mid = iv.midpoint
     rad = iv.radius
-    centre = _matmul_wt(mid, weight) + bias
-    halfwidth = _matmul_wt(rad, ad.absolute(weight))
+    centre = linear_map(mid, weight) + bias
+    halfwidth = linear_map(rad, ad.absolute(weight))
     return IntervalTensor(centre - halfwidth, centre + halfwidth)
 
 
 def interval_conv2d(iv: IntervalTensor, kernel, bias, stride=1) -> IntervalTensor:
     """Valid-padding NHWC convolution lifted to boxes.
 
-    ``kernel`` has shape (kh, kw, c_in, c_out). Patches of the midpoint go
-    through the kernel, patches of the radius through its absolute value.
+    ``kernel`` has shape (kh, kw, c_in, c_out). The midpoint goes through
+    the kernel, the radius through its absolute value.
     """
     k_raw = _raw(kernel)
     if k_raw.ndim != 4:
         raise ValueError(f"kernel must be (kh, kw, c_in, c_out), got {k_raw.shape}")
-    kh, kw, c_in, c_out = k_raw.shape
+    c_in, c_out = k_raw.shape[2:]
     lo_shape = _raw(iv.lower).shape
     if len(lo_shape) != 4 or lo_shape[3] != c_in:
         raise ValueError(f"input {lo_shape} does not match kernel channels {c_in}")
     if _raw(bias).shape != (c_out,):
         raise ValueError(f"bias shape {_raw(bias).shape} does not match {c_out} channels")
-
-    def apply(patches, ker):
-        batch, oh, ow, width = patches.shape
-        flat = patches.reshape(batch * oh * ow, width)
-        kflat = ker.reshape(kh * kw * c_in, c_out)
-        return (flat @ kflat).reshape(batch, oh, ow, c_out)
-
-    mid_patches = ad.extract_patches(iv.midpoint, kh, kw, stride, stride)
-    rad_patches = ad.extract_patches(iv.radius, kh, kw, stride, stride)
-    centre = apply(mid_patches, kernel) + bias
-    halfwidth = apply(rad_patches, ad.absolute(kernel))
+    centre = conv2d(iv.midpoint, kernel, stride) + bias
+    halfwidth = conv2d(iv.radius, ad.absolute(kernel), stride)
     return IntervalTensor(centre - halfwidth, centre + halfwidth)
-
-
-_MONOTONE = {"relu": ad.relu, "sigmoid": ad.sigmoid}
 
 
 def interval_activation(iv: IntervalTensor, kind: str) -> IntervalTensor:
     """Monotone nonlinearity applied to both bounds."""
-    try:
-        fn = _MONOTONE[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return IntervalTensor(fn(iv.lower), fn(iv.upper))
+    return IntervalTensor(activation(iv.lower, kind), activation(iv.upper, kind))
 
 
 def batch_moments(lower, upper, axes):
@@ -215,13 +247,8 @@ def interval_pool(iv: IntervalTensor, kind: str, window: int, stride=None) -> In
     """
     if stride is None:
         stride = window
-    lo_w = ad.pool_windows(iv.lower, window, stride)
-    hi_w = ad.pool_windows(iv.upper, window, stride)
-    if kind == "avg":
-        return IntervalTensor(lo_w.mean(axis=3), hi_w.mean(axis=3))
-    if kind == "max":
-        return IntervalTensor(lo_w.max(axis=3), hi_w.max(axis=3))
-    raise ValueError(f"unknown pooling kind {kind!r}")
+    return IntervalTensor(pool(iv.lower, kind, window, stride),
+                          pool(iv.upper, kind, window, stride))
 
 
 @dataclass

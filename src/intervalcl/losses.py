@@ -25,22 +25,18 @@ DECAY_KINDS = ("linear", "quadratic", "log", "cos")
 class LossConfig:
     """Loss hyperparameters shared across tasks.
 
-    kappa: clean/worst-case blend used outside the scheduled loop.
     beta: weight of the hypernetwork output regularizer.
     eps: target input radius.
     alpha: Beta(alpha, alpha) parameter for MixUp coefficients.
     decay: radius decay kind for virtual samples.
     """
 
-    kappa: float = 0.5
     beta: float = 0.0
     eps: float = 0.0
     alpha: float = 0.1
     decay: str = "linear"
 
     def __post_init__(self):
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         if self.eps < 0.0:
@@ -200,21 +196,6 @@ def schedule_step(step: int, total: int, eps_target: float):
     else:
         eps = eps_target
     return kappa, eps
-
-
-@dataclass
-class ScheduleState:
-    """Schedule values pinned to one step of one task's run."""
-
-    step: int
-    total: int
-    kappa: float
-    eps: float
-
-    @classmethod
-    def at(cls, step: int, total: int, eps_target: float) -> "ScheduleState":
-        kappa, eps = schedule_step(step, total, eps_target)
-        return cls(step=step, total=total, kappa=kappa, eps=eps)
 
 
 def virtual_samples(points, labels, pairs, lam_grid):

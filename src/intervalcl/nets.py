@@ -6,8 +6,10 @@ architecture and lays every parameter out in one flat vector; a
 differentiates through the generator, so the target weights are an
 intermediate node of the graph, never a leaf.
 
-Two forward passes share the same parameter views: ``forward_point`` for
-ordinary activations and ``forward_interval`` for boxes.
+``forward_point`` (ordinary activations) and ``forward_interval`` (boxes)
+are two entry points into one walk over the spec's layers. The walk applies
+each layer's kernel from :mod:`intervalcl.intervals` to a point batch, or
+the interval rule wrapping that kernel to a box.
 """
 
 from __future__ import annotations
@@ -188,27 +190,8 @@ class ParamSet:
         offset, size, shape = self.spec._slot_map[(layer_index, name)]
         return self.flat[offset:offset + size].reshape(shape)
 
-    def to_structured(self) -> dict:
-        return {(i, n): np.array(self.get(i, n)) for i, n, _, _, _ in self.spec.slots}
-
-    @classmethod
-    def from_structured(cls, spec: NetworkSpec, mapping: dict) -> "ParamSet":
-        flat = np.empty(spec.total_params)
-        for i, n, shape, offset, size in spec.slots:
-            part = np.asarray(mapping[(i, n)])
-            if part.shape != shape:
-                raise ValueError(f"slot ({i}, {n}) expects shape {shape}, got {part.shape}")
-            flat[offset:offset + size] = part.reshape(-1)
-        return cls(spec, flat)
-
 
 # ---- forward passes ------------------------------------------------------
-
-
-def _check_input(spec: NetworkSpec, shape):
-    if tuple(shape[1:]) != spec.input_shape:
-        raise ValueError(f"input shape {tuple(shape[1:])} does not match spec "
-                         f"{spec.input_shape}")
 
 
 def forward_point(spec: NetworkSpec, params: ParamSet, x, *,
@@ -220,50 +203,7 @@ def forward_point(spec: NetworkSpec, params: ParamSet, x, *,
     moments. ``record``, if a list, receives the input and every layer
     output.
     """
-    shape = x.value.shape if isinstance(x, Tensor) else np.asarray(x).shape
-    _check_input(spec, shape)
-    if record is not None:
-        record.append(x)
-    bn_index = 0
-    out = x
-    for index, layer in enumerate(spec.layers):
-        kind = layer.kind
-        if kind == "dense":
-            w = params.get(index, "weight")
-            b = params.get(index, "bias")
-            wt = w.transpose((1, 0)) if isinstance(w, Tensor) else w.T
-            out = out @ wt + b
-        elif kind == "conv":
-            out = _point_conv(out, params.get(index, "kernel"),
-                              params.get(index, "bias"), layer.stride)
-        elif kind == "activation":
-            out = ad.relu(out) if layer.activation == "relu" else ad.sigmoid(out)
-        elif kind == "batchnorm":
-            stats = bn_stats[bn_index] if bn_stats is not None else None
-            bn_index += 1
-            out = iv.point_batchnorm(out, params.get(index, "gamma"),
-                                     params.get(index, "shift"), stats=stats)
-        elif kind == "pool":
-            windows = ad.pool_windows(out, layer.window, layer.stride)
-            out = windows.mean(axis=3) if layer.pool == "avg" else windows.max(axis=3)
-        elif kind == "flatten":
-            batch = shape[0]
-            out = out.reshape(batch, -1) if isinstance(out, Tensor) \
-                else out.reshape(batch, -1)
-        if record is not None:
-            record.append(out)
-    return out
-
-
-def _point_conv(x, kernel, bias, stride):
-    k_raw = kernel.value if isinstance(kernel, Tensor) else kernel
-    kh, kw, c_in, c_out = k_raw.shape
-    patches = ad.extract_patches(x, kh, kw, stride, stride)
-    pshape = patches.value.shape if isinstance(patches, Tensor) else patches.shape
-    batch, oh, ow, width = pshape
-    flat = patches.reshape(batch * oh * ow, width)
-    kflat = kernel.reshape(kh * kw * c_in, c_out)
-    return (flat @ kflat).reshape(batch, oh, ow, c_out) + bias
+    return _walk(spec, params, x, bn_stats, record, None)
 
 
 def forward_interval(spec: NetworkSpec, params: ParamSet, box, *,
@@ -278,34 +218,56 @@ def forward_interval(spec: NetworkSpec, params: ParamSet, box, *,
         if eps is None:
             raise ValueError("pass an IntervalTensor or points with eps")
         box = IntervalTensor.from_ball(box, eps)
-    shape = box.shape
-    _check_input(spec, shape)
+    return _walk(spec, params, box, bn_stats, record, bn_capture)
+
+
+def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
+    """The one layer loop behind both forward passes.
+
+    ``x`` is a point batch (ndarray or Tensor) or an IntervalTensor. Point
+    layers call the kernels of :mod:`intervalcl.intervals`, boxes the
+    interval rules wrapping them. Both are looked up on the module at each
+    call, so a wrapper installed on a module attribute (as the span tracer
+    in ``perfbench/spans.py`` does) sees every layer.
+    """
+    boxed = isinstance(x, IntervalTensor)
+    shape = x.shape if isinstance(x, (IntervalTensor, Tensor)) else np.asarray(x).shape
+    if tuple(shape[1:]) != spec.input_shape:
+        raise ValueError(f"input shape {tuple(shape[1:])} does not match spec "
+                         f"{spec.input_shape}")
     if record is not None:
-        record.append(box)
+        record.append(x)
     bn_index = 0
-    out = box
+    out = x
     for index, layer in enumerate(spec.layers):
         kind = layer.kind
         if kind == "dense":
-            out = iv.interval_affine(out, params.get(index, "weight"),
-                                     params.get(index, "bias"))
+            weight = params.get(index, "weight")
+            bias = params.get(index, "bias")
+            out = (iv.interval_affine(out, weight, bias) if boxed
+                   else iv.linear_map(out, weight) + bias)
         elif kind == "conv":
-            out = iv.interval_conv2d(out, params.get(index, "kernel"),
-                                     params.get(index, "bias"), layer.stride)
+            kernel = params.get(index, "kernel")
+            bias = params.get(index, "bias")
+            out = (iv.interval_conv2d(out, kernel, bias, layer.stride) if boxed
+                   else iv.conv2d(out, kernel, layer.stride) + bias)
         elif kind == "activation":
-            out = iv.interval_activation(out, layer.activation)
+            out = (iv.interval_activation(out, layer.activation) if boxed
+                   else iv.activation(out, layer.activation))
         elif kind == "batchnorm":
             stats = bn_stats[bn_index] if bn_stats is not None else None
             bn_index += 1
-            out = iv.interval_batchnorm(out, params.get(index, "gamma"),
-                                        params.get(index, "shift"),
-                                        stats=stats, capture=bn_capture)
+            norm = iv.interval_batchnorm if boxed else iv.point_batchnorm
+            out = norm(out, params.get(index, "gamma"), params.get(index, "shift"),
+                       stats=stats, capture=bn_capture)
         elif kind == "pool":
-            out = iv.interval_pool(out, layer.pool, layer.window, layer.stride)
+            out = (iv.interval_pool(out, layer.pool, layer.window, layer.stride)
+                   if boxed else iv.pool(out, layer.pool, layer.window, layer.stride))
         elif kind == "flatten":
             batch = shape[0]
-            out = IntervalTensor(out.lower.reshape(batch, -1),
-                                 out.upper.reshape(batch, -1))
+            out = (IntervalTensor(out.lower.reshape(batch, -1),
+                                  out.upper.reshape(batch, -1)) if boxed
+                   else out.reshape(batch, -1))
         if record is not None:
             record.append(out)
     return out

@@ -234,8 +234,7 @@ def test_a1_interval_soundness():
         b = irng.integers(-16, 17, size=2) / 16.0
         center = irng.integers(4, 13, size=(1, 3)) / 16.0
         radius = irng.integers(0, 4, size=(1, 3)) / 16.0
-        params = ParamSet.from_structured(spec1, {(0, "weight"): w,
-                                                  (0, "bias"): b})
+        params = ParamSet(spec1, np.concatenate([w.reshape(-1), b]))
         bounds = forward_interval(spec1, params,
                                   IntervalTensor.from_ball(center, radius))
         outs = (center + radius * corners_sign) @ w.T + b

@@ -238,6 +238,10 @@ class TestExitCodes:
         source.write_text("[train]\nwarmup = 5\n")
         assert run("train", "--config", str(source)) == 2
 
+    def test_removed_kappa_key_is_config_error(self, tmp_path):
+        assert run("train", "--set", "train.kappa=0.5",
+                   "--set", f"output.dir={tmp_path}/x") == 2
+
     def test_bad_override_is_config_error(self, tmp_path):
         assert run("train", "--set", "train.steps=soon",
                    "--set", f"output.dir={tmp_path}/x") == 2

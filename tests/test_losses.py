@@ -13,8 +13,6 @@ from intervalcl.losses import virtual_samples
 def test_loss_config_validation():
     losses.LossConfig()
     with pytest.raises(ValueError):
-        losses.LossConfig(kappa=1.5)
-    with pytest.raises(ValueError):
         losses.LossConfig(beta=-0.1)
     with pytest.raises(ValueError):
         losses.LossConfig(eps=-0.1)
@@ -347,13 +345,6 @@ def test_schedule_validation():
         losses.schedule_step(6, 5, 0.1)
     with pytest.raises(ValueError):
         losses.schedule_step(1, 5, -0.1)
-
-
-def test_schedule_state_carries_step_values():
-    state = losses.ScheduleState.at(3, 12, 0.2)
-    kappa, eps = losses.schedule_step(3, 12, 0.2)
-    assert (state.kappa, state.eps) == (kappa, eps)
-    assert (state.step, state.total) == (3, 12)
 
 
 class TestVirtualSamples:

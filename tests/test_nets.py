@@ -21,6 +21,15 @@ def small_cnn_spec():
         classes=2)
 
 
+def small_maxpool_sigmoid_spec():
+    return nets.NetworkSpec(
+        (6, 6, 2),
+        [nets.conv(3, 2, stride=2), nets.act("sigmoid"), nets.maxpool(2, 1),
+         nets.flatten(), nets.dense(4), nets.batchnorm(), nets.act("sigmoid"),
+         nets.dense(3)],
+        classes=3)
+
+
 def test_spec_shapes_mlp():
     spec = small_mlp_spec()
     assert spec.shapes == [(6,), (6,), (5,), (5,), (3,)]
@@ -63,15 +72,6 @@ def test_spec_rejects_bad_architectures():
         nets.NetworkSpec((4,), [], classes=2)
 
 
-def test_param_set_round_trip_is_lossless():
-    spec = small_cnn_spec()
-    rng = np.random.default_rng(0)
-    flat = rng.normal(size=spec.total_params)
-    params = nets.ParamSet(spec, flat)
-    rebuilt = nets.ParamSet.from_structured(spec, params.to_structured())
-    assert np.array_equal(rebuilt.flat, flat)
-
-
 def test_param_set_size_check():
     spec = small_mlp_spec()
     with pytest.raises(ValueError):
@@ -101,7 +101,9 @@ def test_forward_point_rejects_wrong_input_shape():
 
 
 def test_interval_forward_collapses_bitwise_at_zero_radius():
-    for spec in (small_mlp_spec(), small_cnn_spec()):
+    # Every layer kind and option: relu/sigmoid, avg/max pool, strided conv,
+    # batchnorm over NHWC and flat features.
+    for spec in (small_mlp_spec(), small_cnn_spec(), small_maxpool_sigmoid_spec()):
         rng = np.random.default_rng(2)
         params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
         x = rng.uniform(size=(3,) + spec.input_shape)
@@ -109,6 +111,21 @@ def test_interval_forward_collapses_bitwise_at_zero_radius():
         bounds = nets.forward_interval(spec, params, x, eps=0.0)
         assert np.array_equal(bounds.lower, point)
         assert np.array_equal(bounds.upper, point)
+
+
+def test_forward_point_tensor_input_matches_ndarray_bitwise():
+    spec = small_cnn_spec()
+    rng = np.random.default_rng(5)
+    params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
+    x = rng.uniform(size=(3,) + spec.input_shape)
+    # Frozen moments, as at evaluation: live batch means are sum * (1/n) on
+    # the tape but np.mean off it, which may differ in the last bit.
+    stats: list = []
+    nets.forward_interval(spec, params, x, eps=0.0, bn_capture=stats)
+    plain = nets.forward_point(spec, params, x, bn_stats=stats)
+    taped = nets.forward_point(spec, params, Tensor.parameter(x), bn_stats=stats)
+    assert isinstance(taped, Tensor)
+    assert np.array_equal(taped.value, plain)
 
 
 def test_interval_forward_nests_with_radius():
