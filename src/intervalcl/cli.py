@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,18 @@ def write_csv(path, header, rows) -> None:
 # ---- config -> objects ---------------------------------------------------
 
 
+@contextmanager
+def _config_values():
+    """Report a ValueError raised while config values become objects as a
+    configuration error; data and checkpoint errors keep their exit code."""
+    try:
+        yield
+    except (ConfigError, DataError, CheckpointError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def resolve_output_dir(cfg) -> Path:
     root = os.environ.get(OUTPUT_ROOT_ENV, "")
     path = Path(cfg["output"]["dir"])
@@ -113,6 +126,9 @@ def build_tasks(cfg):
     kind = d["kind"]
     sizes = dict(train_size=d["train_size"], val_size=d["val_size"],
                  test_size=d["test_size"])
+    if min(sizes.values()) < 1:
+        raise ConfigError("data.train_size, data.val_size and data.test_size "
+                          "must be positive")
     if kind == "blobs":
         return gen_blobs_tasks(d["tasks"], classes=d["classes"],
                                dims=d["dims"], separation=d["separation"],
@@ -189,11 +205,13 @@ def cmd_train(cfg, source_text: str | None = None) -> Path:
     """Train the task sequence; returns the output directory."""
     out_dir = resolve_output_dir(cfg)
     _echo_config(out_dir, cfg, source_text)
-    tasks = build_tasks(cfg)
-    validate_sequence(tasks)
-    features = int(np.prod(tasks[0].train.inputs.shape[1:]))
-    spec, hypernet = build_model(cfg, features, tasks[0].classes, len(tasks))
-    trainer_cfg = make_trainer_config(cfg)
+    with _config_values():
+        tasks = build_tasks(cfg)
+        validate_sequence(tasks)
+        features = int(np.prod(tasks[0].train.inputs.shape[1:]))
+        spec, hypernet = build_model(cfg, features, tasks[0].classes,
+                                     len(tasks))
+        trainer_cfg = make_trainer_config(cfg)
     seed = cfg["train"]["seed"]
 
     def after_task(t, result, _log):
@@ -233,7 +251,8 @@ def _load_for_evaluation(cfg, checkpoint_path: str):
         raise CheckpointError(
             f"checkpoint trained {hypernet.trained_tasks} of "
             f"{hypernet.layout.task_count} tasks; finish training first")
-    tasks = build_tasks(cfg)
+    with _config_values():
+        tasks = build_tasks(cfg)
     if len(tasks) != hypernet.layout.task_count:
         raise ConfigError(
             f"config describes {len(tasks)} tasks, checkpoint holds "
@@ -251,7 +270,10 @@ def cmd_eval(cfg, checkpoint_path: str) -> Path:
     loaded, tasks = _load_for_evaluation(cfg, checkpoint_path)
     hypernet, spec = loaded.hypernet, loaded.spec
     out_dir = resolve_output_dir(cfg)
-    configured_kind = cfg["attack"]["kind"]
+    attacked = cfg["attack"]["kind"] != "none"
+    with _config_values():
+        attacks = {kind: make_attack_config(cfg, kind if attacked else "none")
+                   for kind in ("fgsm", "pgd")}
     eps_attack = cfg["attack"]["eps"]
 
     rows = []
@@ -263,12 +285,9 @@ def cmd_eval(cfg, checkpoint_path: str) -> Path:
         clean = clean_accuracy(spec, params, x, y, bn_stats=bn_stats)
         clean_row.append(clean)
         rows.append(("clean", t, clean))
-        for attack_kind in ("fgsm", "pgd"):
-            kind = attack_kind if configured_kind != "none" else "none"
-            acc = attacked_accuracy(spec, params, x, y,
-                                    make_attack_config(cfg, kind=kind),
-                                    bn_stats=bn_stats)
-            rows.append((attack_kind, t, acc))
+        for kind, attack in attacks.items():
+            rows.append((kind, t, attacked_accuracy(spec, params, x, y, attack,
+                                                    bn_stats=bn_stats)))
         rows.append(("verified", t,
                      verified_accuracy(spec, params, x, y, eps_attack,
                                        bn_stats=bn_stats)))
@@ -318,13 +337,15 @@ def cmd_toy2d(cfg, source_text: str | None = None) -> Path:
     out_dir = resolve_output_dir(cfg)
     _echo_config(out_dir, cfg, source_text)
     d = cfg["data"]
-    data, pairs = gen_toy2d(d["points"], d["seed"], spread=d["spread"],
-                            pair_count=d["pairs"] if d["pairs"] else None)
-    lam_grid = np.linspace(0.0, 1.0, cfg["train"]["lam_steps"])
-    x, labels_a, labels_b, lam = L.virtual_samples(data.inputs, data.labels,
-                                                   pairs, lam_grid)
-    spec, hypernet = build_model(cfg, 2, 2, task_count=1)
-    trainer_cfg = make_trainer_config(cfg)
+    with _config_values():
+        data, pairs = gen_toy2d(d["points"], d["seed"], spread=d["spread"],
+                                pair_count=d["pairs"] if d["pairs"] else None)
+        lam_grid = np.linspace(0.0, 1.0, cfg["train"]["lam_steps"])
+        x, labels_a, labels_b, lam = L.virtual_samples(
+            data.inputs, data.labels, pairs, lam_grid)
+        spec, hypernet = build_model(cfg, 2, 2, task_count=1)
+        trainer_cfg = make_trainer_config(cfg)
+        axis = np.linspace(0.0, 1.0, cfg["output"]["grid_resolution"])
     train_virtual(hypernet, spec, 0, x, labels_a, labels_b, lam, trainer_cfg)
     save_checkpoint(str(out_dir / "checkpoint.json"), hypernet, spec,
                     seed=cfg["train"]["seed"])
@@ -344,8 +365,6 @@ def cmd_toy2d(cfg, source_text: str | None = None) -> Path:
               [(data.inputs[i, 0], data.inputs[i, 1], data.labels[i],
                 predicted[i], certified[i]) for i in range(len(data))])
 
-    resolution = cfg["output"]["grid_resolution"]
-    axis = np.linspace(0.0, 1.0, resolution)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     grid_points = np.stack([gx.ravel(), gy.ravel()], axis=1)
     grid_class = np.argmax(forward_point(spec, params, grid_points), axis=1)
@@ -444,7 +463,7 @@ def main(argv=None) -> int:
     except (DataError, CheckpointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

@@ -116,7 +116,7 @@ def pool(x, kind: str, window: int, stride: int):
     """Average or max over each (window, window) patch, per channel."""
     windows = ad.pool_windows(x, window, stride)
     if kind == "avg":
-        return windows.mean(axis=3)
+        return windows.sum(axis=3) * (1.0 / float(window * window))
     if kind == "max":
         return windows.max(axis=3)
     raise ValueError(f"unknown pooling kind {kind!r}")
@@ -186,8 +186,9 @@ def batch_moments(lower, upper, axes):
 
 
 def _mean(x, axes):
-    return x.mean(axis=axes, keepdims=True) if isinstance(x, Tensor) \
-        else np.mean(x, axis=axes, keepdims=True)
+    # sum * (1/n) as in Tensor.mean: taped and untaped passes agree bitwise
+    n = float(np.prod([_raw(x).shape[a] for a in axes]))
+    return x.sum(axis=axes, keepdims=True) * (1.0 / n)
 
 
 def _bn_axes(shape) -> tuple:

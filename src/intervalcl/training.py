@@ -1,11 +1,13 @@
 """Task-sequential training of the hypernetwork.
 
-One optimizer step: generate the current task's target weights on the tape,
-mix a minibatch, propagate the point and the interval forward passes, blend
-the losses under the warmup schedule, add the output regularizer against
-weight vectors snapshotted before this task started, and update only the
-generator weights and the current task's embedding. Earlier embeddings are
-frozen and must come out of a task bitwise unchanged.
+One optimizer loop trains every task: generate the current task's target
+weights on the tape, propagate the point and the interval forward passes
+over the step's input box, blend the losses under the warmup schedule, add
+the output regularizer against weight vectors snapshotted before this task
+started, and update only the generator weights and the current task's
+embedding. Earlier embeddings are frozen and must come out of a task
+bitwise unchanged. ``train_task`` feeds the loop mixed (or plain IBP)
+minibatches, ``train_virtual`` a fixed set of interpolated samples.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from intervalcl import autodiff as ad
 from intervalcl import evaluation
 from intervalcl import losses as L
 from intervalcl import nets
-from intervalcl.intervals import IntervalTensor
 from intervalcl.nets import Hypernetwork, NetworkSpec, ParamSet
 
 
@@ -113,6 +114,8 @@ class TrainerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be positive, got {self.steps}")
+        if self.lr <= 0.0:
+            raise ValueError(f"learning rate must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
         if self.use_interval_mixup and self.batch_size < 2:
@@ -135,11 +138,6 @@ class LogRow:
     val_loss: float | None = None
 
 
-def _task_rng(seed: int, task: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(task,)))
-
-
 def _validation_criterion(h, spec, task, val_data, cfg, snapshots) -> float:
     """Selection score: half-blend loss at the target radius, plus the
     regularizer, all in plain numpy."""
@@ -156,43 +154,32 @@ def _validation_criterion(h, spec, task, val_data, cfg, snapshots) -> float:
     return score
 
 
-def _freeze_batch_stats(h, spec, task, train_data, cfg):
+def _freeze_batch_stats(h, spec, task, inputs, cfg):
     """One deterministic full pass at the target radius fixes the batchnorm
     moments this task will use at evaluation time."""
     if not any(layer.kind == "batchnorm" for layer in spec.layers):
         return
     params = nets.generate_params(h, spec, task)
     capture: list = []
-    nets.forward_interval(spec, params, train_data.inputs, eps=cfg.loss.eps,
+    nets.forward_interval(spec, params, inputs, eps=cfg.loss.eps,
                           bn_capture=capture)
     h.bn_stats[task] = [(np.array(m), np.array(v)) for m, v in capture]
 
 
-def train_task(h: Hypernetwork, spec: NetworkSpec, task: int, train_data,
-               cfg: TrainerConfig, val_data=None) -> list[LogRow]:
-    """Train one task; returns the per-step log.
+def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
+           batch, fit_inputs, val_data=None) -> list[LogRow]:
+    """The optimizer loop behind :func:`train_task` and :func:`train_virtual`.
 
-    Tasks must arrive in order. For a later task, the weight vectors the
-    generator produced for all earlier tasks are snapshotted first and the
-    regularizer pulls the live generator back toward them; earlier
-    embeddings take no gradient at all.
+    ``batch(eps_step)`` gives one step's ``(x, labels_a, labels_b, lam,
+    radius)``: the input box is ``x`` widened by ``radius`` (scalar or
+    per-sample column), and ``lam`` (scalar or per sample) mixes the two
+    labels, or is ``None`` for the plain IBP loss on ``labels_a``. The
+    batchnorm moments are fixed from ``fit_inputs`` at the end.
     """
     if task != h.trained_tasks:
         raise ValueError(
             f"tasks must be trained in order: expected task {h.trained_tasks}, "
             f"got {task}")
-    inputs = np.asarray(train_data.inputs, dtype=np.float64)
-    labels = np.asarray(train_data.labels)
-    if inputs.shape[0] == 0:
-        raise ValueError("empty training set")
-    if inputs.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"{inputs.shape[0]} inputs vs {labels.shape[0]} labels")
-
-    rng = _task_rng(cfg.seed, task)
-    count = inputs.shape[0]
-    replace = count < cfg.batch_size
-
     snapshots = [h.generate_flat(j) for j in range(task)]
     frozen_before = h.embeddings[:task].copy()
 
@@ -203,39 +190,25 @@ def train_task(h: Hypernetwork, spec: NetworkSpec, task: int, train_data,
 
     for step in range(1, cfg.steps + 1):
         kappa, eps_step = L.schedule_step(step, cfg.steps, cfg.loss.eps)
-        idx = rng.choice(count, size=cfg.batch_size, replace=replace)
-        xb = inputs[idx]
-        yb = labels[idx]
+        x, labels_a, labels_b, lam, radius = batch(eps_step)
 
         flat, _ = h.tape_generate(task, leaves=leaves)
         params = ParamSet(spec, flat)
-
-        if cfg.use_interval_mixup:
-            lam = float(rng.beta(cfg.loss.alpha, cfg.loss.alpha))
-            shift = rng.integers(1, cfg.batch_size, size=cfg.batch_size)
-            partner = (np.arange(cfg.batch_size) + shift) % cfg.batch_size
-            x_mix = L.mixup_interpolate(xb, xb[partner], lam)
-            eps_virtual = float(L.scaled_radius(lam, eps_step, cfg.loss.decay))
-            logits = nets.forward_point(spec, params, x_mix)
-            bounds = nets.forward_interval(spec, params, x_mix, eps=eps_virtual)
-            task_loss = L.interval_mixup_loss(bounds, logits, yb, yb[partner],
-                                              lam, kappa)
+        logits = nets.forward_point(spec, params, x)
+        bounds = nets.forward_interval(spec, params, x, eps=radius)
+        if lam is None:
+            task_loss = L.ibp_loss(bounds, logits, labels_a, kappa)
         else:
-            lam = None
-            eps_virtual = eps_step
-            logits = nets.forward_point(spec, params, xb)
-            bounds = nets.forward_interval(spec, params, xb, eps=eps_step)
-            task_loss = L.ibp_loss(bounds, logits, yb, kappa)
+            task_loss = L.interval_mixup_loss(bounds, logits, labels_a,
+                                              labels_b, lam, kappa)
 
+        total, reg_value = task_loss, 0.0
         if task > 0 and cfg.loss.beta > 0.0:
             current = [h.tape_generate(j, train_embedding=False, leaves=leaves)[0]
                        for j in range(task)]
             reg = L.output_reg_loss(snapshots, current)
             total = task_loss + cfg.loss.beta * reg
             reg_value = float(reg.value)
-        else:
-            total = task_loss
-            reg_value = 0.0
 
         if not np.isfinite(total.value):
             raise NumericalDivergenceError(
@@ -249,7 +222,9 @@ def train_task(h: Hypernetwork, spec: NetworkSpec, task: int, train_data,
 
         row = LogRow(step=step, task=task, loss_total=float(total.value),
                      loss_task=float(task_loss.value), loss_reg=reg_value,
-                     kappa=kappa, eps=eps_step, eps_virtual=eps_virtual, lam=lam)
+                     kappa=kappa, eps=eps_step,
+                     eps_virtual=float(np.mean(radius)),
+                     lam=None if lam is None else float(np.mean(lam)))
 
         if (cfg.model_selection and val_data is not None
                 and (step % cfg.val_every == 0 or step == cfg.steps)):
@@ -269,9 +244,46 @@ def train_task(h: Hypernetwork, spec: NetworkSpec, task: int, train_data,
     if task > 0 and not np.array_equal(h.embeddings[:task], frozen_before):
         raise AssertionError("frozen embeddings changed during training")
 
-    _freeze_batch_stats(h, spec, task, train_data, cfg)
+    _freeze_batch_stats(h, spec, task, fit_inputs, cfg)
     h.trained_tasks = task + 1
     return log
+
+
+def train_task(h: Hypernetwork, spec: NetworkSpec, task: int, train_data,
+               cfg: TrainerConfig, val_data=None) -> list[LogRow]:
+    """Train one task; returns the per-step log.
+
+    Tasks must arrive in order. For a later task, the weight vectors the
+    generator produced for all earlier tasks are snapshotted first and the
+    regularizer pulls the live generator back toward them; earlier
+    embeddings take no gradient at all.
+    """
+    inputs = np.asarray(train_data.inputs, dtype=np.float64)
+    labels = np.asarray(train_data.labels)
+    if inputs.shape[0] == 0:
+        raise ValueError("empty training set")
+    if inputs.shape[0] != labels.shape[0]:
+        raise ValueError(
+            f"{inputs.shape[0]} inputs vs {labels.shape[0]} labels")
+
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
+                                                       spawn_key=(task,)))
+    count, size = inputs.shape[0], cfg.batch_size
+
+    def batch(eps_step):
+        idx = rng.choice(count, size=size, replace=count < size)
+        xb = inputs[idx]
+        yb = labels[idx]
+        if not cfg.use_interval_mixup:
+            return xb, yb, None, None, eps_step
+        lam = float(rng.beta(cfg.loss.alpha, cfg.loss.alpha))
+        shift = rng.integers(1, size, size=size)
+        partner = (np.arange(size) + shift) % size
+        x_mix = L.mixup_interpolate(xb, xb[partner], lam)
+        radius = float(L.scaled_radius(lam, eps_step, cfg.loss.decay))
+        return x_mix, yb, yb[partner], lam, radius
+
+    return _train(h, spec, task, cfg, batch, inputs, val_data)
 
 
 def train_virtual(h: Hypernetwork, spec: NetworkSpec, task: int, inputs,
@@ -280,12 +292,9 @@ def train_virtual(h: Hypernetwork, spec: NetworkSpec, task: int, inputs,
 
     Every step uses the whole virtual set. Each sample carries its own
     mixing coefficient, so its box radius follows the decay law at the
-    scheduled radius: midpoints (lam = 0.5) train with radius zero.
+    scheduled radius: midpoints (lam = 0.5) train with radius zero. A later
+    task is regularized and its predecessors frozen as in :func:`train_task`.
     """
-    if task != h.trained_tasks:
-        raise ValueError(
-            f"tasks must be trained in order: expected task {h.trained_tasks}, "
-            f"got {task}")
     inputs = np.asarray(inputs, dtype=np.float64)
     labels_a = np.asarray(labels_a)
     labels_b = np.asarray(labels_b)
@@ -297,44 +306,11 @@ def train_virtual(h: Hypernetwork, spec: NetworkSpec, task: int, inputs,
         raise ValueError("virtual inputs, labels, and coefficients must "
                          "share one length")
 
-    leaves: dict = {}
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
-    log: list[LogRow] = []
-    for step in range(1, cfg.steps + 1):
-        kappa, eps_step = L.schedule_step(step, cfg.steps, cfg.loss.eps)
+    def batch(eps_step):
         radius = np.asarray(L.scaled_radius(lam, eps_step, cfg.loss.decay))
+        return inputs, labels_a, labels_b, lam, radius[:, None]
 
-        flat, _ = h.tape_generate(task, leaves=leaves)
-        params = ParamSet(spec, flat)
-        logits = nets.forward_point(spec, params, inputs)
-        box = IntervalTensor.from_ball(inputs, radius[:, None])
-        bounds = nets.forward_interval(spec, params, box)
-        total = L.interval_mixup_loss(bounds, logits, labels_a, labels_b,
-                                      lam, kappa)
-        if not np.isfinite(total.value):
-            raise NumericalDivergenceError(
-                f"non-finite loss at task {task} step {step}")
-
-        ad.zero_grads(leaves.values())
-        total.backward()
-        for name, leaf in leaves.items():
-            if leaf.grad is not None:
-                optimizer.update(name, leaf.value, leaf.grad)
-
-        log.append(LogRow(step=step, task=task, loss_total=float(total.value),
-                          loss_task=float(total.value), loss_reg=0.0,
-                          kappa=kappa, eps=eps_step,
-                          eps_virtual=float(radius.mean()),
-                          lam=float(lam.mean())))
-
-    _freeze_batch_stats(h, spec, task, _VirtualData(inputs), cfg)
-    h.trained_tasks = task + 1
-    return log
-
-
-@dataclass
-class _VirtualData:
-    inputs: np.ndarray
+    return _train(h, spec, task, cfg, batch, inputs)
 
 
 def train_sequence(h: Hypernetwork, spec: NetworkSpec, tasks,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from intervalcl import cli
 from intervalcl.cli import main
 
 BLOBS_ARGS = [
@@ -257,6 +258,15 @@ class TestExitCodes:
                    "--set", f"data.labels={tmp_path}/absent-labels.idx",
                    "--set", f"output.dir={tmp_path}/x") == 3
 
+    def test_corrupt_idx_file_is_data_error(self, tmp_path):
+        for name in ("images.idx", "labels.idx"):
+            (tmp_path / name).write_bytes(b"\x00\x00\x08")
+        assert run("train", "--set", "data.kind=permuted",
+                   "--set", "data.source=idx",
+                   "--set", f"data.images={tmp_path}/images.idx",
+                   "--set", f"data.labels={tmp_path}/labels.idx",
+                   "--set", f"output.dir={tmp_path}/x") == 3
+
     def test_idx_without_paths_is_config_error(self, tmp_path):
         assert run("train", "--set", "data.kind=permuted",
                    "--set", "data.source=idx",
@@ -265,6 +275,26 @@ class TestExitCodes:
     def test_rotated_without_angles_is_config_error(self, tmp_path):
         assert run("train", "--set", "data.kind=rotated",
                    "--set", f"output.dir={tmp_path}/x") == 2
+
+    @pytest.mark.parametrize("command, override", [
+        ("train", "train.steps=0"),
+        ("train", "hypernet.embedding=0"),
+        ("train", "data.train_size=0"),
+        ("toy2d", "output.grid_resolution=-1"),
+    ])
+    def test_value_rejected_while_building_is_config_error(self, tmp_path,
+                                                          command, override):
+        assert run(command, "--set", override,
+                   "--set", f"output.dir={tmp_path}/x") == 2
+
+    def test_library_value_error_is_not_config_error(self, tmp_path,
+                                                     monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli, "train_sequence", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            run("train", "--set", f"output.dir={tmp_path}/x")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):

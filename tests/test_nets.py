@@ -114,18 +114,22 @@ def test_interval_forward_collapses_bitwise_at_zero_radius():
 
 
 def test_forward_point_tensor_input_matches_ndarray_bitwise():
-    spec = small_cnn_spec()
-    rng = np.random.default_rng(5)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
-    x = rng.uniform(size=(3,) + spec.input_shape)
-    # Frozen moments, as at evaluation: live batch means are sum * (1/n) on
-    # the tape but np.mean off it, which may differ in the last bit.
-    stats: list = []
-    nets.forward_interval(spec, params, x, eps=0.0, bn_capture=stats)
-    plain = nets.forward_point(spec, params, x, bn_stats=stats)
-    taped = nets.forward_point(spec, params, Tensor.parameter(x), bn_stats=stats)
-    assert isinstance(taped, Tensor)
-    assert np.array_equal(taped.value, plain)
+    # Live batchnorm moments and an overlapping average pool both take
+    # means, which must round the same way on and off the tape.
+    overlapping_avg = nets.NetworkSpec(
+        (6, 6, 2),
+        [nets.conv(3, 2), nets.act("relu"), nets.avgpool(3, 1), nets.flatten(),
+         nets.dense(2)],
+        classes=2)
+    for spec in (small_cnn_spec(), overlapping_avg):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
+            x = rng.uniform(size=(3,) + spec.input_shape)
+            plain = nets.forward_point(spec, params, x)
+            taped = nets.forward_point(spec, params, Tensor.parameter(x))
+            assert isinstance(taped, Tensor)
+            assert np.array_equal(taped.value, plain)
 
 
 def test_interval_forward_nests_with_radius():

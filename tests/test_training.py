@@ -94,6 +94,8 @@ def test_trainer_config_validation():
     with pytest.raises(ValueError):
         training.TrainerConfig(steps=0)
     with pytest.raises(ValueError):
+        training.TrainerConfig(lr=0.0)
+    with pytest.raises(ValueError):
         training.TrainerConfig(batch_size=1, use_interval_mixup=True)
     with pytest.raises(ValueError):
         training.TrainerConfig(val_every=0)
@@ -351,6 +353,17 @@ class TestTrainVirtual:
         _, _, (x, ya, yb, lam) = self._virtual_set()
         with pytest.raises(ValueError, match="share one length"):
             training.train_virtual(h, spec, 0, x, ya, yb, lam[:-1], quick_cfg())
+
+    def test_later_task_is_regularized_and_keeps_earlier_embedding(self):
+        spec, h = small_setup(task_count=2)
+        _, _, (x, ya, yb, lam) = self._virtual_set()
+        cfg = quick_cfg(steps=20, loss=L.LossConfig(eps=0.05, beta=0.5))
+        training.train_virtual(h, spec, 0, x, ya, yb, lam, cfg)
+        before = h.embeddings[0].copy()
+        log = training.train_virtual(h, spec, 1, x, ya, yb, lam, cfg)
+        assert any(row.loss_reg > 0.0 for row in log)
+        assert all(row.loss_total >= row.loss_task for row in log)
+        assert np.array_equal(h.embeddings[0], before)
 
     def test_deterministic(self):
         _, _, (x, ya, yb, lam) = self._virtual_set()
