@@ -3,23 +3,21 @@
 A checkpoint captures everything needed to resume or evaluate a run: the
 target architecture, the hypernetwork (layout, weights, embeddings, frozen
 batchnorm moments, completed-task count), the accuracy table recorded so
-far, and the seed. Floats are written with their shortest round-tripping
-representation, so save -> load -> save reproduces the file byte for byte.
+far, and the seed. The file is compact JSON with sorted keys. Each array
+is stored as ``{"data": ..., "shape": [...]}``, where ``data`` is the
+base64 text of its little-endian float64 bytes in C order, so every value
+(NaN, -0.0 and subnormals included) loads back bit for bit and save ->
+load -> save reproduces the file byte for byte. Infinities are refused.
 
-The file is compact JSON with sorted keys. ``save_checkpoint`` writes the
-bytes ``json.dump(..., sort_keys=True, allow_nan=False, separators=(",",
-":"))`` would write, but streams them: the small structure goes through
-``json.dumps``, and each array's data through ``json.dumps`` of bounded
-slices. ``json.dump`` is avoided because it always takes the pure-Python
-encoder, which made writing a hypernetwork's weights the bulk of the
-save; encoding the whole document with ``json.dumps`` instead would hold
-it, and every array as a Python list, in memory at once.
+That is format 2. Format 1 files, written by earlier builds, store
+``data`` as a list of shortest round-tripping floats with NaN as null;
+they still load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,7 +25,8 @@ import numpy as np
 from intervalcl.evaluation import ResultMatrix
 from intervalcl.nets import Hypernetwork, LayerDescriptor, NetworkSpec
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE = (1, FORMAT_VERSION)
 
 
 class CheckpointError(ValueError):
@@ -37,88 +36,31 @@ class CheckpointError(ValueError):
 # ---- array and spec codecs ----------------------------------------------
 
 
-_JSON_OPTIONS = {"sort_keys": True, "allow_nan": False, "separators": (",", ":")}
-_SLICE = 8192  # array values encoded per json.dumps call
+def _encode_array(array) -> dict:
+    array = np.asarray(array, dtype=np.float64)
+    infinite = np.isinf(array)
+    if infinite.any():
+        value = float(array[infinite][0])
+        raise CheckpointError(f"cannot store non-finite value {value}")
+    data = base64.b64encode(array.astype("<f8", copy=False).tobytes())
+    return {"data": data.decode("ascii"), "shape": list(array.shape)}
 
 
-class _Array:
-    """float64 array stored as ``{"data":[...],"shape":[...]}``, NaN as null.
-
-    Infinities cannot be stored and are refused here, before the file is
-    opened.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, array):
-        array = np.asarray(array, dtype=np.float64)
-        infinite = np.isinf(array)
-        if infinite.any():
-            value = float(array[infinite][0])
-            raise CheckpointError(f"cannot store non-finite value {value}")
-        self.values = array
-
-    def write(self, fh) -> None:
-        flat = self.values.reshape(-1)
-        fh.write('{"data":[')
-        for start in range(0, flat.size, _SLICE):
-            chunk = flat[start:start + _SLICE]
-            values = chunk.tolist()
-            if np.isnan(chunk).any():
-                values = [None if v != v else v for v in values]
-            if start:
-                fh.write(",")
-            fh.write(json.dumps(values, **_JSON_OPTIONS)[1:-1])
-        fh.write('],"shape":')
-        fh.write(json.dumps(list(self.values.shape), **_JSON_OPTIONS))
-        fh.write("}")
-
-
-def _holds_array(obj) -> bool:
-    if isinstance(obj, _Array):
-        return True
-    if isinstance(obj, dict):
-        return any(_holds_array(v) for v in obj.values())
-    if isinstance(obj, list):
-        return any(_holds_array(v) for v in obj)
-    return False
-
-
-def _write_json(fh, obj) -> None:
-    """Write ``obj`` as ``json.dump`` with ``_JSON_OPTIONS`` would, streaming
-    the ``_Array`` values in it; containers holding them have string keys."""
-    if isinstance(obj, _Array):
-        obj.write(fh)
-    elif not _holds_array(obj):
-        fh.write(json.dumps(obj, **_JSON_OPTIONS))
-    elif isinstance(obj, dict):
-        fh.write("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                fh.write(",")
-            fh.write(json.dumps(key))
-            fh.write(":")
-            _write_json(fh, obj[key])
-        fh.write("}")
-    else:
-        fh.write("[")
-        for i, item in enumerate(obj):
-            if i:
-                fh.write(",")
-            _write_json(fh, item)
-        fh.write("]")
-
-
-def _decode_array(obj) -> np.ndarray:
+def _decode_array(obj, version: int) -> np.ndarray:
     try:
         shape = tuple(int(d) for d in obj["shape"])
-        flat = [math.nan if v is None else float(v) for v in obj["data"]]
+        if version == 1:
+            values = [np.nan if v is None else float(v) for v in obj["data"]]
+        else:
+            values = np.frombuffer(
+                base64.b64decode(obj["data"], validate=True), dtype="<f8")
+        flat = np.array(values, dtype=np.float64)
     except (TypeError, KeyError, ValueError) as exc:
         raise CheckpointError(f"malformed array: {exc}") from exc
-    if len(flat) != int(np.prod(shape)):
+    if flat.size != int(np.prod(shape)) or min(shape, default=0) < 0:
         raise CheckpointError(
-            f"array data holds {len(flat)} values for shape {shape}")
-    return np.array(flat, dtype=np.float64).reshape(shape)
+            f"array data holds {flat.size} values for shape {shape}")
+    return flat.reshape(shape)
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:
@@ -168,21 +110,22 @@ def save_checkpoint(path: str, hypernet: Hypernetwork, spec: NetworkSpec, *,
                 "hidden": list(layout.hidden),
                 "task_count": layout.task_count,
             },
-            "embeddings": _Array(hypernet.embeddings),
-            "weights": [{"w": _Array(w), "b": _Array(b)}
+            "embeddings": _encode_array(hypernet.embeddings),
+            "weights": [{"w": _encode_array(w), "b": _encode_array(b)}
                         for w, b in hypernet.weights],
             "bn_stats": {
-                str(task): [{"mean": _Array(m), "var": _Array(v)}
+                str(task): [{"mean": _encode_array(m), "var": _encode_array(v)}
                             for m, v in stats]
                 for task, stats in sorted(hypernet.bn_stats.items())
             },
             "trained_tasks": hypernet.trained_tasks,
         },
-        "results": None if results is None else _Array(results.values),
+        "results": None if results is None else _encode_array(results.values),
         "extra": extra or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, payload)
+        json.dump(payload, fh, sort_keys=True, allow_nan=False,
+                  separators=(",", ":"))
         fh.write("\n")
 
 
@@ -197,9 +140,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: expected a JSON object")
     version = payload.get("format")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in _READABLE:
         raise CheckpointError(
-            f"{path}: format {version!r}, this build reads {FORMAT_VERSION}")
+            f"{path}: format {version!r}, this build reads formats "
+            f"{' and '.join(map(str, _READABLE))}")
     try:
         spec = spec_from_json(payload["spec"])
         stored = payload["hypernet"]
@@ -208,17 +152,18 @@ def load_checkpoint(path: str) -> Checkpoint:
             int(layout["target_size"]), int(layout["embedding_dim"]),
             [int(h) for h in layout["hidden"]], int(layout["task_count"]),
             np.random.default_rng(0))
-        _restore_array(hypernet.embeddings, stored["embeddings"], "embeddings")
+        _restore_array(hypernet.embeddings, stored["embeddings"], "embeddings",
+                       version)
         if len(stored["weights"]) != len(hypernet.weights):
             raise CheckpointError(
                 f"{len(stored['weights'])} weight layers stored, layout has "
                 f"{len(hypernet.weights)}")
         for (w, b), item in zip(hypernet.weights, stored["weights"]):
-            _restore_array(w, item["w"], "weight")
-            _restore_array(b, item["b"], "bias")
+            _restore_array(w, item["w"], "weight", version)
+            _restore_array(b, item["b"], "bias", version)
         hypernet.bn_stats = {
-            int(task): [(_decode_array(s["mean"]), _decode_array(s["var"]))
-                        for s in stats]
+            int(task): [(_decode_array(s["mean"], version),
+                         _decode_array(s["var"], version)) for s in stats]
             for task, stats in stored["bn_stats"].items()
         }
         hypernet.trained_tasks = int(stored["trained_tasks"])
@@ -238,7 +183,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: {hypernet.trained_tasks} trained tasks out of range")
     results = None
     if results_obj is not None:
-        values = _decode_array(results_obj)
+        values = _decode_array(results_obj, version)
         if values.shape != (hypernet.layout.task_count,) * 2:
             raise CheckpointError(
                 f"{path}: result table shape {values.shape} does not match "
@@ -249,8 +194,8 @@ def load_checkpoint(path: str) -> Checkpoint:
                       results=results, extra=extra)
 
 
-def _restore_array(target: np.ndarray, obj, name: str) -> None:
-    decoded = _decode_array(obj)
+def _restore_array(target: np.ndarray, obj, name: str, version: int) -> None:
+    decoded = _decode_array(obj, version)
     if decoded.shape != target.shape:
         raise CheckpointError(
             f"{name} shaped {decoded.shape}, layout expects {target.shape}")

@@ -32,7 +32,7 @@ from intervalcl.config import (
     config_to_text,
     default_config,
     documented_defaults,
-    load_config,
+    parse_config_text,
 )
 from intervalcl.data import (
     DataError,
@@ -392,7 +392,7 @@ def _load_effective_config(args):
                 source_text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        cfg = load_config(args.config)
+        cfg = parse_config_text(source_text, origin=args.config)
     else:
         cfg = default_config()
     apply_overrides(cfg, args.set or [])

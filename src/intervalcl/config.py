@@ -85,7 +85,10 @@ SCHEMA: dict[str, dict[str, Field]] = {
                            "mixing grid size per pair (toy2d training)"),
     },
     "attack": {
-        "kind": Field("str", "pgd", "attack used by evaluation",
+        "kind": Field("str", "pgd",
+                      "on/off switch for the eval attacks: fgsm or pgd runs "
+                      "both and writes both rows, none scores clean inputs "
+                      "in those rows",
                       choices=("none", "fgsm", "pgd")),
         "eps": Field("float", 0.0, "attack radius"),
         "step": Field("float", 0.0, "PGD step size, 0 = radius / 4"),

@@ -135,18 +135,15 @@ def downsample_images(images: np.ndarray, factor: int) -> np.ndarray:
     return cropped.reshape(n, ch // factor, factor, cw // factor, factor).mean(axis=(2, 4))
 
 
-def rotate_images(images: np.ndarray, angle: float,
-                  interpolation: str = "nearest") -> np.ndarray:
+def rotate_images(images: np.ndarray, angle: float) -> np.ndarray:
     """Rotate (N, H, W) about the image centre; out-of-frame reads as 0.
 
-    Angles are degrees, positive rotating the content the same way as
-    ``np.rot90``; multiples of 90 use exact trig values so they reproduce
-    ``np.rot90`` bit for bit under nearest-neighbor interpolation.
+    Each output pixel reads its nearest source pixel. Angles are degrees,
+    positive rotating the content the same way as ``np.rot90``; multiples
+    of 90 use exact trig values so they reproduce ``np.rot90`` bit for bit.
     """
-    if interpolation not in ("nearest", "bilinear"):
-        raise ValueError(f"unknown interpolation {interpolation!r}")
     images = np.asarray(images, dtype=np.float64)
-    n, h, w = images.shape
+    _, h, w = images.shape
     if angle % 90 == 0:
         quarter = int(angle // 90) % 4
         cos_t, sin_t = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][quarter]
@@ -155,26 +152,10 @@ def rotate_images(images: np.ndarray, angle: float,
         cos_t, sin_t = np.cos(rad), np.sin(rad)
     ci, cj = (h - 1) / 2.0, (w - 1) / 2.0
     di, dj = np.meshgrid(np.arange(h) - ci, np.arange(w) - cj, indexing="ij")
-    src_i = ci + cos_t * di + sin_t * dj
-    src_j = cj - sin_t * di + cos_t * dj
-
-    def gather(ii, jj):
-        inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
-        ii_safe = np.clip(ii, 0, h - 1)
-        jj_safe = np.clip(jj, 0, w - 1)
-        return images[:, ii_safe, jj_safe] * inside
-
-    if interpolation == "nearest":
-        out = gather(np.rint(src_i).astype(int), np.rint(src_j).astype(int))
-    else:
-        i0 = np.floor(src_i).astype(int)
-        j0 = np.floor(src_j).astype(int)
-        fi = src_i - i0
-        fj = src_j - j0
-        out = (gather(i0, j0) * (1 - fi) * (1 - fj)
-               + gather(i0, j0 + 1) * (1 - fi) * fj
-               + gather(i0 + 1, j0) * fi * (1 - fj)
-               + gather(i0 + 1, j0 + 1) * fi * fj)
+    ii = np.rint(ci + cos_t * di + sin_t * dj).astype(int)
+    jj = np.rint(cj - sin_t * di + cos_t * dj).astype(int)
+    inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
+    out = images[:, np.clip(ii, 0, h - 1), np.clip(jj, 0, w - 1)] * inside
     return np.clip(out, 0.0, 1.0)
 
 
@@ -253,9 +234,8 @@ def build_permuted_tasks(images, labels, task_count: int, seed: int, *,
 
 
 def build_rotated_tasks(images, labels, angles, seed: int, *,
-                        interpolation: str = "nearest", downsample: int = 1,
-                        train_size: int, val_size: int, test_size: int,
-                        flat: bool = True) -> list[Task]:
+                        downsample: int = 1, train_size: int, val_size: int,
+                        test_size: int, flat: bool = True) -> list[Task]:
     """Rotation task sequence: one task per angle."""
     if not len(angles):
         raise ValueError("need at least one angle")
@@ -267,7 +247,7 @@ def build_rotated_tasks(images, labels, angles, seed: int, *,
     tasks = []
     for t, angle in enumerate(angles):
         def make(x):
-            return _as_inputs(rotate_images(x, angle, interpolation), flat)
+            return _as_inputs(rotate_images(x, angle), flat)
 
         tasks.append(Task(
             train=LabeledData(make(xtr), ytr),

@@ -127,12 +127,17 @@ def scaled_radius(lam, eps, kind: str = "linear"):
     return eps * shrink
 
 
+def _batch_mean(per_sample):
+    # sum * (1/n) as in Tensor.mean: taped and untaped losses agree bitwise
+    n = (per_sample.value if isinstance(per_sample, Tensor) else per_sample).size
+    return per_sample.sum() * (1.0 / n)
+
+
 def _weighted_pair_ce(logits, labels_a, labels_b, lam):
     """Mean over the batch of ``lam * CE(., a) + (1 - lam) * CE(., b)``."""
     ce_a = ad.softmax_cross_entropy(logits, np.asarray(labels_a), reduction="none")
     ce_b = ad.softmax_cross_entropy(logits, np.asarray(labels_b), reduction="none")
-    mixed = lam * ce_a + (1.0 - lam) * ce_b
-    return mixed.mean() if isinstance(mixed, Tensor) else np.mean(mixed)
+    return _batch_mean(lam * ce_a + (1.0 - lam) * ce_b)
 
 
 def mixup_loss(logits, labels_a, labels_b, lam):
@@ -165,8 +170,7 @@ def interval_mixup_loss(bounds: IntervalTensor, logits, labels_a, labels_b,
     wc_b = ad.softmax_cross_entropy(
         worst_case_logits(bounds, np.asarray(labels_b)),
         np.asarray(labels_b), reduction="none")
-    mixed = lam * wc_a + (1.0 - lam) * wc_b
-    worst = mixed.mean() if isinstance(mixed, Tensor) else np.mean(mixed)
+    worst = _batch_mean(lam * wc_a + (1.0 - lam) * wc_b)
     return kappa * clean + (1.0 - kappa) * worst
 
 

@@ -265,6 +265,10 @@ def train_task(h: Hypernetwork, spec: NetworkSpec, task: int, train_data,
     if inputs.shape[0] != labels.shape[0]:
         raise ValueError(
             f"{inputs.shape[0]} inputs vs {labels.shape[0]} labels")
+    if (cfg.model_selection and val_data is not None
+            and len(val_data.labels) == 0):
+        raise ValueError("empty validation set: model selection has "
+                         "nothing to score")
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(task,)))
@@ -327,6 +331,9 @@ def train_sequence(h: Hypernetwork, spec: NetworkSpec, tasks,
     if len(tasks) != h.layout.task_count:
         raise ValueError(f"{len(tasks)} tasks for a hypernetwork sized for "
                          f"{h.layout.task_count}")
+    for t, task_data in enumerate(tasks):
+        if len(task_data.test.labels) == 0:
+            raise ValueError(f"task {t} has an empty test split")
     result = evaluation.ResultMatrix(len(tasks))
     logs = []
     for t, task_data in enumerate(tasks):

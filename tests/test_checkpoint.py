@@ -1,11 +1,12 @@
 """Checkpoint files round-trip every stored value bit for bit."""
 
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from intervalcl import checkpoint
 from intervalcl.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -125,21 +126,36 @@ class TestRoundTrip:
         h.embeddings[0, 0] = 0.1 + 0.2  # 0.30000000000000004
         h.embeddings[0, 1] = 1e-308
         h.embeddings[0, 2] = -1.7976931348623157e308
+        h.embeddings[0, 3] = -0.0
+        h.embeddings[1, 0] = 5e-324  # smallest subnormal
+        h.embeddings[1, 1] = np.nan
         path = str(tmp_path / "model.json")
         save_checkpoint(path, h, spec)
         loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.hypernet.embeddings, h.embeddings)
+        assert loaded.hypernet.embeddings.tobytes() == h.embeddings.tobytes()
 
 
-def _reference_bytes(h, spec, seed, results, extra):
-    """The file as one ``json.dump`` of the whole payload would write it."""
-    def encode(array):
-        flat = np.asarray(array, dtype=np.float64).ravel().tolist()
-        return {"shape": list(np.shape(array)),
-                "data": [None if v != v else v for v in flat]}
+def _list_array(array):
+    """Format 1 array: shortest round-tripping floats, NaN as null."""
+    flat = np.asarray(array, dtype=np.float64).ravel().tolist()
+    return {"shape": list(np.shape(array)),
+            "data": [None if v != v else v for v in flat]}
 
+
+def _bytes_array(array):
+    """Format 2 array: base64 of the little-endian float64 bytes."""
+    flat = np.asarray(array, dtype=np.float64).ravel().tolist()
+    packed = struct.pack(f"<{len(flat)}d", *flat)
+    return {"shape": list(np.shape(array)),
+            "data": base64.b64encode(packed).decode("ascii")}
+
+
+def _reference_bytes(h, spec, seed, results, extra, version=2):
+    """The file as one ``json.dump`` of the whole payload writes it, with
+    arrays encoded as format ``version`` (1 is what earlier builds wrote)."""
+    encode = {1: _list_array, 2: _bytes_array}[version]
     payload = {
-        "format": checkpoint.FORMAT_VERSION,
+        "format": version,
         "seed": seed,
         "spec": spec_to_json(spec),
         "hypernet": {
@@ -163,34 +179,57 @@ def _reference_bytes(h, spec, seed, results, extra):
 
 
 class TestStreamedWriter:
+    """``save_checkpoint`` streams one ``json.dump`` of the payload."""
+
     @pytest.fixture
-    def wide_model(self):
-        # Hidden width makes the first generator weight span three slices.
+    def awkward_model(self):
         spec = NetworkSpec((3,), mlp_layers([5], 2), classes=2)
-        h = Hypernetwork(spec.total_params, 4, [checkpoint._SLICE // 2 + 1],
-                         task_count=3, rng=np.random.default_rng(5))
+        h = Hypernetwork(spec.total_params, 4, [7], task_count=3,
+                         rng=np.random.default_rng(5))
         w0 = h.weights[0][0].reshape(-1)
-        assert w0.size > 2 * checkpoint._SLICE
-        w0[checkpoint._SLICE - 1] = np.nan
-        w0[checkpoint._SLICE] = np.nan
+        w0[0] = np.nan
+        w0[1] = -0.0
+        w0[2] = 5e-324
         w0[-1] = np.nan
         h.bn_stats = {0: [(np.array([0.5, np.nan]), np.array([1.0, 2.0]))],
                       10: [(np.zeros(2), np.ones(2))]}
         h.trained_tasks = 2
         return h, spec
 
-    def test_bytes_equal_one_json_dump(self, tmp_path, wide_model, results):
-        h, spec = wide_model
+    def test_bytes_equal_one_json_dump(self, tmp_path, awkward_model, results):
+        h, spec = awkward_model
         extra = {"note": "caf\u00e9", "nested": {"b": [1, 2.5], "a": None}}
         path = tmp_path / "model.json"
         save_checkpoint(str(path), h, spec, seed=3, results=results,
                         extra=extra)
         assert path.read_bytes() == _reference_bytes(h, spec, 3, results, extra)
 
+    def test_format_1_file_loads_bitwise(self, tmp_path, awkward_model,
+                                         results):
+        h, spec = awkward_model
+        extra = {"note": "old"}
+        path = tmp_path / "model.json"
+        path.write_bytes(_reference_bytes(h, spec, 3, results, extra,
+                                          version=1))
+        loaded = load_checkpoint(str(path))
+        assert loaded.hypernet.embeddings.tobytes() == h.embeddings.tobytes()
+        for (w1, b1), (w2, b2) in zip(loaded.hypernet.weights, h.weights):
+            assert w1.tobytes() == w2.tobytes()
+            assert b1.tobytes() == b2.tobytes()
+        assert set(loaded.hypernet.bn_stats) == set(h.bn_stats)
+        for task, stats in h.bn_stats.items():
+            for (m1, v1), (m2, v2) in zip(loaded.hypernet.bn_stats[task],
+                                          stats):
+                assert m1.tobytes() == m2.tobytes()
+                assert v1.tobytes() == v2.tobytes()
+        assert loaded.results.values.tobytes() == results.values.tobytes()
+        assert (loaded.seed, loaded.extra) == (3, extra)
+        assert loaded.hypernet.trained_tasks == 2
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
-    def test_infinity_is_refused_by_name(self, tmp_path, wide_model, value):
-        h, spec = wide_model
-        h.weights[1][0][3, 7] = value
+    def test_infinity_is_refused_by_name(self, tmp_path, awkward_model, value):
+        h, spec = awkward_model
+        h.weights[1][0][3, 2] = value
         path = tmp_path / "model.json"
         with pytest.raises(CheckpointError,
                            match=f"non-finite value {float(value)}$"):
@@ -224,7 +263,44 @@ class TestValidation:
         path = tmp_path / "model.json"
         save_checkpoint(str(path), h, spec)
         payload = json.loads(path.read_text())
-        payload["hypernet"]["embeddings"]["data"].pop()
+        stored = payload["hypernet"]["embeddings"]
+        stored["data"] = base64.b64encode(
+            base64.b64decode(stored["data"])[:-8]).decode("ascii")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="values for shape"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("tamper", [
+        lambda data: data[:-1],                       # truncated base64
+        lambda data: "!!!!" + data[4:],               # not base64
+        lambda data: data[:4] + "\n" + data[4:],      # stray whitespace
+        lambda data: base64.b64encode(                # 7 bytes short of 8
+            base64.b64decode(data)[:-1]).decode("ascii"),
+        lambda data: [0.0] * 3,                       # format 1 data
+    ], ids=["truncated", "not-base64", "whitespace", "partial-value",
+            "list"])
+    def test_corrupt_array_data(self, tmp_path, model, tamper):
+        h, spec = model
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), h, spec)
+        payload = json.loads(path.read_text())
+        stored = payload["hypernet"]["weights"][0]["w"]
+        stored["data"] = tamper(stored["data"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="malformed array"):
+            load_checkpoint(str(path))
+
+    def test_wrong_array_shape(self, tmp_path, model):
+        h, spec = model
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), h, spec)
+        payload = json.loads(path.read_text())
+        stored = payload["hypernet"]["weights"][0]["w"]
+        stored["shape"] = stored["shape"][::-1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="weight shaped"):
+            load_checkpoint(str(path))
+        stored["shape"] = [-d for d in stored["shape"]]
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="values for shape"):
             load_checkpoint(str(path))
@@ -241,7 +317,8 @@ class TestValidation:
         save_checkpoint(str(path), h, spec, results=ResultMatrix(3))
         payload = json.loads(path.read_text())
         payload["results"]["shape"] = [2, 2]
-        payload["results"]["data"] = [None, None, None, None]
+        payload["results"]["data"] = base64.b64encode(
+            np.full(4, np.nan).tobytes()).decode("ascii")
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="result table shape"):
             load_checkpoint(str(path))

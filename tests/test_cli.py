@@ -1,5 +1,7 @@
 """Command-line behavior: artifacts, determinism, and exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,23 @@ class TestTrain:
         assert (out / "config.ini").read_text() == text
         assert "steps = 10" in (out / "config.effective.ini").read_text()
 
+    def test_config_file_read_once(self, tmp_path, monkeypatch):
+        source = tmp_path / "exp.ini"
+        source.write_text("[train]\nsteps = 7\n")
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        args = cli.build_parser().parse_args(["train", "--config", str(source)])
+        cfg, text = cli._load_effective_config(args)
+        assert opened.count(str(source)) == 1
+        assert text == "[train]\nsteps = 7\n"
+        assert cfg["train"]["steps"] == 7
+
 
 class TestEval:
     def test_attack_none_reproduces_stored_clean(self, trained_run, tmp_path):
@@ -146,6 +165,15 @@ class TestEval:
         rc = run("eval", "--checkpoint",
                  str(trained_run / "checkpoint_task0.json"),
                  "--set", f"output.dir={out}", *BLOBS_ARGS)
+        assert rc == 3
+
+    def test_corrupt_array_data_rejected(self, trained_run, tmp_path):
+        payload = json.loads((trained_run / "checkpoint.json").read_text())
+        payload["hypernet"]["embeddings"]["data"] = "not base64!"
+        bad = tmp_path / "bad_array.json"
+        bad.write_text(json.dumps(payload))
+        rc = run("eval", "--checkpoint", str(bad),
+                 "--set", f"output.dir={tmp_path}/evalc", *BLOBS_ARGS)
         assert rc == 3
 
     def test_shape_mismatch_rejected(self, trained_run, tmp_path):

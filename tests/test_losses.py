@@ -258,6 +258,29 @@ def test_interval_mixup_grows_with_radius():
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_mixup_losses_bitwise_equal_on_arrays_and_tensors():
+    # Untaped and taped passes of the same numbers average alike, so a
+    # loss evaluated for selection matches the one the tape trained on.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(60, 4))
+        radius = rng.uniform(0.0, 0.3, size=(60, 4))
+        ya = rng.integers(0, 4, size=60)
+        yb = rng.integers(0, 4, size=60)
+        lam = rng.uniform(size=60) if seed % 2 else float(rng.uniform())
+        kappa = float(rng.uniform())
+        plain = losses.mixup_loss(logits, ya, yb, lam)
+        taped = losses.mixup_loss(Tensor(logits), ya, yb, lam)
+        assert taped.value.tobytes() == np.float64(plain).tobytes(), seed
+        box = IntervalTensor(logits - radius, logits + radius)
+        tape_box = IntervalTensor(Tensor(logits - radius),
+                                  Tensor(logits + radius))
+        plain = losses.interval_mixup_loss(box, logits, ya, yb, lam, kappa)
+        taped = losses.interval_mixup_loss(tape_box, Tensor(logits), ya, yb,
+                                           lam, kappa)
+        assert taped.value.tobytes() == np.float64(plain).tobytes(), seed
+
+
 def test_losses_are_finite_and_nonnegative_on_random_draws():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -142,6 +142,19 @@ def test_training_rejects_empty_and_mismatched_data():
                             quick_cfg())
 
 
+def test_empty_validation_set_is_refused_before_training():
+    data = make_blobs(2, 40, [[0.3, 0.3], [0.7, 0.7]])
+    empty = Data(np.zeros((0, 2)), np.zeros(0, dtype=int))
+    spec, h = small_setup()
+    before = [w.copy() for w, _ in h.weights]
+    with pytest.raises(ValueError, match="empty validation set"):
+        training.train_task(h, spec, 0, data, quick_cfg(model_selection=True),
+                            val_data=empty)
+    assert all(np.array_equal(w, b) for (w, _), b in zip(h.weights, before))
+    # Without model selection nothing reads the split.
+    training.train_task(h, spec, 0, data, quick_cfg(steps=2), val_data=empty)
+
+
 def test_first_task_log_shape_and_schedule():
     data = make_blobs(2, 60, [[0.25, 0.3], [0.7, 0.75]])
     spec, h = small_setup()
@@ -309,6 +322,26 @@ def test_train_sequence_repeated_task_keeps_both_accuracies_close():
                                  model_selection=False)
     result, _ = training.train_sequence(h, spec, tasks, cfg)
     assert abs(result.values[1, 1] - result.values[1, 0]) <= 0.1
+
+
+def test_train_sequence_refuses_empty_test_split_before_training():
+    spec, h = small_setup(task_count=2)
+    base = make_blobs(18, 60, [[0.25, 0.25], [0.75, 0.75]])
+
+    class T:
+        pass
+
+    tasks = []
+    for test_size in (20, 0):
+        t = T()
+        t.train = Data(base.inputs[:40], base.labels[:40])
+        t.test = Data(base.inputs[40:40 + test_size],
+                      base.labels[40:40 + test_size])
+        t.val = None
+        tasks.append(t)
+    with pytest.raises(ValueError, match="task 1 has an empty test split"):
+        training.train_sequence(h, spec, tasks, quick_cfg(steps=5))
+    assert h.trained_tasks == 0
 
 
 def test_train_sequence_task_count_mismatch():
