@@ -3,9 +3,12 @@
 A ``Tensor`` wraps a float64 ndarray and records the operation that produced
 it. Calling :meth:`Tensor.backward` on a scalar output walks the graph once in
 reverse topological order and accumulates gradients into every node that
-requires them. The op set is deliberately small: exactly what dense/conv
-interval networks, their losses, and gradient-based attacks need, and
-nothing else:
+requires them. Backward walks and forms only the gradients that take part:
+the walk skips subgraphs that take no gradient, and an op's backward
+returns ``None`` instead of a gradient for a constant operand.
+
+The op set is deliberately small: exactly what dense/conv interval
+networks, their losses, and gradient-based attacks need, and nothing else:
 
 - arithmetic: ``+``, ``-``, ``*``, ``/``, ``@`` and the dense node ``linear``;
 - elementwise: ``abs``, ``relu``, ``sigmoid``, ``sqrt``;
@@ -92,8 +95,10 @@ class Tensor:
         out = Tensor(self.value + other.value, (self, other))
 
         def backward(grad):
-            return (_unbroadcast(grad, self.value.shape),
-                    _unbroadcast(grad, other.value.shape))
+            return (_unbroadcast(grad, self.value.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(grad, other.value.shape)
+                    if other.requires_grad else None)
 
         out._backward = backward
         return out
@@ -106,8 +111,10 @@ class Tensor:
         a, b = self.value, other.value
 
         def backward(grad):
-            return (_unbroadcast(grad * b, a.shape),
-                    _unbroadcast(grad * a, b.shape))
+            return (_unbroadcast(grad * b, a.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(grad * a, b.shape)
+                    if other.requires_grad else None)
 
         out._backward = backward
         return out
@@ -131,8 +138,10 @@ class Tensor:
         a, b = self.value, other.value
 
         def backward(grad):
-            return (_unbroadcast(grad / b, a.shape),
-                    _unbroadcast(-grad * a / (b * b), b.shape))
+            return (_unbroadcast(grad / b, a.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(-grad * a / (b * b), b.shape)
+                    if other.requires_grad else None)
 
         out._backward = backward
         return out
@@ -242,12 +251,24 @@ class Tensor:
         return out
 
     def __getitem__(self, key):
+        """Basic indexing only: slices, ints, or a tuple of them.
+
+        A basic index never selects one element twice, so backward writes
+        the gradient into its view of a zero array. Any other key (arrays,
+        booleans, ``None``, ``Ellipsis``) raises ``TypeError``.
+        """
+        parts = key if isinstance(key, tuple) else (key,)
+        for part in parts:
+            if isinstance(part, bool) or not isinstance(
+                    part, (slice, int, np.integer)):
+                raise TypeError(
+                    f"Tensor indexing takes slices and ints, got {type(part).__name__}")
         out = Tensor(self.value[key], (self,))
         shape = self.value.shape
 
         def backward(grad):
             gx = np.zeros(shape)
-            np.add.at(gx, key, grad)
+            gx[key] += grad
             return (gx,)
 
         out._backward = backward
@@ -282,11 +303,14 @@ class Tensor:
 
 
 def topological_order(root: Tensor) -> list[Tensor]:
-    """Parents-before-children ordering of the graph below ``root``.
+    """Parents-before-children ordering of the grad-taking graph below ``root``.
 
     Iterative DFS; traversal follows the stored parent tuples, so the order
     (and with it the floating-point accumulation order in backward) is
-    reproducible run to run.
+    reproducible run to run. The walk does not descend into a parent with
+    ``requires_grad=False``: every ancestor of such a node takes no
+    gradient either, so backward would form nothing there, and the nodes
+    that remain keep the order a full walk gives them.
     """
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -301,7 +325,7 @@ def topological_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
@@ -382,9 +406,15 @@ def _sliding_windows(x, kh, kw, sh, sw, per_channel):
     out = Tensor(windows, (x,))
 
     def backward(grad):
+        # One strided add per kernel position. Descending (i, j) adds each
+        # input position's contributions in ascending window order, the
+        # order a per-element scatter (np.add.at) sums them in.
+        g = grad.reshape(gathered.shape)
         gx = np.zeros(val.shape)
-        np.add.at(gx, (slice(None), rows, cols, slice(None)),
-                  grad.reshape(gathered.shape))
+        row_end, col_end = sh * (oh - 1) + 1, sw * (ow - 1) + 1
+        for i in range(kh - 1, -1, -1):
+            for j in range(kw - 1, -1, -1):
+                gx[:, i:i + row_end:sh, j:j + col_end:sw, :] += g[:, :, :, i, j, :]
         return (gx,)
 
     out._backward = backward

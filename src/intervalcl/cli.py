@@ -182,10 +182,9 @@ def make_trainer_config(cfg) -> TrainerConfig:
         val_every=t["val_every"], model_selection=t["model_selection"])
 
 
-def make_attack_config(cfg, kind=None) -> AttackConfig:
+def make_attack_config(cfg, kind) -> AttackConfig:
     a = cfg["attack"]
-    return AttackConfig(kind=a["kind"] if kind is None else kind,
-                        eps=a["eps"],
+    return AttackConfig(kind=kind, eps=a["eps"],
                         step=None if a["step"] == 0.0 else a["step"],
                         iters=a["iters"], random_start=a["random_start"],
                         seed=a["seed"])

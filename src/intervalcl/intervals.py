@@ -72,11 +72,6 @@ class IntervalTensor:
             raise ValueError("radius must be non-negative")
         return cls(x - eps, x + eps)
 
-    def contains(self, x, slack=0.0) -> bool:
-        v = np.asarray(x)
-        return bool(np.all(_raw(self.lower) - slack <= v)
-                    and np.all(v <= _raw(self.upper) + slack))
-
 
 # ---- kernels shared by points and boxes ----------------------------------
 

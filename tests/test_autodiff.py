@@ -72,6 +72,27 @@ def test_topological_order_visits_each_node_once_parents_first():
             assert pos[id(parent)] < pos[id(node)]
 
 
+def test_constant_operands_form_no_gradient(monkeypatch):
+    # Elementwise ops call _unbroadcast once per gradient they form; the
+    # constants' gradients would be thrown away, so none is formed.
+    shapes = []
+    unbroadcast = ad._unbroadcast
+
+    def recording(grad, shape):
+        shapes.append(shape)
+        return unbroadcast(grad, shape)
+
+    monkeypatch.setattr(ad, "_unbroadcast", recording)
+    p = Tensor.parameter(np.arange(6.0).reshape(2, 3))
+    scale = Tensor.constant(np.array([1.0, 2.0, 3.0]))
+    shift = Tensor.constant(np.array([[4.0, 5.0, 6.0]]))
+    denom = Tensor.constant(np.array([[2.0], [4.0]]))
+    ((p * scale + shift) / denom).sum().backward()
+    assert shapes == [(2, 3)] * 3
+    assert scale.grad is None and shift.grad is None and denom.grad is None
+    assert np.array_equal(p.grad, scale.value / denom.value)
+
+
 def test_constant_leaves_stay_grad_free():
     w = Tensor.parameter(np.array(2.0))
     c = Tensor.constant(np.array(4.0))
@@ -198,7 +219,7 @@ def test_reshape_transpose_getitem():
 
     def build():
         t = w.reshape(2, 12).transpose((1, 0))
-        return (t[3:9, :] * t[0:6, :]).sum()
+        return (t[3:9, :] * t[0:6, :]).sum() + t[2, 1] * t[4, 1:].sum()
 
     assert ad.grad_check(build, [w]) <= 1e-8
 
@@ -247,6 +268,72 @@ def test_pool_windows_shape_and_gradient():
         return ad.pool_windows(t, 2, 2).max(axis=3).sum()
 
     assert ad.grad_check(build, [t], rng=rng, max_coords=24) <= 1e-8
+
+
+def test_extract_patches_gradient_at_stride_two():
+    # Overlapping 3x3 windows on stride 2 over two channels.
+    rng = np.random.default_rng(11)
+    t = Tensor.parameter(rng.normal(size=(2, 7, 6, 2)))
+    weights = rng.normal(size=(2, 3, 2, 18))
+
+    def build():
+        return (ad.extract_patches(t, 3, 3, 2, 2) * weights).sum()
+
+    assert ad.grad_check(build, [t]) <= 1e-8
+
+
+def _scatter_reference(shape, grad6, kh, kw, sh, sw):
+    """Per-element scatter of (B, OH, OW, kh, kw, C) window gradients."""
+    _, oh, ow = grad6.shape[:3]
+    rows = (np.arange(oh) * sh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
+    cols = (np.arange(ow) * sw)[None, :, None, None] + np.arange(kw)[None, None, None, :]
+    gx = np.zeros(shape)
+    np.add.at(gx, (slice(None), rows, cols, slice(None)), grad6)
+    return gx
+
+
+def _window_grad(rng, x, kh, kw, sh, sw, gather):
+    """Backward of ``gather`` under an upstream gradient spanning ~10
+    orders of magnitude, and the per-element scatter of the same one."""
+    t = Tensor.parameter(x)
+    out = gather(t)
+    upstream = rng.normal(size=out.shape) * 10.0 ** rng.uniform(-5, 5, out.shape)
+    (out * upstream).sum().backward()
+    b, oh, ow = out.shape[:3]
+    grad6 = upstream.reshape(b, oh, ow, kh, kw, x.shape[3])
+    return t.grad, _scatter_reference(x.shape, grad6, kh, kw, sh, sw)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("kh,kw,sh,sw", [
+    (2, 2, 1, 1), (3, 3, 1, 1), (3, 3, 2, 2), (2, 2, 2, 2),
+    (3, 2, 2, 1), (2, 3, 1, 2)])
+def test_extract_patches_backward_is_bitwise_the_scatter(kh, kw, sh, sw, channels):
+    rng = np.random.default_rng(kh * 100 + kw * 10 + sh + channels)
+    x = rng.normal(size=(2, 7, 8, channels))
+    got, want = _window_grad(
+        rng, x, kh, kw, sh, sw,
+        lambda t: ad.extract_patches(t, kh, kw, sh, sw))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("window,stride", [(2, 1), (3, 1), (3, 2), (2, 2)])
+def test_pool_windows_backward_is_bitwise_the_scatter(window, stride, channels):
+    rng = np.random.default_rng(window * 10 + stride + channels)
+    x = rng.normal(size=(2, 7, 7, channels))
+    got, want = _window_grad(
+        rng, x, window, window, stride, stride,
+        lambda t: ad.pool_windows(t, window, stride))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_getitem_rejects_advanced_keys():
+    w = Tensor.parameter(np.arange(6.0))
+    with pytest.raises(TypeError):
+        w[np.array([0, 2])]
+    with pytest.raises(TypeError):
+        w[w.value > 2.0]
 
 
 def test_softmax_rows_sum_to_one_and_gradient():

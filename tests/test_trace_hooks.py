@@ -1,9 +1,10 @@
 """The benchmark's span tracer still reaches the layer rules.
 
 ``perfbench/spans.py`` traces by replacing module attributes such as
-``intervals.interval_conv2d``. A rename, or a forward pass that calls the
-rules through a table bound at import time, would leave the traced run
-without those spans and raise no error; these tests fail instead.
+``intervals.interval_conv2d`` and ``autodiff.topological_order``. A rename,
+a forward pass that calls the rules through a table bound at import time,
+or a backward that walks the tape inline would leave the traced run
+without those spans or counts and raise no error; these tests fail instead.
 """
 
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from intervalcl import autodiff as ad
 from intervalcl import checkpoint, nets
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -75,3 +77,25 @@ def test_checkpoint_round_trip_records_spans_and_bytes(tmp_path):
     assert calls.get("checkpoint.save") == 1
     assert calls.get("checkpoint.load") == 1
     assert tracer.counts["checkpoint.save.bytes"] > 0
+
+
+def test_backward_records_its_pruned_node_count():
+    spec = nets.NetworkSpec((3,), nets.mlp_layers([4], 2), classes=2)
+    h = nets.Hypernetwork(spec.total_params, 3, [5], task_count=1,
+                          rng=np.random.default_rng(2))
+    flat, _ = h.tape_generate(0)
+    x = np.random.default_rng(3).uniform(size=(2, 3))
+    logits = nets.forward_point(spec, nets.ParamSet(spec, flat), x)
+    loss = ad.softmax_cross_entropy(logits, np.array([0, 1]))
+    expected = len(ad.topological_order(loss))
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        loss.backward()
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+
+    assert tracer.nodes_per_backward == [expected]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from intervalcl import autodiff as ad
 from intervalcl import evaluation as ev
 from intervalcl import losses as L
 from intervalcl import nets
@@ -348,6 +349,56 @@ def test_train_sequence_task_count_mismatch():
     spec, h = small_setup(task_count=2)
     with pytest.raises(ValueError):
         training.train_sequence(h, spec, [], quick_cfg())
+
+
+# ---- the tape of one step ------------------------------------------------
+
+
+def second_task_step_loss():
+    """The loss of one step on task 1, built the way ``training._train``
+    builds it: mixup task loss plus the output regularizer on task 0,
+    whose frozen embedding enters the tape as a constant."""
+    spec = nets.NetworkSpec((2,), nets.mlp_layers([6], 2), classes=2)
+    h = nets.Hypernetwork(spec.total_params, 3, [5], 2, np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(4, 2))
+    labels = np.array([0, 1, 1, 0])
+    snapshots = [h.generate_flat(0)]
+    leaves = {}
+    flat, _ = h.tape_generate(1, leaves=leaves)
+    params = nets.ParamSet(spec, flat)
+    logits = nets.forward_point(spec, params, x)
+    bounds = nets.forward_interval(spec, params, x, eps=0.05)
+    task_loss = L.interval_mixup_loss(bounds, logits, labels, labels[::-1],
+                                      0.3, 0.75)
+    current = [h.tape_generate(0, train_embedding=False, leaves=leaves)[0]]
+    return task_loss + 0.5 * L.output_reg_loss(snapshots, current)
+
+
+def unpruned_order(root):
+    """Parents-first DFS over every node, grad-taking or not."""
+    order, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in visited)
+    return order
+
+
+def test_step_tape_walk_visits_only_grad_taking_nodes_in_full_walk_order():
+    loss = second_task_step_loss()
+    order = ad.topological_order(loss)
+    full = unpruned_order(loss)
+    assert all(node.requires_grad for node in order)
+    assert [id(n) for n in order] == [id(n) for n in full if n.requires_grad]
+    # The step's constants (inputs, labels, the frozen embedding) are pruned.
+    assert len(order) < len(full)
 
 
 # ---- training on interpolated samples only -------------------------------
