@@ -42,7 +42,7 @@ eps = 0.08
 beta = 0.01
 
 [attack]
-kind = pgd
+enabled = true
 eps = 0.08
 iters = 40
 

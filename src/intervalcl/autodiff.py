@@ -12,15 +12,16 @@ networks, their losses, and gradient-based attacks need, and nothing else:
 
 - arithmetic: ``+``, ``-``, ``*``, ``/``, ``@`` and the dense node ``linear``;
 - elementwise: ``abs``, ``relu``, ``sigmoid``, ``sqrt``;
-- reductions: ``sum``, ``mean``, ``max`` along one axis;
+- reductions: ``sum`` and a one-axis ``max``;
 - shape: ``reshape``, ``transpose``, indexing, and the sliding-window
   gathers ``extract_patches`` (convolution) and ``pool_windows`` (pooling);
-- losses: ``softmax`` and ``softmax_cross_entropy``.
+- loss: ``softmax_cross_entropy``, averaged or per sample (``softmax``
+  itself takes arrays only: no loss differentiates through it).
 
-The module-level helpers (``relu``, ``sigmoid``, ``sqrt``, ...) accept
-either a ``Tensor`` or a plain ndarray and return the same kind. Layer math
-written against these helpers runs on the tape during training and on raw
-arrays during evaluation without a second implementation.
+The module-level helpers (``relu``, ``sigmoid``, ``sqrt``, ``linear``, ...)
+accept either a ``Tensor`` or a plain ndarray and return the same kind.
+Layer math written against these helpers runs on the tape during training
+and on raw arrays during evaluation without a second implementation.
 """
 
 from __future__ import annotations
@@ -211,11 +212,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.value.size if axis is None else np.prod(
-            [self.value.shape[a] for a in np.atleast_1d(axis)])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
-
     def max(self, axis, keepdims=False):
         """Max along one axis; ties route gradient to the first maximum."""
         idx = np.argmax(self.value, axis=axis)
@@ -356,8 +352,8 @@ def absolute(x):
     return abs(x) if isinstance(x, Tensor) else np.abs(x)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer ``x @ w.T + b`` as one tape node.
+def linear(x, w, b):
+    """Dense layer ``x @ w.T + b``: one tape node, or plain numpy on arrays.
 
     ``x`` is (B, in), ``w`` is (out, in) and ``b`` is (out,). The value is
     computed exactly as the matmul -> transpose -> add chain computes it,
@@ -366,6 +362,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     product, so all three gradients are bitwise those of the chain; for
     B > 1 the gemm orientation changes the summation order.
     """
+    if not isinstance(x, Tensor):
+        return x @ w.T + b
     out = Tensor(x.value @ w.value.T + b.value, (x, w, b))
 
     def backward(grad):
@@ -435,21 +433,10 @@ def pool_windows(x, window, stride):
     return _sliding_windows(x, window, window, stride, stride, per_channel=True)
 
 
-def softmax(x, axis=-1):
-    val = x.value if isinstance(x, Tensor) else x
-    shifted = val - val.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    if not isinstance(x, Tensor):
-        return s
-    out = Tensor(s, (x,))
-
-    def backward(grad):
-        inner = (grad * s).sum(axis=axis, keepdims=True)
-        return (s * (grad - inner),)
-
-    out._backward = backward
-    return out
+def softmax(x: np.ndarray, axis=-1) -> np.ndarray:
+    """Softmax of an ndarray along ``axis``; it has no tape node."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def softmax_cross_entropy(logits, labels, reduction="mean"):
@@ -458,8 +445,10 @@ def softmax_cross_entropy(logits, labels, reduction="mean"):
     Args:
         logits: (B, K) Tensor or ndarray.
         labels: (B,) integer array.
-        reduction: "mean", "sum", or "none" (per-sample vector).
+        reduction: "mean" or "none" (per-sample vector).
     """
+    if reduction not in ("mean", "none"):
+        raise ValueError(f"unknown reduction {reduction!r}")
     labels = np.asarray(labels)
     val = logits.value if isinstance(logits, Tensor) else logits
     if val.ndim != 2:
@@ -472,14 +461,7 @@ def softmax_cross_entropy(logits, labels, reduction="mean"):
     shifted = val - val.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + val.max(axis=1)
     per_sample = lse - val[np.arange(batch), labels]
-    if reduction == "mean":
-        result = per_sample.mean()
-    elif reduction == "sum":
-        result = per_sample.sum()
-    elif reduction == "none":
-        result = per_sample
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
+    result = per_sample.mean() if reduction == "mean" else per_sample
     if not isinstance(logits, Tensor):
         return result
     probs = np.exp(shifted)
@@ -490,8 +472,6 @@ def softmax_cross_entropy(logits, labels, reduction="mean"):
 
     if reduction == "mean":
         out._backward = lambda grad: (grad * (probs - onehot) / batch,)
-    elif reduction == "sum":
-        out._backward = lambda grad: (grad * (probs - onehot),)
     else:
         out._backward = lambda grad: (grad[:, None] * (probs - onehot),)
     return out

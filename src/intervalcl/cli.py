@@ -269,7 +269,7 @@ def cmd_eval(cfg, checkpoint_path: str) -> Path:
     loaded, tasks = _load_for_evaluation(cfg, checkpoint_path)
     hypernet, spec = loaded.hypernet, loaded.spec
     out_dir = resolve_output_dir(cfg)
-    attacked = cfg["attack"]["kind"] != "none"
+    attacked = cfg["attack"]["enabled"]
     with _config_values():
         attacks = {kind: make_attack_config(cfg, kind if attacked else "none")
                    for kind in ("fgsm", "pgd")}

@@ -85,11 +85,9 @@ SCHEMA: dict[str, dict[str, Field]] = {
                            "mixing grid size per pair (toy2d training)"),
     },
     "attack": {
-        "kind": Field("str", "pgd",
-                      "on/off switch for the eval attacks: fgsm or pgd runs "
-                      "both and writes both rows, none scores clean inputs "
-                      "in those rows",
-                      choices=("none", "fgsm", "pgd")),
+        "enabled": Field("bool", True,
+                         "run the FGSM and PGD attacks of eval; false scores "
+                         "clean inputs in their rows"),
         "eps": Field("float", 0.0, "attack radius"),
         "step": Field("float", 0.0, "PGD step size, 0 = radius / 4"),
         "iters": Field("int", 100, "PGD iterations"),
@@ -106,6 +104,9 @@ SCHEMA: dict[str, dict[str, Field]] = {
 }
 
 OUTPUT_ROOT_ENV = "INTERVALCL_OUTPUT_ROOT"
+
+# Keys that left the schema, with what replaced them.
+_REPLACED = {("attack", "kind"): "attack.enabled, a true/false switch"}
 
 _BOOL_STATES = {"1": True, "yes": True, "true": True, "on": True,
                 "0": False, "no": False, "false": False, "off": False}
@@ -141,6 +142,19 @@ def _coerce(section: str, key: str, raw: str, field: Field):
     return value
 
 
+def _field(where: str, section: str, key: str | None = None) -> Field | None:
+    """Schema entry of ``section.key`` (only the section without ``key``)."""
+    if section not in SCHEMA:
+        raise ConfigError(f"{where}: unknown section [{section}]")
+    if key is None:
+        return None
+    if key not in SCHEMA[section]:
+        hint = _REPLACED.get((section, key))
+        note = f" (replaced by {hint})" if hint else ""
+        raise ConfigError(f"{where}: unknown key {section}.{key}{note}")
+    return SCHEMA[section][key]
+
+
 def default_config() -> dict:
     return {section: {key: field.default for key, field in keys.items()}
             for section, keys in SCHEMA.items()}
@@ -155,12 +169,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
         raise ConfigError(f"{origin}: {exc}") from exc
     cfg = default_config()
     for section in parser.sections():
-        if section not in SCHEMA:
-            raise ConfigError(f"{origin}: unknown section [{section}]")
+        _field(origin, section)
         for key, raw in parser.items(section):
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"{origin}: unknown key {section}.{key}")
-            cfg[section][key] = _coerce(section, key, raw, SCHEMA[section][key])
+            cfg[section][key] = _coerce(section, key, raw,
+                                        _field(origin, section, key))
     return cfg
 
 
@@ -183,11 +195,8 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         key = key.strip()
         if not dot or not section or not key:
             raise ConfigError(f"override {item!r} is not section.key=value")
-        if section not in SCHEMA:
-            raise ConfigError(f"override names unknown section [{section}]")
-        if key not in SCHEMA[section]:
-            raise ConfigError(f"override names unknown key {section}.{key}")
-        cfg[section][key] = _coerce(section, key, raw, SCHEMA[section][key])
+        cfg[section][key] = _coerce(section, key, raw,
+                                    _field(f"override {item!r}", section, key))
     return cfg
 
 

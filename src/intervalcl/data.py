@@ -4,6 +4,8 @@ Everything emitted downstream obeys the same contract: inputs are float64
 in [0, 1], labels are integers in [0, classes), splits are disjoint, and
 every task in a sequence shares one class count. Generators are pure
 functions of their seed.
+Permuted and rotated image tasks come from one builder that applies each
+task's transform to a shared split of the base images.
 """
 
 from __future__ import annotations
@@ -177,16 +179,28 @@ def split_indices(count: int, sizes, seed: int) -> list[np.ndarray]:
 # ---- task builders over a base image dataset -----------------------------
 
 
-def _image_task_splits(images, labels, seed, train_size, val_size, test_size):
-    tr, va, te = split_indices(images.shape[0],
-                               (train_size, val_size, test_size), seed)
-    return (images[tr], labels[tr]), (images[va], labels[va]), (images[te], labels[te])
+def _image_tasks(images, labels, seed, kind, key, values, transform, *,
+                 train_size, val_size, test_size, flat) -> list[Task]:
+    """One task per value on one shared split of the (N, H, W) ``images``.
 
-
-def _as_inputs(images: np.ndarray, flat: bool) -> np.ndarray:
-    if flat:
-        return images.reshape(images.shape[0], -1)
-    return images[..., None]  # single channel
+    Each split goes through ``transform(images, value)``; the task's
+    descriptor records the value under ``key``.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    classes = int(labels.max()) + 1
+    splits = [(images[index], labels[index]) for index in split_indices(
+        images.shape[0], (train_size, val_size, test_size), seed)]
+    tasks = []
+    for t, value in enumerate(values):
+        split = []
+        for x, y in splits:
+            x = transform(x, value)
+            # flat vectors, or images with a single channel
+            x = x.reshape(x.shape[0], -1) if flat else x[..., None]
+            split.append(LabeledData(x, y))
+        tasks.append(Task(*split, classes=classes,
+                          descriptor={"kind": kind, "task": t, key: value}))
+    return tasks
 
 
 def build_permuted_tasks(images, labels, task_count: int, seed: int, *,
@@ -201,36 +215,14 @@ def build_permuted_tasks(images, labels, task_count: int, seed: int, *,
     if task_count < 1:
         raise ValueError("need at least one task")
     images = downsample_images(np.asarray(images, dtype=np.float64), downsample)
-    labels = np.asarray(labels, dtype=np.int64)
-    classes = int(labels.max()) + 1
-    (xtr, ytr), (xva, yva), (xte, yte) = _image_task_splits(
-        images, labels, seed, train_size, val_size, test_size)
     width = images.shape[1] * images.shape[2]
-    tasks = []
-    for t in range(task_count):
-        if t == 0:
-            perm = np.arange(width)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                               spawn_key=(t,)))
-            perm = rng.permutation(width)
-
-        def apply(x):
-            return x.reshape(x.shape[0], -1)[:, perm]
-
-        shape = images.shape[1:]
-
-        def pack(x):
-            return x if flat else x.reshape(x.shape[0], *shape)[..., None]
-
-        tasks.append(Task(
-            train=LabeledData(pack(apply(xtr)), ytr),
-            val=LabeledData(pack(apply(xva)), yva),
-            test=LabeledData(pack(apply(xte)), yte),
-            classes=classes,
-            descriptor={"kind": "permuted", "task": t, "permutation": perm},
-        ))
-    return tasks
+    perms = [np.arange(width)] + [
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        .permutation(width) for t in range(1, task_count)]
+    return _image_tasks(
+        images, labels, seed, "permuted", "permutation", perms,
+        lambda x, perm: x.reshape(x.shape[0], -1)[:, perm].reshape(x.shape),
+        train_size=train_size, val_size=val_size, test_size=test_size, flat=flat)
 
 
 def build_rotated_tasks(images, labels, angles, seed: int, *,
@@ -240,23 +232,10 @@ def build_rotated_tasks(images, labels, angles, seed: int, *,
     if not len(angles):
         raise ValueError("need at least one angle")
     images = downsample_images(np.asarray(images, dtype=np.float64), downsample)
-    labels = np.asarray(labels, dtype=np.int64)
-    classes = int(labels.max()) + 1
-    (xtr, ytr), (xva, yva), (xte, yte) = _image_task_splits(
-        images, labels, seed, train_size, val_size, test_size)
-    tasks = []
-    for t, angle in enumerate(angles):
-        def make(x):
-            return _as_inputs(rotate_images(x, angle), flat)
-
-        tasks.append(Task(
-            train=LabeledData(make(xtr), ytr),
-            val=LabeledData(make(xva), yva),
-            test=LabeledData(make(xte), yte),
-            classes=classes,
-            descriptor={"kind": "rotated", "task": t, "angle": float(angle)},
-        ))
-    return tasks
+    return _image_tasks(images, labels, seed, "rotated", "angle",
+                        [float(a) for a in angles], rotate_images,
+                        train_size=train_size, val_size=val_size,
+                        test_size=test_size, flat=flat)
 
 
 # ---- synthetic generators ------------------------------------------------

@@ -3,12 +3,13 @@
 Attack gradients go through the plain point forward pass; certification
 goes through the interval pass. The two never substitute for each other:
 an attack failing is evidence, a certificate is proof, and tests hold the
-certificate to the stronger standard.
+certificate to the stronger standard. The one attack loop is ``pgd``;
+FGSM is its single full step of size eps from the clean input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,8 @@ from intervalcl.autodiff import Tensor
 class AttackConfig:
     """Gradient attack settings.
 
-    kind: "none", "fgsm", or "pgd".
+    kind: "none", "fgsm", or "pgd"; "fgsm" is one PGD step of size eps
+        from the clean input, so it ignores step, iters and random_start.
     eps: attack radius in the input box.
     step: PGD ascent step; defaults to eps / 4 when unset.
     iters: PGD iteration count.
@@ -60,19 +62,11 @@ def _input_gradient(spec, params, inputs, labels, bn_stats):
     return x.grad
 
 
-def fgsm(spec, params, inputs, labels, eps, bn_stats=None) -> np.ndarray:
-    """One signed gradient step of size ``eps``, clipped to the [0, 1] box."""
-    if eps < 0.0:
-        raise ValueError(f"attack eps must be non-negative, got {eps}")
-    grad = _input_gradient(spec, params, inputs, labels, bn_stats)
-    return np.clip(inputs + eps * np.sign(grad), 0.0, 1.0)
-
-
 def pgd(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.ndarray:
     """Iterated signed ascent projected to the eps-ball and the [0, 1] box.
 
-    With one iteration, no random start, and a step of at least eps, this
-    reduces to FGSM.
+    With one iteration, no random start and a step of eps, this is FGSM:
+    one signed gradient step of size eps, clipped to the [0, 1] box.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     step = cfg.step if cfg.step is not None else cfg.eps / 4.0
@@ -95,7 +89,7 @@ def attack(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np
     if cfg.kind == "none" or cfg.eps == 0.0:
         return np.asarray(inputs, dtype=np.float64)
     if cfg.kind == "fgsm":
-        return fgsm(spec, params, inputs, labels, cfg.eps, bn_stats=bn_stats)
+        cfg = replace(cfg, step=cfg.eps, iters=1, random_start=False)
     return pgd(spec, params, inputs, labels, cfg, bn_stats=bn_stats)
 
 

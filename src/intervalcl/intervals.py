@@ -8,11 +8,12 @@ same layer wraps it.
 
 An ``IntervalTensor`` carries elementwise lower and upper bounds. Each rule
 maps an input box to an output box that contains every image of a point from
-the input box; affine rules send the midpoint through the kernel and the
-radius through the kernel with absolute weights, monotone activations and
-pooling apply the kernel to both bounds, and batch normalization computes
-its statistics over both bounds jointly so that a zero-radius input
-reproduces the plain point computation exactly.
+the input box. Dense, conv and batchnorm's scale-and-shift share one
+affine rule that sends the midpoint through the map and the radius through
+it with absolute weights; monotone activations and pooling apply the
+kernel to both bounds, and batch normalization computes its statistics
+over both bounds jointly so that a zero-radius input reproduces the plain
+point computation exactly.
 
 Payloads may be ndarrays or autodiff Tensors; the kernels are written
 against the dual-mode helpers in :mod:`intervalcl.autodiff` and work
@@ -51,14 +52,6 @@ class IntervalTensor:
     @property
     def shape(self):
         return _raw(self.lower).shape
-
-    @property
-    def midpoint(self):
-        return (self.lower + self.upper) * 0.5
-
-    @property
-    def radius(self):
-        return (self.upper - self.lower) * 0.5
 
     @classmethod
     def point(cls, x) -> "IntervalTensor":
@@ -120,32 +113,30 @@ def pool(x, kind: str, window: int, stride: int):
 # ---- interval rules ------------------------------------------------------
 
 
-def interval_affine(iv: IntervalTensor, weight, bias) -> IntervalTensor:
-    """Dense layer ``y = x W^T + b`` lifted to boxes.
+def _affine_box(lower, upper, apply, weight, bias) -> IntervalTensor:
+    """Box image of ``x -> apply(x, weight) + bias`` for ``apply`` linear in x.
 
-    The midpoint maps through the affine map; the radius maps through the
-    absolute weight matrix. ``weight`` has shape (out, in), inputs are
-    batched (B, in).
+    The centre is finished before the radius is formed, so an untaped pass
+    holds one midpoint-sized temporary at a time.
     """
+    centre = apply((lower + upper) * 0.5, weight) + bias
+    halfwidth = apply((upper - lower) * 0.5, ad.absolute(weight))
+    return IntervalTensor(centre - halfwidth, centre + halfwidth)
+
+
+def interval_affine(iv: IntervalTensor, weight, bias) -> IntervalTensor:
+    """Dense layer ``y = x W^T + b`` on boxes: W is (out, in), x is (B, in)."""
     w_raw = _raw(weight)
     if _raw(iv.lower).shape[-1] != w_raw.shape[1]:
         raise ValueError(
             f"input width {_raw(iv.lower).shape[-1]} does not match weight {w_raw.shape}")
     if _raw(bias).shape != (w_raw.shape[0],):
         raise ValueError(f"bias shape {_raw(bias).shape} does not match out width")
-    mid = iv.midpoint
-    rad = iv.radius
-    centre = linear_map(mid, weight) + bias
-    halfwidth = linear_map(rad, ad.absolute(weight))
-    return IntervalTensor(centre - halfwidth, centre + halfwidth)
+    return _affine_box(iv.lower, iv.upper, linear_map, weight, bias)
 
 
 def interval_conv2d(iv: IntervalTensor, kernel, bias, stride=1) -> IntervalTensor:
-    """Valid-padding NHWC convolution lifted to boxes.
-
-    ``kernel`` has shape (kh, kw, c_in, c_out). The midpoint goes through
-    the kernel, the radius through its absolute value.
-    """
+    """Valid-padding NHWC convolution on boxes; kernel is (kh, kw, c_in, c_out)."""
     k_raw = _raw(kernel)
     if k_raw.ndim != 4:
         raise ValueError(f"kernel must be (kh, kw, c_in, c_out), got {k_raw.shape}")
@@ -155,9 +146,8 @@ def interval_conv2d(iv: IntervalTensor, kernel, bias, stride=1) -> IntervalTenso
         raise ValueError(f"input {lo_shape} does not match kernel channels {c_in}")
     if _raw(bias).shape != (c_out,):
         raise ValueError(f"bias shape {_raw(bias).shape} does not match {c_out} channels")
-    centre = conv2d(iv.midpoint, kernel, stride) + bias
-    halfwidth = conv2d(iv.radius, ad.absolute(kernel), stride)
-    return IntervalTensor(centre - halfwidth, centre + halfwidth)
+    return _affine_box(iv.lower, iv.upper,
+                       lambda x, k: conv2d(x, k, stride), kernel, bias)
 
 
 def interval_activation(iv: IntervalTensor, kind: str) -> IntervalTensor:
@@ -181,7 +171,7 @@ def batch_moments(lower, upper, axes):
 
 
 def _mean(x, axes):
-    # sum * (1/n) as in Tensor.mean: taped and untaped passes agree bitwise
+    # sum * (1/n) in both modes: taped and untaped passes agree bitwise
     n = float(np.prod([_raw(x).shape[a] for a in axes]))
     return x.sum(axis=axes, keepdims=True) * (1.0 / n)
 
@@ -218,13 +208,8 @@ def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, eps=1e-5,
     if capture is not None:
         capture.append((mean, var))
     scale = 1.0 / ad.sqrt(var + eps)
-    norm_l = (iv.lower - mean) * scale
-    norm_u = (iv.upper - mean) * scale
-    centre = (norm_l + norm_u) * 0.5
-    halfwidth = (norm_u - norm_l) * 0.5
-    out_centre = gamma * centre + shift
-    out_halfwidth = ad.absolute(gamma) * halfwidth
-    return IntervalTensor(out_centre - out_halfwidth, out_centre + out_halfwidth)
+    return _affine_box((iv.lower - mean) * scale, (iv.upper - mean) * scale,
+                       lambda x, g: g * x, gamma, shift)
 
 
 def point_batchnorm(x, gamma, shift, *, eps=1e-5, stats=None, capture=None):

@@ -85,15 +85,21 @@ def output_reg_loss(snapshots, current):
     return total * (1.0 / len(snapshots))
 
 
+def _mixing_coefficient(lam) -> np.ndarray:
+    """``lam`` as a float64 array, refused unless every entry is in [0, 1]."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if np.any(lam < 0.0) or np.any(lam > 1.0):
+        raise ValueError("mixing coefficient must lie in [0, 1]")
+    return lam
+
+
 def mixup_interpolate(xa, xb, lam):
     """Convex combination ``lam * xa + (1 - lam) * xb``."""
     sa = xa.value.shape if isinstance(xa, Tensor) else np.asarray(xa).shape
     sb = xb.value.shape if isinstance(xb, Tensor) else np.asarray(xb).shape
     if sa != sb:
         raise ValueError(f"cannot mix shapes {sa} and {sb}")
-    lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0.0) or np.any(lam > 1.0):
-        raise ValueError("mixing coefficient must lie in [0, 1]")
+    lam = _mixing_coefficient(lam)
     if lam.ndim == 1:
         # per-sample coefficients against batched inputs
         lam = lam.reshape((-1,) + (1,) * (len(sa) - 1))
@@ -108,9 +114,7 @@ def scaled_radius(lam, eps, kind: str = "linear"):
     ``(1 - cos(pi s)) / 2``. Every kind is 0 at the midpoint, ``eps`` at
     the endpoints, and monotone in ``s``.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0.0) or np.any(lam > 1.0):
-        raise ValueError("mixing coefficient must lie in [0, 1]")
+    lam = _mixing_coefficient(lam)
     if np.any(np.asarray(eps) < 0.0):
         raise ValueError("eps must be non-negative")
     s = np.abs(2.0 * lam - 1.0)
@@ -128,15 +132,15 @@ def scaled_radius(lam, eps, kind: str = "linear"):
 
 
 def _batch_mean(per_sample):
-    # sum * (1/n) as in Tensor.mean: taped and untaped losses agree bitwise
+    # sum * (1/n) in both modes: taped and untaped losses agree bitwise
     n = (per_sample.value if isinstance(per_sample, Tensor) else per_sample).size
     return per_sample.sum() * (1.0 / n)
 
 
-def _weighted_pair_ce(logits, labels_a, labels_b, lam):
-    """Mean over the batch of ``lam * CE(., a) + (1 - lam) * CE(., b)``."""
-    ce_a = ad.softmax_cross_entropy(logits, np.asarray(labels_a), reduction="none")
-    ce_b = ad.softmax_cross_entropy(logits, np.asarray(labels_b), reduction="none")
+def _weighted_pair_ce(logits_a, logits_b, labels_a, labels_b, lam):
+    """Batch mean of ``lam * CE(logits_a, a) + (1 - lam) * CE(logits_b, b)``."""
+    ce_a = ad.softmax_cross_entropy(logits_a, labels_a, reduction="none")
+    ce_b = ad.softmax_cross_entropy(logits_b, labels_b, reduction="none")
     return _batch_mean(lam * ce_a + (1.0 - lam) * ce_b)
 
 
@@ -145,10 +149,8 @@ def mixup_loss(logits, labels_a, labels_b, lam):
 
     ``lam`` may be one scalar for the whole batch or a per-sample vector.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0.0) or np.any(lam > 1.0):
-        raise ValueError("mixing coefficient must lie in [0, 1]")
-    return _weighted_pair_ce(logits, labels_a, labels_b, lam)
+    return _weighted_pair_ce(logits, logits, labels_a, labels_b,
+                             _mixing_coefficient(lam))
 
 
 def interval_mixup_loss(bounds: IntervalTensor, logits, labels_a, labels_b,
@@ -160,17 +162,11 @@ def interval_mixup_loss(bounds: IntervalTensor, logits, labels_a, labels_b,
     vectors taken under each label in turn, with the same weights.
     """
     _check_kappa(kappa)
-    lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0.0) or np.any(lam > 1.0):
-        raise ValueError("mixing coefficient must lie in [0, 1]")
-    clean = _weighted_pair_ce(logits, labels_a, labels_b, lam)
-    wc_a = ad.softmax_cross_entropy(
-        worst_case_logits(bounds, np.asarray(labels_a)),
-        np.asarray(labels_a), reduction="none")
-    wc_b = ad.softmax_cross_entropy(
-        worst_case_logits(bounds, np.asarray(labels_b)),
-        np.asarray(labels_b), reduction="none")
-    worst = _batch_mean(lam * wc_a + (1.0 - lam) * wc_b)
+    lam = _mixing_coefficient(lam)
+    clean = _weighted_pair_ce(logits, logits, labels_a, labels_b, lam)
+    worst = _weighted_pair_ce(worst_case_logits(bounds, labels_a),
+                              worst_case_logits(bounds, labels_b),
+                              labels_a, labels_b, lam)
     return kappa * clean + (1.0 - kappa) * worst
 
 

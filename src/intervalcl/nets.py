@@ -9,7 +9,9 @@ intermediate node of the graph, never a leaf.
 ``forward_point`` (ordinary activations) and ``forward_interval`` (boxes)
 are two entry points into one walk over the spec's layers. The walk applies
 each layer's kernel from :mod:`intervalcl.intervals` to a point batch, or
-the interval rule wrapping that kernel to a box.
+the interval rule wrapping that kernel to a box. In the same way,
+``generate_flat`` (numpy, for evaluation) and ``tape_generate`` (for
+training) run one generator layer chain over an array or a Tensor.
 """
 
 from __future__ import annotations
@@ -339,16 +341,20 @@ class Hypernetwork:
             raise ValueError(
                 f"task {task} out of range for {self.layout.task_count} tasks")
 
+    def _generate(self, embedding, weights):
+        """The generator's layer chain, on an ndarray or a Tensor embedding."""
+        x = embedding.reshape(1, self.layout.embedding_dim)
+        last = len(weights) - 1
+        for i, (w, b) in enumerate(weights):
+            x = ad.linear(x, w, b)
+            if i < last:
+                x = ad.relu(x)
+        return x.reshape(self.layout.target_size)
+
     def generate_flat(self, task: int) -> np.ndarray:
         """Target weight vector for one task, plain numpy."""
         self._check_task(task)
-        x = self.embeddings[task][None, :]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(self.weights):
-            x = x @ w.T + b
-            if i < last:
-                x = np.maximum(x, 0.0)
-        return x.reshape(-1)
+        return self._generate(self.embeddings[task], self.weights)
 
     def tape_generate(self, task: int, *, train_embedding: bool = True,
                       leaves: dict | None = None):
@@ -372,15 +378,10 @@ class Hypernetwork:
                                       Tensor.parameter(self.embeddings[task]))
         else:
             embed = Tensor.constant(self.embeddings[task])
-        x = embed.reshape(1, self.layout.embedding_dim)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(self.weights):
-            wt = leaves.setdefault(f"w{i}", Tensor.parameter(w))
-            bt = leaves.setdefault(f"b{i}", Tensor.parameter(b))
-            x = ad.linear(x, wt, bt)
-            if i < last:
-                x = x.relu()
-        return x.reshape(self.layout.target_size), leaves
+        weights = [(leaves.setdefault(f"w{i}", Tensor.parameter(w)),
+                    leaves.setdefault(f"b{i}", Tensor.parameter(b)))
+                   for i, (w, b) in enumerate(self.weights)]
+        return self._generate(embed, weights), leaves
 
 
 def generate_params(h: Hypernetwork, spec: NetworkSpec, task: int) -> ParamSet:

@@ -121,7 +121,7 @@ class TestEval:
         out = tmp_path / "eval"
         assert run("eval", "--checkpoint", str(trained_run / "checkpoint.json"),
                    "--set", f"output.dir={out}", *BLOBS_ARGS,
-                   "--set", "attack.kind=none") == 0
+                   "--set", "attack.enabled=false") == 0
         eval_rows = read_csv(out / "eval.csv")
         stored = {r["eval_task"]: float(r["value"])
                   for r in read_csv(trained_run / "results.csv")
@@ -270,6 +270,18 @@ class TestExitCodes:
     def test_removed_kappa_key_is_config_error(self, tmp_path):
         assert run("train", "--set", "train.kappa=0.5",
                    "--set", f"output.dir={tmp_path}/x") == 2
+
+    @pytest.mark.parametrize("value", ["none", "fgsm", "pgd"])
+    def test_replaced_attack_kind_names_enabled(self, tmp_path, capsys, value):
+        source = tmp_path / "old.ini"
+        source.write_text(f"[attack]\nkind = {value}\n")
+        assert run("eval", "--config", str(source),
+                   "--checkpoint", str(tmp_path / "absent.json")) == 2
+        assert "attack.enabled" in capsys.readouterr().err
+        assert run("train", "--set", f"attack.kind={value}",
+                   "--set", f"output.dir={tmp_path}/x") == 2
+        assert "attack.enabled" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_override_is_config_error(self, tmp_path):
         assert run("train", "--set", "train.steps=soon",

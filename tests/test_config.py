@@ -13,6 +13,9 @@ from intervalcl.config import (
     parse_config_text,
 )
 
+# An old config naming attack.kind is told what replaced it.
+REPLACED_KIND = r"unknown key attack.kind \(replaced by attack.enabled"
+
 
 class TestDefaults:
     def test_every_schema_key_present(self):
@@ -71,6 +74,8 @@ angles = 0, 45.5, 90
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="unknown key train.warmup"):
             parse_config_text("[train]\nwarmup = 5\n")
+        with pytest.raises(ConfigError, match=REPLACED_KIND):
+            parse_config_text("[attack]\nkind = pgd\n")
 
     def test_bad_int_named(self):
         with pytest.raises(ConfigError, match="train.steps"):
@@ -83,8 +88,13 @@ angles = 0, 45.5, 90
     def test_choice_enforced(self):
         with pytest.raises(ConfigError, match="linear/quadratic/log/cos"):
             parse_config_text("[train]\ndecay = cubic\n")
-        with pytest.raises(ConfigError, match="attack.kind"):
-            parse_config_text("[attack]\nkind = cw\n")
+        with pytest.raises(ConfigError, match="net.activation"):
+            parse_config_text("[net]\nactivation = tanh\n")
+
+    def test_attack_switch(self):
+        assert default_config()["attack"]["enabled"] is True
+        cfg = parse_config_text("[attack]\nenabled = false\n")
+        assert cfg["attack"]["enabled"] is False
 
     def test_malformed_ini(self):
         with pytest.raises(ConfigError):
@@ -121,10 +131,12 @@ class TestOverrides:
             apply_overrides(default_config(), ["train.warmup=1"])
         with pytest.raises(ConfigError, match=r"unknown section \[extra\]"):
             apply_overrides(default_config(), ["extra.x=1"])
+        with pytest.raises(ConfigError, match=REPLACED_KIND):
+            apply_overrides(default_config(), ["attack.kind=none"])
 
     def test_override_value_validated(self):
-        with pytest.raises(ConfigError, match="attack.kind"):
-            apply_overrides(default_config(), ["attack.kind=cw"])
+        with pytest.raises(ConfigError, match="train.decay"):
+            apply_overrides(default_config(), ["train.decay=cubic"])
 
 
 class TestRoundTrip:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from intervalcl import autodiff as ad
 from intervalcl import evaluation as ev
 from intervalcl import losses as L
 from intervalcl import nets
 from intervalcl import training
+from intervalcl.autodiff import Tensor
 
 
 def identity_head_spec():
@@ -16,6 +18,14 @@ def identity_head_spec():
 def identity_params(spec, scale=1.0):
     flat = np.concatenate([(scale * np.eye(2)).reshape(-1), np.zeros(2)])
     return nets.ParamSet(spec, flat)
+
+
+def fgsm_reference(spec, params, x, y, eps, bn_stats=None):
+    """FGSM by its formula: clip(x + eps * sign(grad_x CE), 0, 1)."""
+    xt = Tensor.parameter(x.copy())
+    logits = nets.forward_point(spec, params, xt, bn_stats=bn_stats)
+    ad.softmax_cross_entropy(logits, y).backward()
+    return np.clip(x + eps * np.sign(xt.grad), 0.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +68,8 @@ def test_fgsm_zero_eps_is_identity():
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(8, 2))
     y = rng.integers(0, 2, size=8)
-    assert np.array_equal(ev.fgsm(spec, params, x, y, 0.0), x)
+    adv = ev.attack(spec, params, x, y, ev.AttackConfig(kind="fgsm", eps=0.0))
+    assert np.array_equal(adv, x)
 
 
 def test_fgsm_moves_against_true_class_and_clips():
@@ -68,21 +79,30 @@ def test_fgsm_moves_against_true_class_and_clips():
     params = identity_params(spec)
     x = np.array([[0.5, 0.5], [0.05, 0.98]])
     y = np.array([0, 0])
-    adv = ev.fgsm(spec, params, x, y, 0.1)
+    adv = ev.attack(spec, params, x, y, ev.AttackConfig(kind="fgsm", eps=0.1))
     assert np.allclose(adv[0], [0.4, 0.6])
     assert np.allclose(adv[1], [0.0, 1.0])  # clipped at both box faces
 
 
 def test_pgd_single_full_step_equals_fgsm():
-    spec = nets.NetworkSpec((3,), nets.mlp_layers([5], 2), classes=2)
     rng = np.random.default_rng(1)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
-    x = rng.uniform(size=(6, 3))
-    y = rng.integers(0, 2, size=6)
-    cfg = ev.AttackConfig(kind="pgd", eps=0.07, step=0.07, iters=1,
-                          random_start=False)
-    assert np.array_equal(ev.pgd(spec, params, x, y, cfg),
-                          ev.fgsm(spec, params, x, y, 0.07))
+    dense = nets.NetworkSpec((3,), nets.mlp_layers([5], 2), classes=2)
+    conv = nets.NetworkSpec(
+        (5, 5, 1), [nets.conv(2, 3), nets.batchnorm(), nets.act("relu"),
+                    nets.maxpool(2), nets.flatten(), nets.dense(3)], classes=3)
+    stats = [(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))]
+    for spec, bn_stats in ((dense, None), (conv, None), (conv, stats)):
+        params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+        x = rng.uniform(size=(7,) + spec.input_shape)
+        x.reshape(7, -1)[:2, 0] = 0.0, 1.0  # steps may leave both box faces
+        y = rng.integers(0, spec.classes, size=7)
+        want = fgsm_reference(spec, params, x, y, 0.07, bn_stats=bn_stats)
+        cfg = ev.AttackConfig(kind="pgd", eps=0.07, step=0.07, iters=1,
+                              random_start=False)
+        assert np.array_equal(ev.pgd(spec, params, x, y, cfg, bn_stats), want)
+        # kind="fgsm" takes one full step whatever the PGD settings say
+        fgsm = ev.AttackConfig(kind="fgsm", eps=0.07, step=0.01, iters=40, seed=3)
+        assert np.array_equal(ev.attack(spec, params, x, y, fgsm, bn_stats), want)
 
 
 def test_pgd_respects_ball_and_box():

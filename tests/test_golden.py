@@ -1,11 +1,16 @@
-"""Bitwise gate on training: SHA-256 digests of trained state.
+"""Bitwise gates: SHA-256 digests of trained state and evaluation outputs.
 
-Each case trains a small model and hashes the task embeddings, the
-generator weights and ``repr`` of every log row. A refactor of the
+Each training case trains a small model and hashes the task embeddings,
+the generator weights and ``repr`` of every log row. A refactor of the
 training path that keeps results bitwise identical leaves every digest
 unchanged. Frozen batchnorm moments (``h.bn_stats``) are left out of the
 digest: they come from a separate evaluation-time pass whose rounding is
 not part of the training contract.
+
+The evaluation cases hash what the untaped path returns on fixed inputs:
+every layer's bounds and the certificates of a conv -> batchnorm ->
+maxpool network, the FGSM and PGD adversarial inputs, and the arrays of
+the permuted and rotated image-task builders.
 
 The digests belong to one numpy/OpenBLAS build: another BLAS, or another
 numpy release, may round a matmul differently and move them without any
@@ -18,6 +23,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from intervalcl import data
+from intervalcl import evaluation as ev
 from intervalcl import losses as L
 from intervalcl import nets
 from intervalcl import training
@@ -145,3 +152,122 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_training_digest_is_unchanged(case):
     assert globals()[case]() == GOLDEN[case]
+
+
+# ---- evaluation path -----------------------------------------------------
+
+
+def _hash(arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        array = np.asarray(array)
+        sha.update(repr((array.dtype.str, array.shape)).encode())
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
+
+
+def _conv_net():
+    spec = nets.NetworkSpec(
+        (6, 6, 2),
+        [nets.conv(4, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
+         nets.flatten(), nets.dense(3)],
+        classes=3)
+    rng = np.random.default_rng(41)
+    params = nets.ParamSet(spec, rng.normal(scale=0.5, size=spec.total_params))
+    inputs = rng.uniform(size=(16, 6, 6, 2))
+    # Predicted classes, four of them shifted: certificates then fall from
+    # 12 of 16 toward none as the radius grows.
+    labels = np.argmax(nets.forward_point(spec, params, inputs), axis=1)
+    labels[12:] = (labels[12:] + 1) % 3
+    return spec, params, inputs, labels
+
+
+def _mlp_net():
+    spec = nets.NetworkSpec((5,), nets.mlp_layers([7], 3), classes=3)
+    rng = np.random.default_rng(42)
+    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    return spec, params, rng.uniform(size=(16, 5)), rng.integers(0, 3, size=16)
+
+
+def conv_bounds_and_certificates():
+    spec, params, x, y = _conv_net()
+    capture: list = []
+    arrays = [nets.forward_point(spec, params, x)]
+    for stats in (None, "frozen"):
+        bn_stats = capture[:1] if stats else None
+        for eps in (0.0, 0.004, 0.02, 0.1):
+            record: list = []
+            nets.forward_interval(spec, params, x, eps=eps, record=record,
+                                  bn_stats=bn_stats, bn_capture=capture)
+            arrays += [a for box in record[1:] for a in (box.lower, box.upper)]
+            arrays.append(ev.certify(spec, params, x, y, eps, bn_stats=bn_stats))
+        arrays.append(nets.forward_point(spec, params, x, bn_stats=capture[:1]))
+    return _hash(arrays)
+
+
+def attacks():
+    arrays = []
+    for net in (_mlp_net, _conv_net):
+        spec, params, x, y = net()
+        for eps in (0.03, 0.2):
+            arrays.append(ev.attack(spec, params, x, y,
+                                    ev.AttackConfig(kind="fgsm", eps=eps)))
+            arrays.append(ev.pgd(spec, params, x, y,
+                                 ev.AttackConfig(eps=eps, iters=4, seed=9)))
+            arrays.append(ev.pgd(spec, params, x, y,
+                                 ev.AttackConfig(eps=eps, step=eps / 3, iters=3,
+                                                 random_start=False)))
+    return _hash(arrays)
+
+
+def _task_arrays(tasks):
+    arrays = []
+    for task in tasks:
+        for split in (task.train, task.val, task.test):
+            arrays += [split.inputs, split.labels]
+        arrays.append(np.asarray(task.classes))
+        arrays += [np.asarray(task.descriptor[k]) for k in sorted(task.descriptor)
+                   if k != "kind"]
+    return arrays
+
+
+def image_tasks(builder, flat):
+    base = data.gen_digits(90, seed=3)
+    sizes = dict(train_size=40, val_size=15, test_size=20, flat=flat)
+    if builder == "permuted":
+        tasks = (data.build_permuted_tasks(base.inputs, base.labels, 3, 4, **sizes)
+                 + data.build_permuted_tasks(base.inputs, base.labels, 2, 5,
+                                             downsample=2, **sizes))
+    else:
+        tasks = (data.build_rotated_tasks(base.inputs, base.labels,
+                                          [0.0, 30.0, 90.0, -135.0], 4, **sizes)
+                 + data.build_rotated_tasks(base.inputs, base.labels, [45.0], 5,
+                                            downsample=2, **sizes))
+    return _hash(_task_arrays(tasks))
+
+
+EVAL_GOLDEN = {
+    "conv_bounds_and_certificates":
+        "2cd83c47749ac7dd19d8e33d3a1b40aacac75b4ff33a168bc86dda347edc64c4",
+    "attacks":
+        "5f5a3205e611fd59e7b88441b50eb664872e5379dea9df04dd5b8700a432ed62",
+    ("permuted", True):
+        "97a44d7b14dffe662449c3e4867790c8f282e06c4562a4408c71b497f280e582",
+    ("permuted", False):
+        "adf54e2ea867896e49afe67af6101cb2a4bcb00c6aa3b42bb46de9ed9f34820b",
+    ("rotated", True):
+        "3d40fb99695fd4a0a88d7898a89631a978a64125a9c6076321358426dd94e54b",
+    ("rotated", False):
+        "a73c9fa6eb9d252d938c95fab373936b28a4a82a97fc82b7240abbf5dc5d23de",
+}
+
+
+@pytest.mark.parametrize("case", ["conv_bounds_and_certificates", "attacks"])
+def test_evaluation_digest_is_unchanged(case):
+    assert globals()[case]() == EVAL_GOLDEN[case]
+
+
+@pytest.mark.parametrize("builder", ["permuted", "rotated"])
+@pytest.mark.parametrize("flat", [True, False])
+def test_image_task_digest_is_unchanged(builder, flat):
+    assert image_tasks(builder, flat) == EVAL_GOLDEN[(builder, flat)]

@@ -37,12 +37,6 @@ def test_interval_validation():
         IntervalTensor.from_ball(np.zeros(2), -0.1)
 
 
-def test_midpoint_radius():
-    box = IntervalTensor(np.array([-1.0, 0.0]), np.array([3.0, 0.0]))
-    assert np.array_equal(box.midpoint, [1.0, 0.0])
-    assert np.array_equal(box.radius, [2.0, 0.0])
-
-
 def test_affine_identity():
     box = IntervalTensor(np.array([[0.0, 2.0]]), np.array([[1.0, 3.0]]))
     out = iv.interval_affine(box, np.eye(2), np.zeros(2))
