@@ -18,7 +18,6 @@ from intervalcl.config import (
     ConfigError,
     apply_overrides,
     default_config,
-    load_config,
 )
 from intervalcl.data import (
     DataError,
@@ -98,7 +97,6 @@ __all__ = [
     "ibp_loss",
     "interval_mixup_loss",
     "load_checkpoint",
-    "load_config",
     "load_idx",
     "metrics",
     "mixup_loss",

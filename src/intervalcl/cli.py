@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,7 @@ from intervalcl.nets import (
     mlp_layers,
 )
 from intervalcl.training import (
+    LogRow,
     NumericalDivergenceError,
     TrainerConfig,
     train_sequence,
@@ -234,12 +236,8 @@ def cmd_train(cfg, source_text: str | None = None) -> Path:
     write_csv(out_dir / "results.csv",
               ("kind", "after_task", "eval_task", "value"), rows)
 
-    log_rows = [(r.step, r.task, r.loss_total, r.loss_task, r.loss_reg,
-                 r.kappa, r.eps, r.eps_virtual, r.lam, r.val_loss)
-                for task_log in logs for r in task_log]
-    write_csv(out_dir / "log.csv",
-              ("step", "task", "loss_total", "loss_task", "loss_reg",
-               "kappa", "eps", "eps_virtual", "lam", "val_loss"), log_rows)
+    write_csv(out_dir / "log.csv", [f.name for f in fields(LogRow)],
+              [astuple(row) for task_log in logs for row in task_log])
     return out_dir
 
 
@@ -271,7 +269,7 @@ def cmd_eval(cfg, checkpoint_path: str) -> Path:
     out_dir = resolve_output_dir(cfg)
     attacked = cfg["attack"]["enabled"]
     with _config_values():
-        attacks = {kind: make_attack_config(cfg, kind if attacked else "none")
+        attacks = {kind: make_attack_config(cfg, kind)
                    for kind in ("fgsm", "pgd")}
     eps_attack = cfg["attack"]["eps"]
 
@@ -285,8 +283,9 @@ def cmd_eval(cfg, checkpoint_path: str) -> Path:
         clean_row.append(clean)
         rows.append(("clean", t, clean))
         for kind, attack in attacks.items():
-            rows.append((kind, t, attacked_accuracy(spec, params, x, y, attack,
-                                                    bn_stats=bn_stats)))
+            value = (attacked_accuracy(spec, params, x, y, attack,
+                                       bn_stats=bn_stats) if attacked else clean)
+            rows.append((kind, t, value))
         rows.append(("verified", t,
                      verified_accuracy(spec, params, x, y, eps_attack,
                                        bn_stats=bn_stats)))
@@ -303,8 +302,6 @@ def cmd_eval(cfg, checkpoint_path: str) -> Path:
 
 def cmd_certify(cfg, checkpoint_path: str, grid) -> Path:
     """Verified accuracy per task across a radius grid."""
-    if not len(grid):
-        raise ConfigError("certification needs a non-empty radius grid")
     loaded, tasks = _load_for_evaluation(cfg, checkpoint_path)
     hypernet, spec = loaded.hypernet, loaded.spec
     out_dir = resolve_output_dir(cfg)
@@ -313,8 +310,6 @@ def cmd_certify(cfg, checkpoint_path: str, grid) -> Path:
         params = generate_params(hypernet, spec, t)
         bn_stats = hypernet.bn_stats.get(t)
         for eps in grid:
-            if eps < 0.0:
-                raise ConfigError(f"negative radius {eps} in the grid")
             rows.append((t, float(eps),
                          verified_accuracy(spec, params, task.test.inputs,
                                            task.test.labels, float(eps),
@@ -378,9 +373,13 @@ def cmd_toy2d(cfg, source_text: str | None = None) -> Path:
 
 def _parse_grid(text: str):
     try:
-        return [float(p) for p in text.replace(",", " ").split()]
+        grid = [float(p) for p in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse radius grid {text!r}: {exc}") from exc
+    if not grid or not all(0.0 <= eps < np.inf for eps in grid):
+        raise ConfigError(f"radius grid {text!r} must list finite, "
+                          "non-negative radii")
+    return grid
 
 
 def _load_effective_config(args):

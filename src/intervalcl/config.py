@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from intervalcl.losses import DECAY_KINDS
@@ -112,6 +113,13 @@ _BOOL_STATES = {"1": True, "yes": True, "true": True, "on": True,
                 "0": False, "no": False, "false": False, "off": False}
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _coerce(section: str, key: str, raw: str, field: Field):
     where = f"{section}.{key}"
     raw = raw.strip()
@@ -119,7 +127,7 @@ def _coerce(section: str, key: str, raw: str, field: Field):
         if field.kind == "int":
             value = int(raw)
         elif field.kind == "float":
-            value = float(raw)
+            value = _finite(raw)
         elif field.kind == "bool":
             try:
                 value = _BOOL_STATES[raw.lower()]
@@ -130,7 +138,7 @@ def _coerce(section: str, key: str, raw: str, field: Field):
         elif field.kind == "ints":
             value = tuple(int(p) for p in raw.replace(",", " ").split())
         elif field.kind == "floats":
-            value = tuple(float(p) for p in raw.replace(",", " ").split())
+            value = tuple(_finite(p) for p in raw.replace(",", " ").split())
         else:  # pragma: no cover - schema is static
             raise AssertionError(field.kind)
     except ValueError as exc:
@@ -174,15 +182,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
             cfg[section][key] = _coerce(section, key, raw,
                                         _field(origin, section, key))
     return cfg
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, origin=path)
 
 
 def apply_overrides(cfg: dict, overrides) -> dict:

@@ -23,8 +23,9 @@ from intervalcl.autodiff import Tensor
 class AttackConfig:
     """Gradient attack settings.
 
-    kind: "none", "fgsm", or "pgd"; "fgsm" is one PGD step of size eps
-        from the clean input, so it ignores step, iters and random_start.
+    kind: "fgsm" or "pgd"; "fgsm" is one PGD step of size eps from the
+        clean input, so it ignores step, iters and random_start. To run no
+        attack, pass no config (``None``) where one is optional.
     eps: attack radius in the input box.
     step: PGD ascent step; defaults to eps / 4 when unset.
     iters: PGD iteration count.
@@ -40,7 +41,7 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "fgsm", "pgd"):
+        if self.kind not in ("fgsm", "pgd"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.eps < 0.0:
             raise ValueError(f"attack eps must be non-negative, got {self.eps}")
@@ -86,7 +87,7 @@ def pgd(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.nd
 
 def attack(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.ndarray:
     """Adversarial version of ``inputs`` under the configured attack."""
-    if cfg.kind == "none" or cfg.eps == 0.0:
+    if cfg.eps == 0.0:
         return np.asarray(inputs, dtype=np.float64)
     if cfg.kind == "fgsm":
         cfg = replace(cfg, step=cfg.eps, iters=1, random_start=False)
@@ -240,7 +241,7 @@ def cil_evaluate(h, spec, test_sets, attack_cfg: AttackConfig | None = None) -> 
     for t, data in enumerate(test_sets):
         inputs = np.asarray(data.inputs, dtype=np.float64)
         labels = np.asarray(data.labels)
-        if attack_cfg is not None and attack_cfg.kind != "none":
+        if attack_cfg is not None:
             params = nets.generate_params(h, spec, t)
             inputs = attack(spec, params, inputs, labels, attack_cfg,
                             bn_stats=h.bn_stats.get(t))

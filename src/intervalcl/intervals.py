@@ -1,10 +1,10 @@
 """Layer kernels, interval tensors, and sound propagation rules.
 
-Each layer kind has one kernel here that point batches and boxes share:
-``linear_map`` (``x @ W.T``), ``conv2d`` (bias-free, valid padding),
-``activation`` (the monotone nonlinearities) and ``pool`` (average or max).
-The point forward pass calls a kernel directly; the interval rule for the
-same layer wraps it.
+Each layer kind has one kernel that point batches and boxes share: dense
+layers use :func:`intervalcl.autodiff.linear` (``x @ W.T``), and this module
+holds ``conv2d`` (bias-free, valid padding), ``activation`` (the monotone
+nonlinearities) and ``pool`` (average or max). The point forward pass calls
+a kernel directly; the interval rule for the same layer wraps it.
 
 An ``IntervalTensor`` carries elementwise lower and upper bounds. Each rule
 maps an input box to an output box that contains every image of a point from
@@ -69,12 +69,6 @@ class IntervalTensor:
 # ---- kernels shared by points and boxes ----------------------------------
 
 
-def linear_map(x, weight):
-    """Batched ``x @ weight.T`` for ndarray or Tensor operands."""
-    wt = weight.transpose((1, 0)) if isinstance(weight, Tensor) else weight.T
-    return x @ wt
-
-
 def conv2d(x, kernel, stride=1):
     """Bias-free valid-padding NHWC convolution as one patch matmul.
 
@@ -104,7 +98,7 @@ def pool(x, kind: str, window: int, stride: int):
     """Average or max over each (window, window) patch, per channel."""
     windows = ad.pool_windows(x, window, stride)
     if kind == "avg":
-        return windows.sum(axis=3) * (1.0 / float(window * window))
+        return ad.mean(windows, axis=3)
     if kind == "max":
         return windows.max(axis=3)
     raise ValueError(f"unknown pooling kind {kind!r}")
@@ -126,24 +120,22 @@ def _affine_box(lower, upper, apply, weight, bias) -> IntervalTensor:
 
 def interval_affine(iv: IntervalTensor, weight, bias) -> IntervalTensor:
     """Dense layer ``y = x W^T + b`` on boxes: W is (out, in), x is (B, in)."""
-    w_raw = _raw(weight)
-    if _raw(iv.lower).shape[-1] != w_raw.shape[1]:
-        raise ValueError(
-            f"input width {_raw(iv.lower).shape[-1]} does not match weight {w_raw.shape}")
-    if _raw(bias).shape != (w_raw.shape[0],):
+    w_shape = _raw(weight).shape
+    if iv.shape[-1] != w_shape[1]:
+        raise ValueError(f"input width {iv.shape[-1]} does not match weight {w_shape}")
+    if _raw(bias).shape != (w_shape[0],):
         raise ValueError(f"bias shape {_raw(bias).shape} does not match out width")
-    return _affine_box(iv.lower, iv.upper, linear_map, weight, bias)
+    return _affine_box(iv.lower, iv.upper, ad.linear, weight, bias)
 
 
 def interval_conv2d(iv: IntervalTensor, kernel, bias, stride=1) -> IntervalTensor:
     """Valid-padding NHWC convolution on boxes; kernel is (kh, kw, c_in, c_out)."""
-    k_raw = _raw(kernel)
-    if k_raw.ndim != 4:
-        raise ValueError(f"kernel must be (kh, kw, c_in, c_out), got {k_raw.shape}")
-    c_in, c_out = k_raw.shape[2:]
-    lo_shape = _raw(iv.lower).shape
-    if len(lo_shape) != 4 or lo_shape[3] != c_in:
-        raise ValueError(f"input {lo_shape} does not match kernel channels {c_in}")
+    k_shape = _raw(kernel).shape
+    if len(k_shape) != 4:
+        raise ValueError(f"kernel must be (kh, kw, c_in, c_out), got {k_shape}")
+    c_in, c_out = k_shape[2:]
+    if len(iv.shape) != 4 or iv.shape[3] != c_in:
+        raise ValueError(f"input {iv.shape} does not match kernel channels {c_in}")
     if _raw(bias).shape != (c_out,):
         raise ValueError(f"bias shape {_raw(bias).shape} does not match {c_out} channels")
     return _affine_box(iv.lower, iv.upper,
@@ -163,17 +155,13 @@ def batch_moments(lower, upper, axes):
     degenerate box (lower == upper) yields the moments of the point batch
     bit for bit.
     """
-    mean = ((_mean(lower, axes) + _mean(upper, axes))) * 0.5
+    mean = (ad.mean(lower, axes, keepdims=True)
+            + ad.mean(upper, axes, keepdims=True)) * 0.5
     dev_l = lower - mean
     dev_u = upper - mean
-    var = (_mean(dev_l * dev_l, axes) + _mean(dev_u * dev_u, axes)) * 0.5
+    var = (ad.mean(dev_l * dev_l, axes, keepdims=True)
+           + ad.mean(dev_u * dev_u, axes, keepdims=True)) * 0.5
     return mean, var
-
-
-def _mean(x, axes):
-    # sum * (1/n) in both modes: taped and untaped passes agree bitwise
-    n = float(np.prod([_raw(x).shape[a] for a in axes]))
-    return x.sum(axis=axes, keepdims=True) * (1.0 / n)
 
 
 def _bn_axes(shape) -> tuple:
@@ -194,13 +182,11 @@ def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, eps=1e-5,
     actually used. A negative ``gamma`` flips which bound is which, handled
     through the centre/half-width form so the output stays ordered.
     """
-    shape = _raw(iv.lower).shape
-    axes = _bn_axes(shape)
-    feat = shape[-1]
+    axes = _bn_axes(iv.shape)
+    feat = iv.shape[-1]
     if _raw(gamma).shape != (feat,) or _raw(shift).shape != (feat,):
-        raise ValueError(
-            f"gamma/shift must have shape ({feat},), got "
-            f"{_raw(gamma).shape} and {_raw(shift).shape}")
+        raise ValueError(f"gamma/shift must have shape ({feat},), got "
+                         f"{_raw(gamma).shape} and {_raw(shift).shape}")
     if stats is None:
         mean, var = batch_moments(iv.lower, iv.upper, axes)
     else:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from intervalcl import autodiff as ad
-from intervalcl.autodiff import Tensor
 from intervalcl.intervals import IntervalTensor
 from intervalcl.nets import worst_case_logits
 
@@ -95,8 +94,7 @@ def _mixing_coefficient(lam) -> np.ndarray:
 
 def mixup_interpolate(xa, xb, lam):
     """Convex combination ``lam * xa + (1 - lam) * xb``."""
-    sa = xa.value.shape if isinstance(xa, Tensor) else np.asarray(xa).shape
-    sb = xb.value.shape if isinstance(xb, Tensor) else np.asarray(xb).shape
+    sa, sb = np.shape(xa), np.shape(xb)
     if sa != sb:
         raise ValueError(f"cannot mix shapes {sa} and {sb}")
     lam = _mixing_coefficient(lam)
@@ -131,17 +129,11 @@ def scaled_radius(lam, eps, kind: str = "linear"):
     return eps * shrink
 
 
-def _batch_mean(per_sample):
-    # sum * (1/n) in both modes: taped and untaped losses agree bitwise
-    n = (per_sample.value if isinstance(per_sample, Tensor) else per_sample).size
-    return per_sample.sum() * (1.0 / n)
-
-
 def _weighted_pair_ce(logits_a, logits_b, labels_a, labels_b, lam):
     """Batch mean of ``lam * CE(logits_a, a) + (1 - lam) * CE(logits_b, b)``."""
     ce_a = ad.softmax_cross_entropy(logits_a, labels_a, reduction="none")
     ce_b = ad.softmax_cross_entropy(logits_b, labels_b, reduction="none")
-    return _batch_mean(lam * ce_a + (1.0 - lam) * ce_b)
+    return ad.mean(lam * ce_a + (1.0 - lam) * ce_b)
 
 
 def mixup_loss(logits, labels_a, labels_b, lam):

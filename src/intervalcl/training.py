@@ -114,8 +114,8 @@ class TrainerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be positive, got {self.steps}")
-        if self.lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        # Building one refuses an unknown optimizer kind and lr <= 0.
+        make_optimizer(self.optimizer, self.lr)
         if self.batch_size < 1:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
         if self.use_interval_mixup and self.batch_size < 2:

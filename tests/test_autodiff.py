@@ -117,25 +117,40 @@ def test_linear_regression_matches_finite_differences_tightly():
 
 
 def test_linear_is_bitwise_the_matmul_transpose_add_chain():
-    # One input row: each weight-gradient entry is a single product, so the
-    # fused node must reproduce the chain's value and gradients exactly.
+    # Reference: ``x @ wT + b`` with ``wT`` its own parameter holding w.T,
+    # its gradient compared transposed. Covers one row and a batch, an
+    # ndarray input beside Tensor weights, and the bias-free form.
     rng = np.random.default_rng(11)
-    x_val = rng.normal(size=(1, 7))
-    w_val = rng.normal(size=(5, 7))
-    b_val = rng.normal(size=5)
-    upstream = rng.normal(size=(1, 5))
+    for batch, array_x, with_bias in [(1, False, True), (6, False, True),
+                                      (6, True, True), (4, False, False),
+                                      (1, True, False)]:
+        x_val = rng.normal(size=(batch, 7))
+        w_val = rng.normal(size=(5, 7))
+        b_val = rng.normal(size=5)
+        upstream = rng.normal(size=(batch, 5))
 
-    def run(op):
-        x, w, b = (Tensor.parameter(v.copy()) for v in (x_val, w_val, b_val))
-        out = op(x, w, b)
+        def leaves(w_init):
+            x = x_val.copy() if array_x else Tensor.parameter(x_val.copy())
+            return x, Tensor.parameter(w_init), Tensor.parameter(b_val.copy())
+
+        x, w, b = leaves(w_val.copy())
+        out = ad.linear(x, w, b) if with_bias else ad.linear(x, w)
         (out * upstream).sum().backward()
-        return out.value, x.grad, w.grad, b.grad
 
-    fused = run(ad.linear)
-    chain = run(lambda x, w, b: x @ w.transpose((1, 0)) + b)
-    for got, want in zip(fused, chain):
-        assert np.array_equal(got, want)
-    assert fused[2].flags.c_contiguous
+        rx, wT, rb = leaves(w_val.copy().T)
+        ref = rx @ wT + rb if with_bias else rx @ wT
+        (ref * upstream).sum().backward()
+
+        assert np.array_equal(out.value, ref.value)
+        assert np.array_equal(w.grad, wT.grad.T)
+        assert w.grad.flags.c_contiguous
+        assert all(not parent._parents for parent in out._parents)  # one node
+        if not array_x:
+            assert np.array_equal(x.grad, rx.grad)
+        if with_bias:
+            assert np.array_equal(b.grad, rb.grad)
+        else:
+            assert b.grad is None
 
 
 def test_linear_matches_finite_differences():
@@ -151,14 +166,49 @@ def test_linear_matches_finite_differences():
 
 
 def test_constant_operands_get_no_gradient():
+    # A constant Tensor and a plain ndarray input both stay gradient-free;
+    # the weight gradient of a summed output is each output row's input.
     rng = np.random.default_rng(13)
     x = Tensor.constant(rng.normal(size=(1, 3)))
     w = Tensor.parameter(rng.normal(size=(2, 3)))
     b = Tensor.parameter(rng.normal(size=2))
     ad.linear(x, w, b).sum().backward()
-    (x @ w.transpose((1, 0))).sum().backward()
+    ad.linear(x.value, w).sum().backward()
     assert x.grad is None
     assert np.array_equal(w.grad, 2.0 * np.repeat(x.value, 2, axis=0))
+    assert np.array_equal(b.grad, np.ones(2))
+
+
+def test_linear_on_arrays_is_plain_numpy():
+    rng = np.random.default_rng(14)
+    x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), rng.normal(size=2)
+    out = ad.linear(x, w, b)
+    assert type(out) is np.ndarray
+    assert np.array_equal(out, x @ w.T + b)
+    assert np.array_equal(ad.linear(x, w), x @ w.T)
+
+
+@pytest.mark.parametrize("axis", [None, 0, 2, -1, (0, 2)])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_mean_tensor_and_ndarray_agree_bitwise(axis, keepdims):
+    a = np.random.default_rng(15).normal(size=(3, 4, 5))
+    taped = ad.mean(Tensor.constant(a), axis, keepdims=keepdims)
+    plain = ad.mean(a, axis, keepdims=keepdims)
+    assert isinstance(taped, Tensor) and isinstance(plain, np.ndarray | float)
+    assert np.array_equal(taped.value, plain)
+    assert np.allclose(plain, np.mean(a, axis=axis, keepdims=keepdims),
+                       rtol=1e-15, atol=0.0)
+
+
+def test_mean_matches_finite_differences():
+    rng = np.random.default_rng(16)
+    a = Tensor.parameter(rng.normal(size=(3, 4, 5)))
+
+    def build():
+        return (ad.mean(a * a, (0, 2), keepdims=True) * a).sum() \
+            + ad.mean(a, 1).sigmoid().sum() + ad.mean(a.relu())
+
+    assert ad.grad_check(build, [a]) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -218,7 +268,7 @@ def test_reshape_transpose_getitem():
     w = Tensor.parameter(rng.normal(size=(4, 6)))
 
     def build():
-        t = w.reshape(2, 12).transpose((1, 0))
+        t = w.reshape(12, 2)
         return (t[3:9, :] * t[0:6, :]).sum() + t[2, 1] * t[4, 1:].sum()
 
     assert ad.grad_check(build, [w]) <= 1e-8

@@ -19,6 +19,13 @@ BLOBS_ARGS = [
     "--set", "train.eps=0.02", "--set", "attack.eps=0.02",
 ]
 
+TINY_ARGS = [
+    "--set", "data.tasks=1", "--set", "data.train_size=30",
+    "--set", "data.val_size=10", "--set", "data.test_size=10",
+    "--set", "net.hidden=8", "--set", "hypernet.hidden=8",
+    "--set", "hypernet.embedding=4", "--set", "train.steps=8",
+]
+
 
 def read_csv(path):
     lines = path.read_text().splitlines()
@@ -176,6 +183,16 @@ class TestEval:
                  "--set", f"output.dir={tmp_path}/evalc", *BLOBS_ARGS)
         assert rc == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_attack_eps_is_config_error(self, trained_run, tmp_path,
+                                                   capsys, value):
+        out = tmp_path / "evaln"
+        assert run("eval", "--checkpoint", str(trained_run / "checkpoint.json"),
+                   "--set", f"output.dir={out}", *BLOBS_ARGS,
+                   "--set", f"attack.eps={value}") == 2
+        assert "attack.eps" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
     def test_shape_mismatch_rejected(self, trained_run, tmp_path):
         out = tmp_path / "evalm"
         rc = run("eval", "--checkpoint", str(trained_run / "checkpoint.json"),
@@ -210,6 +227,17 @@ class TestCertify:
         assert len(cert_rows) == 2
         for row in cert_rows:
             assert float(row["verified_accuracy"]) == stored[row["task"]]
+
+    @pytest.mark.parametrize("grid", ["0,nan,inf", "0,-inf", "0.01,-0.02"])
+    def test_bad_grid_radius_is_config_error_before_loading(self, tmp_path,
+                                                            capsys, grid):
+        # The checkpoint does not exist: the grid is refused first (exit 2,
+        # not the data error 3 a missing checkpoint gives).
+        out = tmp_path / "certn"
+        assert run("certify", "--checkpoint", str(tmp_path / "absent.json"),
+                   "--grid", grid, "--set", f"output.dir={out}") == 2
+        assert "radius" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_grid_values_duplicate_rows(self, trained_run, tmp_path):
         out = tmp_path / "certd"
@@ -283,6 +311,23 @@ class TestExitCodes:
         assert "attack.enabled" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        assert run("train", "--config", str(tmp_path / "absent.ini"),
+                   "--set", f"output.dir={tmp_path}/x") == 2
+        assert "cannot read config" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("override", [
+        "train.eps=nan", "train.alpha=nan", "train.lr=nan", "train.beta=inf",
+        "data.spread=nan", "data.angles=0,nan,90",
+    ])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys,
+                                              override):
+        assert run("train", "--set", override, *TINY_ARGS,
+                   "--set", f"output.dir={tmp_path}/x") == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_override_is_config_error(self, tmp_path):
         assert run("train", "--set", "train.steps=soon",
                    "--set", f"output.dir={tmp_path}/x") == 2
@@ -338,13 +383,8 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
-        rc = run("train", "--set", f"output.dir={tmp_path}/x",
-                 "--set", "data.tasks=1", "--set", "data.train_size=30",
-                 "--set", "data.val_size=10", "--set", "data.test_size=10",
-                 "--set", "net.hidden=8", "--set", "hypernet.hidden=8",
-                 "--set", "hypernet.embedding=4",
-                 "--set", "train.steps=8", "--set", "train.optimizer=sgd",
-                 "--set", "train.lr=1e12")
+        rc = run("train", "--set", f"output.dir={tmp_path}/x", *TINY_ARGS,
+                 "--set", "train.optimizer=sgd", "--set", "train.lr=1e12")
         assert rc == 4
 
     def test_corrupt_checkpoint_is_data_error(self, tmp_path):

@@ -9,7 +9,6 @@ from intervalcl.config import (
     config_to_text,
     default_config,
     documented_defaults,
-    load_config,
     parse_config_text,
 )
 
@@ -100,14 +99,19 @@ angles = 0, 45.5, 90
         with pytest.raises(ConfigError):
             parse_config_text("steps = 3\n")  # key before any section
 
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read config"):
-            load_config(str(tmp_path / "absent.ini"))
+    @pytest.mark.parametrize("text,key", [
+        ("[train]\neps = nan\n", "train.eps"),
+        ("[train]\nlr = inf\n", "train.lr"),
+        ("[data]\nangles = 0, -inf\n", "data.angles"),
+    ])
+    def test_non_finite_float_named(self, text, key):
+        with pytest.raises(ConfigError, match=f"{key}: .*not a finite number"):
+            parse_config_text(text)
 
     def test_load_file(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[data]\nkind = permuted\ntasks = 4\n")
-        cfg = load_config(str(path))
+        cfg = parse_config_text(path.read_text(), origin=str(path))
         assert cfg["data"]["kind"] == "permuted"
         assert cfg["data"]["tasks"] == 4
 

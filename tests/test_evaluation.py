@@ -54,6 +54,8 @@ def test_attack_config_validation():
     ev.AttackConfig(kind="fgsm", eps=0.1)
     with pytest.raises(ValueError):
         ev.AttackConfig(kind="jsma")
+    with pytest.raises(ValueError, match="'none'"):
+        ev.AttackConfig(kind="none")  # no attack is attack_cfg=None
     with pytest.raises(ValueError):
         ev.AttackConfig(eps=-0.1)
     with pytest.raises(ValueError):
@@ -139,9 +141,9 @@ def test_attack_accuracy_ordering_on_trained_model(trained_blobs_model):
                               ev.AttackConfig(kind="pgd", eps=0.04, iters=30))
     assert fg <= clean + 1e-12
     assert pg <= fg + 0.05  # PGD is at least as strong up to noise
-    none = ev.attacked_accuracy(spec, params, data.inputs, data.labels,
-                                ev.AttackConfig(kind="none"))
-    assert none == clean
+    zero = ev.attacked_accuracy(spec, params, data.inputs, data.labels,
+                                ev.AttackConfig(kind="pgd", eps=0.0))
+    assert zero == clean
 
 
 def test_certify_identity_head_cases():

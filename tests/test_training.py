@@ -100,6 +100,8 @@ def test_trainer_config_validation():
         training.TrainerConfig(batch_size=1, use_interval_mixup=True)
     with pytest.raises(ValueError):
         training.TrainerConfig(val_every=0)
+    with pytest.raises(ValueError, match="rmsprop"):
+        training.TrainerConfig(optimizer="rmsprop")
 
 
 # ---- single-task training ------------------------------------------------
