@@ -3,9 +3,12 @@
 A ``Tensor`` wraps a float64 ndarray and records the operation that produced
 it. Calling :meth:`Tensor.backward` on a scalar output walks the graph once in
 reverse topological order and accumulates gradients into every node that
-requires them. Backward walks and forms only the gradients that take part:
-the walk skips subgraphs that take no gradient, and an op's backward
-returns ``None`` instead of a gradient for a constant operand.
+requires them.
+
+Every op builds its output with one ``_node(value, parents, *forms)`` call,
+one form per parent: ``forms[i](grad)`` is the gradient for ``parents[i]``.
+Backward alone decides which gradients to form: it runs a form only for a
+parent that takes a gradient, and the walk skips subgraphs that take none.
 
 The op set is deliberately small: exactly what dense/conv interval
 networks, their losses, and gradient-based attacks need, and nothing else:
@@ -43,8 +46,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _add_into_zeros(shape, key, grad) -> np.ndarray:
+    """Zeros of ``shape`` with ``grad`` added at the basic index ``key``."""
+    gx = np.zeros(shape)
+    gx[key] += grad
+    return gx
+
+
+def _put_into_zeros(shape, idx, grad, axis) -> np.ndarray:
+    """Zeros of ``shape`` with ``grad`` put at ``idx`` along ``axis``."""
+    gx = np.zeros(shape)
+    np.put_along_axis(gx, idx, grad, axis)
+    return gx
+
+
 class Tensor:
-    """Node in the differentiation graph.
+    """Node in the differentiation graph: ``Tensor(...)`` makes a leaf.
 
     Attributes:
         value: the float64 ndarray payload.
@@ -56,13 +73,13 @@ class Tensor:
     # Keep numpy from intercepting mixed ndarray/Tensor arithmetic so that
     # ``ndarray + Tensor`` dispatches to Tensor.__radd__.
     __array_ufunc__ = None
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_forms")
 
-    def __init__(self, value, parents=(), backward=None, requires_grad=None):
+    def __init__(self, value, parents=(), requires_grad=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = tuple(parents)
-        self._backward = backward
+        self._forms = ()
         if requires_grad is None:
             requires_grad = any(p.requires_grad for p in self._parents)
         self.requires_grad = requires_grad
@@ -94,78 +111,50 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.value + other.value, (self, other))
-
-        def backward(grad):
-            return (_unbroadcast(grad, self.value.shape)
-                    if self.requires_grad else None,
-                    _unbroadcast(grad, other.value.shape)
-                    if other.requires_grad else None)
-
-        out._backward = backward
-        return out
+        sa, sb = self.value.shape, other.value.shape
+        return _node(self.value + other.value, (self, other),
+                     lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.value * other.value, (self, other))
         a, b = self.value, other.value
-
-        def backward(grad):
-            return (_unbroadcast(grad * b, a.shape)
-                    if self.requires_grad else None,
-                    _unbroadcast(grad * a, b.shape)
-                    if other.requires_grad else None)
-
-        out._backward = backward
-        return out
+        return _node(a * b, (self, other),
+                     lambda g: _unbroadcast(g * b, a.shape),
+                     lambda g: _unbroadcast(g * a, b.shape))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        out = Tensor(-self.value, (self,))
-        out._backward = lambda grad: (-grad,)
-        return out
+        return _node(-self.value, (self,), lambda g: -g)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        # Bitwise ``self + (-other)``: negation commutes with rounded sums.
+        other = self._coerce(other)
+        sa, sb = self.value.shape, other.value.shape
+        return _node(self.value - other.value, (self, other),
+                     lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.value / other.value, (self, other))
         a, b = self.value, other.value
-
-        def backward(grad):
-            return (_unbroadcast(grad / b, a.shape)
-                    if self.requires_grad else None,
-                    _unbroadcast(-grad * a / (b * b), b.shape)
-                    if other.requires_grad else None)
-
-        out._backward = backward
-        return out
+        return _node(a / b, (self, other),
+                     lambda g: _unbroadcast(g / b, a.shape),
+                     lambda g: _unbroadcast(-g * a / (b * b), b.shape))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def __matmul__(self, other):
         other = self._coerce(other)
-        if self.value.ndim != 2 or other.value.ndim != 2:
-            raise ValueError(
-                f"matmul expects 2-d operands, got {self.value.shape} @ {other.value.shape}")
-        out = Tensor(self.value @ other.value, (self, other))
         a, b = self.value, other.value
-
-        def backward(grad):
-            # A constant operand's gradient would be discarded: skip its gemm.
-            return (grad @ b.T if self.requires_grad else None,
-                    a.T @ grad if other.requires_grad else None)
-
-        out._backward = backward
-        return out
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValueError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
+        return _node(a @ b, (self, other), lambda g: g @ b.T, lambda g: a.T @ g)
 
     def __rmatmul__(self, other):
         return self._coerce(other) @ self
@@ -173,73 +162,47 @@ class Tensor:
     # ---- elementwise nonlinearities -------------------------------------
 
     def __abs__(self):
-        out = Tensor(np.abs(self.value), (self,))
         # Subgradient 0 at the kink: np.sign(0) == 0.
         sign = np.sign(self.value)
-        out._backward = lambda grad: (grad * sign,)
-        return out
+        return _node(np.abs(self.value), (self,), lambda g: g * sign)
 
     def relu(self):
-        out = Tensor(np.maximum(self.value, 0.0), (self,))
         # Subgradient 0 at the kink.
         mask = (self.value > 0.0).astype(np.float64)
-        out._backward = lambda grad: (grad * mask,)
-        return out
+        return _node(np.maximum(self.value, 0.0), (self,), lambda g: g * mask)
 
     def sigmoid(self):
         s = 1.0 / (1.0 + np.exp(-self.value))
-        out = Tensor(s, (self,))
-        out._backward = lambda grad: (grad * s * (1.0 - s),)
-        return out
+        return _node(s, (self,), lambda g: g * s * (1.0 - s))
 
     def sqrt(self):
         r = np.sqrt(self.value)
-        out = Tensor(r, (self,))
-        out._backward = lambda grad: (grad / (2.0 * r),)
-        return out
+        return _node(r, (self,), lambda g: g / (2.0 * r))
 
     # ---- reductions ------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.value.sum(axis=axis, keepdims=keepdims), (self,))
         shape = self.value.shape
-
-        def backward(grad):
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape).copy(),)
-
-        out._backward = backward
-        return out
+        expand = axis is not None and not keepdims
+        return _node(self.value.sum(axis=axis, keepdims=keepdims), (self,),
+                     lambda g: np.broadcast_to(
+                         np.expand_dims(g, axis) if expand else g, shape).copy())
 
     def max(self, axis, keepdims=False):
         """Max along one axis; ties route gradient to the first maximum."""
-        idx = np.argmax(self.value, axis=axis)
-        out_val = np.take_along_axis(self.value, np.expand_dims(idx, axis), axis)
-        if not keepdims:
-            out_val = np.squeeze(out_val, axis)
-        out = Tensor(out_val, (self,))
+        idx = np.expand_dims(np.argmax(self.value, axis=axis), axis)
+        out = np.take_along_axis(self.value, idx, axis)
         shape = self.value.shape
-
-        def backward(grad):
-            g = grad if keepdims else np.expand_dims(grad, axis)
-            gx = np.zeros(shape)
-            np.put_along_axis(gx, np.expand_dims(idx, axis), g, axis)
-            return (gx,)
-
-        out._backward = backward
-        return out
+        return _node(out if keepdims else np.squeeze(out, axis), (self,),
+                     lambda g: _put_into_zeros(shape, idx, g.reshape(idx.shape), axis))
 
     # ---- shape ops -------------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.value.reshape(shape), (self,))
         orig = self.value.shape
-        out._backward = lambda grad: (grad.reshape(orig),)
-        return out
+        return _node(self.value.reshape(shape), (self,), lambda g: g.reshape(orig))
 
     def __getitem__(self, key):
         """Basic indexing only: slices, ints, or a tuple of them.
@@ -248,22 +211,13 @@ class Tensor:
         the gradient into its view of a zero array. Any other key (arrays,
         booleans, ``None``, ``Ellipsis``) raises ``TypeError``.
         """
-        parts = key if isinstance(key, tuple) else (key,)
-        for part in parts:
-            if isinstance(part, bool) or not isinstance(
-                    part, (slice, int, np.integer)):
+        for part in key if isinstance(key, tuple) else (key,):
+            if isinstance(part, bool) or not isinstance(part, (slice, int, np.integer)):
                 raise TypeError(
                     f"Tensor indexing takes slices and ints, got {type(part).__name__}")
-        out = Tensor(self.value[key], (self,))
         shape = self.value.shape
-
-        def backward(grad):
-            gx = np.zeros(shape)
-            gx[key] += grad
-            return (gx,)
-
-        out._backward = backward
-        return out
+        return _node(self.value[key], (self,),
+                     lambda g: _add_into_zeros(shape, key, g))
 
     # ---- backward --------------------------------------------------------
 
@@ -286,11 +240,20 @@ class Tensor:
                 if node.requires_grad:
                     node.grad = grad if node.grad is None else node.grad + grad
                 continue
-            for parent, pgrad in zip(node._parents, node._backward(grad)):
-                if not parent.requires_grad:
-                    continue
-                seen = grads.get(id(parent))
-                grads[id(parent)] = pgrad if seen is None else seen + pgrad
+            for parent, form in zip(node._parents, node._forms):
+                if parent.requires_grad:
+                    pgrad = form(grad)
+                    seen = grads.get(id(parent))
+                    grads[id(parent)] = pgrad if seen is None else seen + pgrad
+
+
+def _node(value, parents, *forms) -> Tensor:
+    """The one constructor of a non-leaf Tensor; ``forms[i](grad)`` is the
+    gradient for ``parents[i]``. Forms read arrays captured at the forward
+    pass (leaf arrays by reference): run backward before an optimizer step."""
+    out = Tensor(value, parents)
+    out._forms = forms
+    return out
 
 
 def topological_order(root: Tensor) -> list[Tensor]:
@@ -376,11 +339,25 @@ def linear(x, w, b=None):
     ops = tuple(t if isinstance(t, Tensor) else Tensor.constant(t)
                 for t in ((x, w) if b is None else (x, w, b)))
     xv, wv = ops[0].value, ops[1].value
-    out = Tensor(xv @ wv.T if b is None else xv @ wv.T + ops[2].value, ops)
     forms = (lambda g: g @ wv, lambda g: g.T @ xv, lambda g: g.sum(axis=0))
-    out._backward = lambda grad: tuple(
-        form(grad) if op.requires_grad else None for form, op in zip(forms, ops))
-    return out
+    return _node(xv @ wv.T if b is None else xv @ wv.T + ops[2].value, ops,
+                 *forms[:len(ops)])
+
+
+def _scatter_windows(grad, shape, sh, sw) -> np.ndarray:
+    """Sum (B, OH, OW, kh, kw, C) window gradients onto an input of ``shape``.
+
+    One strided add per kernel position. Descending (i, j) adds each input
+    position's contributions in ascending window order, the order a
+    per-element scatter (np.add.at) sums them in.
+    """
+    _, oh, ow, kh, kw, _ = grad.shape
+    gx = np.zeros(shape)
+    row_end, col_end = sh * (oh - 1) + 1, sw * (ow - 1) + 1
+    for i in range(kh - 1, -1, -1):
+        for j in range(kw - 1, -1, -1):
+            gx[:, i:i + row_end:sh, j:j + col_end:sw, :] += grad[:, :, :, i, j, :]
+    return gx
 
 
 def _sliding_windows(x, kh, kw, sh, sw, per_channel):
@@ -409,22 +386,8 @@ def _sliding_windows(x, kh, kw, sh, sw, per_channel):
     windows = gathered.reshape((batch, oh, ow) + tail)
     if not isinstance(x, Tensor):
         return windows
-    out = Tensor(windows, (x,))
-
-    def backward(grad):
-        # One strided add per kernel position. Descending (i, j) adds each
-        # input position's contributions in ascending window order, the
-        # order a per-element scatter (np.add.at) sums them in.
-        g = grad.reshape(gathered.shape)
-        gx = np.zeros(val.shape)
-        row_end, col_end = sh * (oh - 1) + 1, sw * (ow - 1) + 1
-        for i in range(kh - 1, -1, -1):
-            for j in range(kw - 1, -1, -1):
-                gx[:, i:i + row_end:sh, j:j + col_end:sw, :] += g[:, :, :, i, j, :]
-        return (gx,)
-
-    out._backward = backward
-    return out
+    return _node(windows, (x,), lambda g: _scatter_windows(
+        g.reshape(gathered.shape), val.shape, sh, sw))
 
 
 def extract_patches(x, kh, kw, sh, sw):
@@ -472,17 +435,13 @@ def softmax_cross_entropy(logits, labels, reduction="mean"):
     result = per_sample.mean() if reduction == "mean" else per_sample
     if not isinstance(logits, Tensor):
         return result
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    onehot = np.zeros_like(val)
-    onehot[np.arange(batch), labels] = 1.0
-    out = Tensor(result, (logits,))
-
+    # probs - onehot in place (bitwise: p - 0.0 is p).
+    diff = np.exp(shifted)
+    diff /= diff.sum(axis=1, keepdims=True)
+    diff[np.arange(batch), labels] -= 1.0
     if reduction == "mean":
-        out._backward = lambda grad: (grad * (probs - onehot) / batch,)
-    else:
-        out._backward = lambda grad: (grad[:, None] * (probs - onehot),)
-    return out
+        return _node(result, (logits,), lambda g: g * diff / batch)
+    return _node(result, (logits,), lambda g: g[:, None] * diff)
 
 
 def grad_check(build, leaves, *, step=1e-6, rng=None, max_coords=None):

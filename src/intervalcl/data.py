@@ -40,8 +40,9 @@ class LabeledData:
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError(f"{self.inputs.shape[0]} inputs vs "
                              f"{self.labels.shape[0]} labels")
-        if self.inputs.size and (self.inputs.min() < 0.0 or self.inputs.max() > 1.0):
-            raise ValueError("inputs must lie in [0, 1]")
+        # NaN fails both comparisons.
+        if self.inputs.size and not (self.inputs.min() >= 0.0 and self.inputs.max() <= 1.0):
+            raise ValueError("inputs must be finite and lie in [0, 1]")
         if self.labels.size and self.labels.min() < 0:
             raise ValueError("labels must be non-negative")
 

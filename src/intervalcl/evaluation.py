@@ -43,10 +43,11 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ("fgsm", "pgd"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.eps < 0.0:
-            raise ValueError(f"attack eps must be non-negative, got {self.eps}")
-        if self.step is not None and self.step <= 0.0:
-            raise ValueError(f"attack step must be positive, got {self.step}")
+        # Written so that NaN fails each range check.
+        if not 0.0 <= self.eps < np.inf:
+            raise ValueError(f"attack eps must be finite and non-negative, got {self.eps}")
+        if self.step is not None and not 0.0 < self.step < np.inf:
+            raise ValueError(f"attack step must be finite and positive, got {self.step}")
         if self.iters < 1:
             raise ValueError(f"attack needs at least one iteration, got {self.iters}")
 

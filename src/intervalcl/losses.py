@@ -36,12 +36,13 @@ class LossConfig:
     decay: str = "linear"
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be non-negative, got {self.eps}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # Written so that NaN fails each range check.
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
+        if not 0.0 <= self.eps < np.inf:
+            raise ValueError(f"eps must be finite and non-negative, got {self.eps}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.decay not in DECAY_KINDS:
             raise ValueError(f"decay must be one of {DECAY_KINDS}, got {self.decay!r}")
 

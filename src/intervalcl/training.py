@@ -46,8 +46,8 @@ class Adam:
     """
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < np.inf:  # NaN fails too
+            raise ValueError(f"learning rate must be finite and positive, got {lr}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -83,8 +83,8 @@ class SGD:
     """Plain gradient descent, for comparisons."""
 
     def __init__(self, lr=0.01):
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < np.inf:  # NaN fails too
+            raise ValueError(f"learning rate must be finite and positive, got {lr}")
         self.lr = lr
 
     def update(self, name: str, param: np.ndarray, grad: np.ndarray):

@@ -92,6 +92,21 @@ def test_constant_operands_form_no_gradient(monkeypatch):
     assert scale.grad is None and shift.grad is None and denom.grad is None
     assert np.array_equal(p.grad, scale.value / denom.value)
 
+    # ``-`` and ``@`` with a constant on either side: backward runs only
+    # the parameter's form.
+    square = Tensor.constant(np.eye(2) * 2.0)
+    for build, taker in [(lambda: p - shift, 0), (lambda: shift - p, 1),
+                         (lambda: square @ p, 1), (lambda: p.reshape(3, 2) @ square, 0)]:
+        out = build()
+        ran = []
+        out._forms = tuple(
+            (lambda g, i=i, form=form: ran.append(i) or form(g))
+            for i, form in enumerate(out._forms))
+        p.grad = None
+        out.sum().backward()
+        assert ran == [taker]
+        assert p.grad is not None and shift.grad is None and square.grad is None
+
 
 def test_constant_leaves_stay_grad_free():
     w = Tensor.parameter(np.array(2.0))
@@ -263,7 +278,7 @@ def test_max_reduction_routes_to_first_tie():
     assert np.array_equal(w.grad, [[0.0, 1.0, 0.0]])
 
 
-def test_reshape_transpose_getitem():
+def test_reshape_getitem():
     rng = np.random.default_rng(5)
     w = Tensor.parameter(rng.normal(size=(4, 6)))
 
@@ -272,6 +287,53 @@ def test_reshape_transpose_getitem():
         return (t[3:9, :] * t[0:6, :]).sum() + t[2, 1] * t[4, 1:].sum()
 
     assert ad.grad_check(build, [w]) <= 1e-8
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _operand(kind, value):
+    if kind == "T":
+        return Tensor.parameter(np.array(value, copy=True))
+    return np.array(value, copy=True) if kind == "ndarray" else float(value)
+
+
+_PAIRS = [((4, 3), ()), ((), (4, 3)), ((4, 3), (1, 3)), ((1, 3), (4, 1)),
+          ((4, 1), (4, 3)), ((4, 3), (4, 3))]
+_SHAPES = [(), (1, 3), (4, 1), (4, 3)]
+
+
+@pytest.mark.parametrize("left,right,a_shape,b_shape",
+                         [("T", "T", a, b) for a, b in _PAIRS]
+                         + [("ndarray", "T", a, b) for a, b in _PAIRS]
+                         + [("T", "scalar", s, ()) for s in _SHAPES]
+                         + [("scalar", "T", (), s) for s in _SHAPES])
+def test_subtraction_is_one_node_bitwise_the_negate_add_chain(left, right,
+                                                              a_shape, b_shape):
+    rng = np.random.default_rng(17)
+
+    def draw(shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, shape)
+
+    a_val, b_val = draw(a_shape), draw(b_shape)
+    upstream = draw(np.broadcast_shapes(a_shape, b_shape))
+
+    def run(sub):
+        a, b = _operand(left, a_val), _operand(right, b_val)
+        out = sub(a, b)
+        (out * upstream).sum().backward()
+        return out, [t.grad for t in (a, b) if isinstance(t, Tensor)]
+
+    out, grads = run(lambda a, b: a - b)
+    ref, ref_grads = run(lambda a, b: a + (-(b if isinstance(b, Tensor)
+                                              else Tensor.constant(b))))
+    assert len(out._parents) == 2
+    assert all(not parent._parents for parent in out._parents)  # one node
+    assert np.array_equal(_bits(out.value), _bits(ref.value))
+    assert [g.shape for g in grads] == [g.shape for g in ref_grads]
+    for got, want in zip(grads, ref_grads):
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_ndarray_on_left_dispatches_to_tensor():
@@ -447,8 +509,7 @@ def test_grad_check_flags_a_wrong_gradient():
     w = Tensor.parameter(np.array([1.5]))
 
     def build():
-        out = Tensor(w.value * w.value, (w,))
-        out._backward = lambda grad: (grad * 3.0 * w.value,)  # wrong slope
-        return out.sum()
+        v = w.value
+        return ad._node(v * v, (w,), lambda grad: grad * 3.0 * v).sum()  # wrong slope
 
     assert ad.grad_check(build, [w]) > 1e-2

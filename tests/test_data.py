@@ -60,6 +60,12 @@ class TestLabeledData:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             LabeledData(np.array([[-0.1]]), np.array([0]))
 
+    def test_rejects_nan_inputs(self):
+        # NaN passes ``x < 0`` and ``x > 1``; it must not pass the box check.
+        for bad in ([[np.nan, 0.5]], [[0.5, np.nan]]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                LabeledData(np.array(bad), np.array([0]))
+
     def test_rejects_float_labels(self):
         with pytest.raises(ValueError, match="integer"):
             LabeledData(np.array([[0.5]]), np.array([0.0]))

@@ -64,6 +64,13 @@ def test_attack_config_validation():
         ev.AttackConfig(iters=0)
 
 
+@pytest.mark.parametrize("name", ["eps", "step"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_attack_config_refuses_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"attack {name}"):
+        ev.AttackConfig(**{"eps": 0.1, name: value})
+
+
 def test_fgsm_zero_eps_is_identity():
     spec = identity_head_spec()
     params = identity_params(spec)

@@ -22,6 +22,13 @@ def test_loss_config_validation():
         losses.LossConfig(decay="cubic")
 
 
+@pytest.mark.parametrize("name", ["beta", "eps", "alpha"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_loss_config_refuses_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        losses.LossConfig(**{name: value})
+
+
 # ---- ibp loss ------------------------------------------------------------
 
 

@@ -90,6 +90,15 @@ def test_make_optimizer_validation():
         training.Adam(lr=0.0)
 
 
+@pytest.mark.parametrize("build", [training.Adam, training.SGD,
+                                   lambda lr: training.TrainerConfig(lr=lr)],
+                         ids=["Adam", "SGD", "TrainerConfig"])
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_optimizers_refuse_non_finite_learning_rate(build, lr):
+    with pytest.raises(ValueError, match="learning rate"):
+        build(lr)
+
+
 def test_trainer_config_validation():
     training.TrainerConfig()
     with pytest.raises(ValueError):
@@ -401,6 +410,49 @@ def test_step_tape_walk_visits_only_grad_taking_nodes_in_full_walk_order():
     assert [id(n) for n in order] == [id(n) for n in full if n.requires_grad]
     # The step's constants (inputs, labels, the frozen embedding) are pruned.
     assert len(order) < len(full)
+
+
+@pytest.mark.parametrize("input_shape,layers,classes,embedding,hidden,pins", [
+    ((2,), nets.mlp_layers([16], 3), 3, 8, [32], (70, 80, 88)),
+    ((8, 8, 1), [nets.conv(8, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
+                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (163, 175, 185)),
+], ids=["blobs_mlp", "digits_conv"])
+def test_training_backward_tape_size_is_pinned(monkeypatch, input_shape, layers,
+                                               classes, embedding, hidden, pins):
+    # Nodes per training backward for tasks 0/1/2 of the benchmark's
+    # blobs_mlp and digits_conv architectures and trainer settings. The
+    # count depends only on the architecture, so tiny random data will do.
+    # A change to the tape size updates these pins.
+    counts = []
+    walk = ad.topological_order
+
+    def counting(root):
+        order = walk(root)
+        counts.append(len(order))
+        return order
+
+    monkeypatch.setattr(ad, "topological_order", counting)
+    rng = np.random.default_rng(0)
+
+    def split():
+        return Data(rng.uniform(size=(6,) + input_shape),
+                    rng.integers(0, classes, size=6))
+
+    class T:
+        pass
+
+    tasks = []
+    for _ in range(3):
+        t = T()
+        t.train, t.val, t.test = split(), split(), split()
+        tasks.append(t)
+    spec = nets.NetworkSpec(input_shape, layers, classes)
+    h = nets.Hypernetwork(spec.total_params, embedding, hidden, 3, rng)
+    cfg = training.TrainerConfig(steps=2, batch_size=4, seed=1,
+                                 loss=L.LossConfig(beta=0.01, eps=0.03, alpha=0.1),
+                                 use_interval_mixup=True, model_selection=False)
+    training.train_sequence(h, spec, tasks, cfg)
+    assert counts == [n for n in pins for _ in range(2)]
 
 
 # ---- training on interpolated samples only -------------------------------
