@@ -12,14 +12,15 @@ gradient against finite differences.
 import numpy as np
 
 from intervalcl import Tensor, grad_check
+from intervalcl.autodiff import sigmoid
 from intervalcl.losses import ibp_loss
 from intervalcl.nets import (
     NetworkSpec, ParamSet, forward_interval, forward_point, mlp_layers,
 )
 
 # d/dx of x^2 * sigmoid(x) at x = 1.5, against the product rule.
-x = Tensor.parameter(np.array(1.5))
-y = (x * x) * x.sigmoid()
+x = Tensor(np.array(1.5))
+y = (x * x) * sigmoid(x)
 y.backward()
 s = 1.0 / (1.0 + np.exp(-1.5))
 by_hand = 2 * 1.5 * s + 1.5 ** 2 * s * (1 - s)
@@ -30,7 +31,7 @@ print(f"tape gradient {float(x.grad):.10f}, product rule {by_hand:.10f}")
 # so one backward() yields the gradient for every parameter.
 rng = np.random.default_rng(3)
 spec = NetworkSpec((4,), mlp_layers([8], 3), 3)
-flat = Tensor.parameter(rng.normal(scale=0.7, size=spec.total_params))
+flat = Tensor(rng.normal(scale=0.7, size=spec.total_params))
 inputs = rng.uniform(0.1, 0.9, size=(6, 4))
 labels = rng.integers(0, 3, size=6)
 

@@ -1,31 +1,31 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A ``Tensor`` wraps a float64 ndarray and records the operation that produced
-it. Calling :meth:`Tensor.backward` on a scalar output walks the graph once in
-reverse topological order and accumulates gradients into every node that
-requires them.
+it; ``Tensor(value)`` makes a leaf, and every Tensor takes a gradient.
+Calling :meth:`Tensor.backward` on a scalar output walks the graph once in
+reverse topological order and accumulates gradients into every leaf.
 
-Every op builds its output with one ``_node(value, parents, *forms)`` call,
-one form per parent: ``forms[i](grad)`` is the gradient for ``parents[i]``.
-Backward alone decides which gradients to form: it runs a form only for a
-parent that takes a gradient, and the walk skips subgraphs that take none.
+Constants stay plain ndarrays (or Python scalars) and never enter the tape.
+Every op computes its value from its operands' payloads and hands it to
+``_node(value, operands, *forms)``, one form per operand: ``forms[i](grad)``
+is the gradient for ``operands[i]``. ``_node`` is the one place that decides
+what comes out: with no Tensor among the operands, the value itself; else a
+node whose parents are the Tensor operands, each with its form. So the
+helpers (``relu``, ``sigmoid``, ``sqrt``, ``absolute``, ``mean``,
+``linear``, ...) take either kind and return the same kind, and layer math
+written against them runs on the tape during training and on raw arrays
+during evaluation without a second implementation.
 
 The op set is deliberately small: exactly what dense/conv interval
 networks, their losses, and gradient-based attacks need, and nothing else:
 
 - arithmetic: ``+``, ``-``, ``*``, ``/``, ``@`` and the dense node ``linear``;
-- elementwise: ``abs``, ``relu``, ``sigmoid``, ``sqrt``;
+- elementwise: ``absolute``, ``relu``, ``sigmoid``, ``sqrt``;
 - reductions: ``sum``, ``mean`` and a one-axis ``max``;
 - shape: ``reshape``, indexing, and the sliding-window
   gathers ``extract_patches`` (convolution) and ``pool_windows`` (pooling);
 - loss: ``softmax_cross_entropy``, averaged or per sample (``softmax``
   itself takes arrays only: no loss differentiates through it).
-
-The module-level helpers (``relu``, ``sigmoid``, ``sqrt``, ``mean``,
-``linear``, ...) accept either a ``Tensor`` or a plain ndarray and return
-the same kind. Layer math written against these helpers runs on the tape
-during training and on raw arrays during evaluation without a second
-implementation.
 """
 
 from __future__ import annotations
@@ -60,124 +60,143 @@ def _put_into_zeros(shape, idx, grad, axis) -> np.ndarray:
     return gx
 
 
+def payload(x):
+    """The array under ``x``: a Tensor's value, else ``x`` itself."""
+    return x.value if isinstance(x, Tensor) else x
+
+
+def _node(value, operands, *forms):
+    """``value`` as a tape node over the Tensor ``operands``, or as itself.
+
+    ``forms[i](grad)`` is the gradient for ``operands[i]``. With no Tensor
+    operand the op is untaped and ``value`` comes back as it is; otherwise
+    the node's parents are the Tensor operands, each with its form, and
+    every other operand is a constant the tape never sees. Forms read arrays
+    captured at the forward pass (leaf arrays by reference): run backward
+    before an optimizer step.
+    """
+    for op in operands:
+        if isinstance(op, Tensor):
+            break
+    else:
+        return value
+    parents, taped_forms = [], []
+    for op, form in zip(operands, forms):
+        if isinstance(op, Tensor):
+            parents.append(op)
+            taped_forms.append(form)
+    out = Tensor(value)
+    out._parents, out._forms = tuple(parents), tuple(taped_forms)
+    return out
+
+
+def _add(x, y):
+    a, b = payload(x), payload(y)
+    return _node(a + b, (x, y),
+                 lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape))
+
+
+def _mul(x, y):
+    a, b = payload(x), payload(y)
+    return _node(a * b, (x, y),
+                 lambda g: _unbroadcast(g * b, a.shape),
+                 lambda g: _unbroadcast(g * a, b.shape))
+
+
+def _sub(x, y):
+    # Bitwise ``x + (-y)``: negation commutes with rounded sums.
+    a, b = payload(x), payload(y)
+    return _node(a - b, (x, y),
+                 lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape))
+
+
+def _div(x, y):
+    a, b = payload(x), payload(y)
+    return _node(a / b, (x, y),
+                 lambda g: _unbroadcast(g / b, a.shape),
+                 lambda g: _unbroadcast(-g * a / (b * b), b.shape))
+
+
+def _matmul(x, y):
+    a, b = payload(x), payload(y)
+    if np.ndim(a) != 2 or np.ndim(b) != 2:
+        raise ValueError(f"matmul expects 2-d operands, got {np.shape(a)} @ {np.shape(b)}")
+    return _node(a @ b, (x, y), lambda g: g @ b.T, lambda g: a.T @ g)
+
+
+# ---- elementwise helpers (Tensor or ndarray in, same kind out) ----------
+
+
+def absolute(x):
+    v = payload(x)
+    # Subgradient 0 at the kink: np.sign(0) == 0.
+    return _node(np.abs(v), (x,), lambda g: g * np.sign(v))
+
+
+def relu(x):
+    v = payload(x)
+    # Subgradient 0 at the kink.
+    return _node(np.maximum(v, 0.0), (x,), lambda g: g * (v > 0.0))
+
+
+def sigmoid(x):
+    s = 1.0 / (1.0 + np.exp(-payload(x)))
+    return _node(s, (x,), lambda g: g * s * (1.0 - s))
+
+
+def sqrt(x):
+    r = np.sqrt(payload(x))
+    return _node(r, (x,), lambda g: g / (2.0 * r))
+
+
 class Tensor:
-    """Node in the differentiation graph: ``Tensor(...)`` makes a leaf.
+    """Node in the differentiation graph: ``Tensor(value)`` makes a leaf.
 
     Attributes:
         value: the float64 ndarray payload.
         grad: accumulated gradient, same shape as ``value``; ``None`` until a
-            backward pass reaches this node.
-        requires_grad: whether backward should propagate into this node.
+            backward pass reaches this leaf.
     """
 
     # Keep numpy from intercepting mixed ndarray/Tensor arithmetic so that
     # ``ndarray + Tensor`` dispatches to Tensor.__radd__.
     __array_ufunc__ = None
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_forms")
+    __slots__ = ("value", "grad", "_parents", "_forms")
 
-    def __init__(self, value, parents=(), requires_grad=None):
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self._parents = tuple(parents)
+        self._parents = ()
         self._forms = ()
-        if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in self._parents)
-        self.requires_grad = requires_grad
-
-    # ---- construction helpers -------------------------------------------
-
-    @staticmethod
-    def parameter(value) -> "Tensor":
-        """Leaf that accumulates gradient."""
-        return Tensor(value, requires_grad=True)
-
-    @staticmethod
-    def constant(value) -> "Tensor":
-        """Leaf that backward never propagates into."""
-        return Tensor(value, requires_grad=False)
 
     @property
     def shape(self):
         return self.value.shape
 
     def __repr__(self):
-        flag = "param" if self.requires_grad and not self._parents else "node"
+        flag = "node" if self._parents else "leaf"
         return f"Tensor({flag}, shape={self.value.shape})"
 
     # ---- arithmetic ------------------------------------------------------
 
-    def _coerce(self, other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor.constant(other)
+    __add__ = __radd__ = _add
+    __mul__ = __rmul__ = _mul
+    __sub__ = _sub
+    __truediv__ = _div
+    __matmul__ = _matmul
+    __abs__ = absolute
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        sa, sb = self.value.shape, other.value.shape
-        return _node(self.value + other.value, (self, other),
-                     lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb))
+    def __rsub__(self, other):
+        return _sub(other, self)
 
-    __radd__ = __add__
+    def __rtruediv__(self, other):
+        return _div(other, self)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self.value, other.value
-        return _node(a * b, (self, other),
-                     lambda g: _unbroadcast(g * b, a.shape),
-                     lambda g: _unbroadcast(g * a, b.shape))
-
-    __rmul__ = __mul__
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
 
     def __neg__(self):
         return _node(-self.value, (self,), lambda g: -g)
-
-    def __sub__(self, other):
-        # Bitwise ``self + (-other)``: negation commutes with rounded sums.
-        other = self._coerce(other)
-        sa, sb = self.value.shape, other.value.shape
-        return _node(self.value - other.value, (self, other),
-                     lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self.value, other.value
-        return _node(a / b, (self, other),
-                     lambda g: _unbroadcast(g / b, a.shape),
-                     lambda g: _unbroadcast(-g * a / (b * b), b.shape))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        a, b = self.value, other.value
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
-        return _node(a @ b, (self, other), lambda g: g @ b.T, lambda g: a.T @ g)
-
-    def __rmatmul__(self, other):
-        return self._coerce(other) @ self
-
-    # ---- elementwise nonlinearities -------------------------------------
-
-    def __abs__(self):
-        # Subgradient 0 at the kink: np.sign(0) == 0.
-        sign = np.sign(self.value)
-        return _node(np.abs(self.value), (self,), lambda g: g * sign)
-
-    def relu(self):
-        # Subgradient 0 at the kink.
-        mask = (self.value > 0.0).astype(np.float64)
-        return _node(np.maximum(self.value, 0.0), (self,), lambda g: g * mask)
-
-    def sigmoid(self):
-        s = 1.0 / (1.0 + np.exp(-self.value))
-        return _node(s, (self,), lambda g: g * s * (1.0 - s))
-
-    def sqrt(self):
-        r = np.sqrt(self.value)
-        return _node(r, (self,), lambda g: g / (2.0 * r))
 
     # ---- reductions ------------------------------------------------------
 
@@ -232,39 +251,26 @@ class Tensor:
                 f"backward requires a scalar output, got shape {self.value.shape}")
         order = topological_order(self)
         grads = {id(self): np.ones_like(self.value)}
+        # Reverse topological order: every child has passed its gradient
+        # on before a node is reached.
         for node in reversed(order):
-            grad = grads.pop(id(node), None)
-            if grad is None:
-                continue
+            grad = grads.pop(id(node))
             if not node._parents:
-                if node.requires_grad:
-                    node.grad = grad if node.grad is None else node.grad + grad
+                node.grad = grad if node.grad is None else node.grad + grad
                 continue
             for parent, form in zip(node._parents, node._forms):
-                if parent.requires_grad:
-                    pgrad = form(grad)
-                    seen = grads.get(id(parent))
-                    grads[id(parent)] = pgrad if seen is None else seen + pgrad
-
-
-def _node(value, parents, *forms) -> Tensor:
-    """The one constructor of a non-leaf Tensor; ``forms[i](grad)`` is the
-    gradient for ``parents[i]``. Forms read arrays captured at the forward
-    pass (leaf arrays by reference): run backward before an optimizer step."""
-    out = Tensor(value, parents)
-    out._forms = forms
-    return out
+                pgrad = form(grad)
+                seen = grads.get(id(parent))
+                grads[id(parent)] = pgrad if seen is None else seen + pgrad
 
 
 def topological_order(root: Tensor) -> list[Tensor]:
-    """Parents-before-children ordering of the grad-taking graph below ``root``.
+    """Parents-before-children ordering of the graph below ``root``.
 
     Iterative DFS; traversal follows the stored parent tuples, so the order
     (and with it the floating-point accumulation order in backward) is
-    reproducible run to run. The walk does not descend into a parent with
-    ``requires_grad=False``: every ancestor of such a node takes no
-    gradient either, so backward would form nothing there, and the nodes
-    that remain keep the order a full walk gives them.
+    reproducible run to run. Constants are not on the tape, so every node
+    the walk meets takes a gradient.
     """
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -279,7 +285,7 @@ def topological_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+            if id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
@@ -287,27 +293,6 @@ def topological_order(root: Tensor) -> list[Tensor]:
 def zero_grads(leaves) -> None:
     for leaf in leaves:
         leaf.grad = None
-
-
-# ---- dual-mode helpers (Tensor or ndarray in, same kind out) -------------
-
-
-def relu(x):
-    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
-
-
-def sigmoid(x):
-    if isinstance(x, Tensor):
-        return x.sigmoid()
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def sqrt(x):
-    return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
-
-
-def absolute(x):
-    return abs(x) if isinstance(x, Tensor) else np.abs(x)
 
 
 def mean(x, axis=None, keepdims=False):
@@ -328,20 +313,16 @@ def linear(x, w, b=None):
     """Dense layer ``x @ w.T (+ b)``: one tape node, or plain numpy on arrays.
 
     ``x`` is (B, in), ``w`` is (out, in), the optional ``b`` is (out,). If
-    any operand is a Tensor the result is one node, with every ndarray
-    operand a constant. The weight gradient ``grad.T @ x`` is C-ordered; it
-    matched the ``(x.T @ grad).T`` of a matmul -> transpose chain bitwise on
-    3000 random shapes (B from 1 to 64, widths up to 128; OpenBLAS 0.3.31).
+    any operand is a Tensor the result is one node over the Tensor operands.
+    The weight gradient ``grad.T @ x`` is C-ordered; it matched the
+    ``(x.T @ grad).T`` of a matmul -> transpose chain bitwise on 3000 random
+    shapes (B from 1 to 64, widths up to 128; OpenBLAS 0.3.31).
     """
-    if not (isinstance(x, Tensor) or isinstance(w, Tensor)
-            or isinstance(b, Tensor)):
-        return x @ w.T if b is None else x @ w.T + b
-    ops = tuple(t if isinstance(t, Tensor) else Tensor.constant(t)
-                for t in ((x, w) if b is None else (x, w, b)))
-    xv, wv = ops[0].value, ops[1].value
-    forms = (lambda g: g @ wv, lambda g: g.T @ xv, lambda g: g.sum(axis=0))
-    return _node(xv @ wv.T if b is None else xv @ wv.T + ops[2].value, ops,
-                 *forms[:len(ops)])
+    xv, wv = payload(x), payload(w)
+    if b is None:
+        return _node(xv @ wv.T, (x, w), lambda g: g @ wv, lambda g: g.T @ xv)
+    return _node(xv @ wv.T + payload(b), (x, w, b),
+                 lambda g: g @ wv, lambda g: g.T @ xv, lambda g: g.sum(axis=0))
 
 
 def _scatter_windows(grad, shape, sh, sw) -> np.ndarray:
@@ -368,7 +349,7 @@ def _sliding_windows(x, kh, kw, sh, sw, per_channel):
     minor. On the tape, backward scatters each window's gradient back onto
     the input positions it read, summing where windows overlap.
     """
-    val = x.value if isinstance(x, Tensor) else x
+    val = payload(x)
     if val.ndim != 4:
         raise ValueError(f"expected NHWC input, got shape {val.shape}")
     if kh < 1 or kw < 1 or sh < 1 or sw < 1:
@@ -383,11 +364,8 @@ def _sliding_windows(x, kh, kw, sh, sw, per_channel):
     cols = (np.arange(ow) * sw)[None, :, None, None] + np.arange(kw)[None, None, None, :]
     gathered = val[:, rows, cols, :]  # (B, OH, OW, kh, kw, C)
     tail = (kh * kw, channels) if per_channel else (kh * kw * channels,)
-    windows = gathered.reshape((batch, oh, ow) + tail)
-    if not isinstance(x, Tensor):
-        return windows
-    return _node(windows, (x,), lambda g: _scatter_windows(
-        g.reshape(gathered.shape), val.shape, sh, sw))
+    return _node(gathered.reshape((batch, oh, ow) + tail), (x,),
+                 lambda g: _scatter_windows(g.reshape(gathered.shape), val.shape, sh, sw))
 
 
 def extract_patches(x, kh, kw, sh, sw):
@@ -410,6 +388,25 @@ def softmax(x: np.ndarray, axis=-1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def check_labels(labels, batch: int, classes: int) -> np.ndarray:
+    """``labels`` as an array, refused unless it is (batch,) in [0, classes)."""
+    labels = np.asarray(labels)
+    if labels.shape != (batch,):
+        raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ValueError("label out of range for logit width")
+    return labels
+
+
+def _probs_minus_onehot(shifted, labels) -> np.ndarray:
+    """softmax(shifted) - onehot(labels), the onehot taken in place
+    (bitwise: p - 0.0 is p)."""
+    diff = np.exp(shifted)
+    diff /= diff.sum(axis=1, keepdims=True)
+    diff[np.arange(len(labels)), labels] -= 1.0
+    return diff
+
+
 def softmax_cross_entropy(logits, labels, reduction="mean"):
     """Cross-entropy between softmax(logits) and integer labels.
 
@@ -420,28 +417,19 @@ def softmax_cross_entropy(logits, labels, reduction="mean"):
     """
     if reduction not in ("mean", "none"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    labels = np.asarray(labels)
-    val = logits.value if isinstance(logits, Tensor) else logits
+    val = payload(logits)
     if val.ndim != 2:
         raise ValueError(f"expected (batch, classes) logits, got {val.shape}")
     batch = val.shape[0]
-    if labels.shape != (batch,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
-    if labels.min() < 0 or labels.max() >= val.shape[1]:
-        raise ValueError("label out of range for logit width")
+    labels = check_labels(labels, batch, val.shape[1])
     shifted = val - val.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + val.max(axis=1)
     per_sample = lse - val[np.arange(batch), labels]
-    result = per_sample.mean() if reduction == "mean" else per_sample
-    if not isinstance(logits, Tensor):
-        return result
-    # probs - onehot in place (bitwise: p - 0.0 is p).
-    diff = np.exp(shifted)
-    diff /= diff.sum(axis=1, keepdims=True)
-    diff[np.arange(batch), labels] -= 1.0
     if reduction == "mean":
-        return _node(result, (logits,), lambda g: g * diff / batch)
-    return _node(result, (logits,), lambda g: g[:, None] * diff)
+        return _node(per_sample.mean(), (logits,),
+                     lambda g: g * _probs_minus_onehot(shifted, labels) / batch)
+    return _node(per_sample, (logits,),
+                 lambda g: g[:, None] * _probs_minus_onehot(shifted, labels))
 
 
 def grad_check(build, leaves, *, step=1e-6, rng=None, max_coords=None):

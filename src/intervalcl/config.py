@@ -120,7 +120,7 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _coerce(section: str, key: str, raw: str, field: Field):
+def _parse_field(section: str, key: str, raw: str, field: Field):
     where = f"{section}.{key}"
     raw = raw.strip()
     try:
@@ -179,8 +179,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
     for section in parser.sections():
         _field(origin, section)
         for key, raw in parser.items(section):
-            cfg[section][key] = _coerce(section, key, raw,
-                                        _field(origin, section, key))
+            cfg[section][key] = _parse_field(section, key, raw,
+                                              _field(origin, section, key))
     return cfg
 
 
@@ -194,8 +194,8 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         key = key.strip()
         if not dot or not section or not key:
             raise ConfigError(f"override {item!r} is not section.key=value")
-        cfg[section][key] = _coerce(section, key, raw,
-                                    _field(f"override {item!r}", section, key))
+        cfg[section][key] = _parse_field(section, key, raw,
+                                          _field(f"override {item!r}", section, key))
     return cfg
 
 

@@ -164,6 +164,8 @@ def rotate_images(images: np.ndarray, angle: float) -> np.ndarray:
 
 def split_indices(count: int, sizes, seed: int) -> list[np.ndarray]:
     """Disjoint index blocks of the given sizes from a seeded shuffle."""
+    if any(size < 0 for size in sizes):
+        raise ValueError(f"split sizes must be non-negative, got {tuple(sizes)}")
     total = sum(sizes)
     if total > count:
         raise ValueError(f"requested {total} samples from {count}")
@@ -187,6 +189,9 @@ def _image_tasks(images, labels, seed, kind, key, values, transform, *,
     Each split goes through ``transform(images, value)``; the task's
     descriptor records the value under ``key``.
     """
+    for name, size in (("train", train_size), ("val", val_size), ("test", test_size)):
+        if size < 1:
+            raise ValueError(f"{name}_size must be at least 1, got {size}")
     labels = np.asarray(labels, dtype=np.int64)
     classes = int(labels.max()) + 1
     splits = [(images[index], labels[index]) for index in split_indices(

@@ -58,7 +58,7 @@ def clean_accuracy(spec, params, inputs, labels, bn_stats=None) -> float:
 
 
 def _input_gradient(spec, params, inputs, labels, bn_stats):
-    x = Tensor.parameter(np.array(inputs, dtype=np.float64))
+    x = Tensor(inputs)
     logits = nets.forward_point(spec, params, x, bn_stats=bn_stats)
     ad.softmax_cross_entropy(logits, labels).backward()
     return x.grad
@@ -108,15 +108,16 @@ def certify(spec, params, inputs, labels, eps, bn_stats=None) -> np.ndarray:
     every other class's upper bound, so no perturbation in the box can flip
     the prediction.
     """
-    labels = np.asarray(labels)
     bounds = nets.forward_interval(spec, params, np.asarray(inputs, dtype=np.float64),
                                    eps=eps, bn_stats=bn_stats)
     lower = np.asarray(bounds.lower)
     upper = np.asarray(bounds.upper)
     batch = lower.shape[0]
-    own_lower = lower[np.arange(batch), labels]
+    labels = ad.check_labels(labels, batch, lower.shape[1])
+    rows = np.arange(batch)
+    own_lower = lower[rows, labels]
     masked = upper.copy()
-    masked[np.arange(batch), labels] = -np.inf
+    masked[rows, labels] = -np.inf
     return own_lower > masked.max(axis=1)
 
 

@@ -27,12 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from intervalcl import autodiff as ad
-from intervalcl.autodiff import Tensor
-
-
-def _raw(x):
-    return x.value if isinstance(x, Tensor) else np.asarray(x)
-
 
 @dataclass
 class IntervalTensor:
@@ -42,7 +36,7 @@ class IntervalTensor:
     upper: object
 
     def __post_init__(self):
-        lo, hi = _raw(self.lower), _raw(self.upper)
+        lo, hi = np.asarray(ad.payload(self.lower)), np.asarray(ad.payload(self.upper))
         if lo.shape != hi.shape:
             raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
         if np.any(lo > hi):
@@ -51,7 +45,7 @@ class IntervalTensor:
 
     @property
     def shape(self):
-        return _raw(self.lower).shape
+        return np.shape(self.lower)
 
     @classmethod
     def point(cls, x) -> "IntervalTensor":
@@ -61,8 +55,10 @@ class IntervalTensor:
     @classmethod
     def from_ball(cls, x, eps) -> "IntervalTensor":
         """Box of radius ``eps`` (scalar or broadcastable) around ``x``."""
-        if np.any(np.asarray(eps) < 0):
-            raise ValueError("radius must be non-negative")
+        radius = np.asarray(eps)
+        # Written so that NaN fails the range check.
+        if not ((0.0 <= radius) & (radius < np.inf)).all():
+            raise ValueError("radius must be finite and non-negative")
         return cls(x - eps, x + eps)
 
 
@@ -74,9 +70,9 @@ def conv2d(x, kernel, stride=1):
 
     ``kernel`` has shape (kh, kw, c_in, c_out).
     """
-    kh, kw, c_in, c_out = _raw(kernel).shape
+    kh, kw, c_in, c_out = np.shape(kernel)
     patches = ad.extract_patches(x, kh, kw, stride, stride)
-    batch, oh, ow, width = _raw(patches).shape
+    batch, oh, ow, width = np.shape(patches)
     flat = patches.reshape(batch * oh * ow, width)
     kflat = kernel.reshape(kh * kw * c_in, c_out)
     return (flat @ kflat).reshape(batch, oh, ow, c_out)
@@ -120,24 +116,24 @@ def _affine_box(lower, upper, apply, weight, bias) -> IntervalTensor:
 
 def interval_affine(iv: IntervalTensor, weight, bias) -> IntervalTensor:
     """Dense layer ``y = x W^T + b`` on boxes: W is (out, in), x is (B, in)."""
-    w_shape = _raw(weight).shape
+    w_shape = np.shape(weight)
     if iv.shape[-1] != w_shape[1]:
         raise ValueError(f"input width {iv.shape[-1]} does not match weight {w_shape}")
-    if _raw(bias).shape != (w_shape[0],):
-        raise ValueError(f"bias shape {_raw(bias).shape} does not match out width")
+    if np.shape(bias) != (w_shape[0],):
+        raise ValueError(f"bias shape {np.shape(bias)} does not match out width")
     return _affine_box(iv.lower, iv.upper, ad.linear, weight, bias)
 
 
 def interval_conv2d(iv: IntervalTensor, kernel, bias, stride=1) -> IntervalTensor:
     """Valid-padding NHWC convolution on boxes; kernel is (kh, kw, c_in, c_out)."""
-    k_shape = _raw(kernel).shape
+    k_shape = np.shape(kernel)
     if len(k_shape) != 4:
         raise ValueError(f"kernel must be (kh, kw, c_in, c_out), got {k_shape}")
     c_in, c_out = k_shape[2:]
     if len(iv.shape) != 4 or iv.shape[3] != c_in:
         raise ValueError(f"input {iv.shape} does not match kernel channels {c_in}")
-    if _raw(bias).shape != (c_out,):
-        raise ValueError(f"bias shape {_raw(bias).shape} does not match {c_out} channels")
+    if np.shape(bias) != (c_out,):
+        raise ValueError(f"bias shape {np.shape(bias)} does not match {c_out} channels")
     return _affine_box(iv.lower, iv.upper,
                        lambda x, k: conv2d(x, k, stride), kernel, bias)
 
@@ -184,9 +180,9 @@ def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, eps=1e-5,
     """
     axes = _bn_axes(iv.shape)
     feat = iv.shape[-1]
-    if _raw(gamma).shape != (feat,) or _raw(shift).shape != (feat,):
+    if np.shape(gamma) != (feat,) or np.shape(shift) != (feat,):
         raise ValueError(f"gamma/shift must have shape ({feat},), got "
-                         f"{_raw(gamma).shape} and {_raw(shift).shape}")
+                         f"{np.shape(gamma)} and {np.shape(shift)}")
     if stats is None:
         mean, var = batch_moments(iv.lower, iv.upper, axes)
     else:
@@ -244,8 +240,8 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
     """
     from intervalcl import nets
 
-    lo = np.asarray(_raw(input_box.lower), dtype=np.float64)
-    hi = np.asarray(_raw(input_box.upper), dtype=np.float64)
+    lo = np.asarray(ad.payload(input_box.lower), dtype=np.float64)
+    hi = np.asarray(ad.payload(input_box.upper), dtype=np.float64)
     rng = np.random.default_rng(seed)
     batch = lo.shape[0]
 
@@ -253,7 +249,7 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
     bound_trace: list = []
     nets.forward_interval(net_spec, params, input_box, record=bound_trace,
                           bn_capture=bn_capture)
-    bn_stats = [(np.asarray(_raw(m)), np.asarray(_raw(v))) for m, v in bn_capture] or None
+    bn_stats = [(ad.payload(m), ad.payload(v)) for m, v in bn_capture] or None
 
     # One point forward over all boxes and draws at once: (B*S, features).
     draw = rng.uniform(0.0, 1.0, size=(samples,) + lo.shape)
@@ -264,8 +260,8 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
 
     worst_per_sample = np.zeros((batch, samples))
     for box, act in zip(bound_trace, act_trace):
-        bl, bu = _raw(box.lower), _raw(box.upper)
-        a = _raw(act).reshape((batch, samples) + bl.shape[1:])
+        bl, bu = ad.payload(box.lower), ad.payload(box.upper)
+        a = ad.payload(act).reshape((batch, samples) + bl.shape[1:])
         scale = np.maximum(1.0, np.maximum(np.abs(bl), np.abs(bu)))
         escape = np.maximum(bl[:, None] - a, a - bu[:, None]) / scale[:, None]
         reduce_axes = tuple(range(2, escape.ndim))

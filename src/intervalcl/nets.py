@@ -181,7 +181,7 @@ class ParamSet:
     """
 
     def __init__(self, spec: NetworkSpec, flat):
-        size = flat.value.size if isinstance(flat, Tensor) else np.asarray(flat).size
+        size = np.size(ad.payload(flat))
         if size != spec.total_params:
             raise ValueError(
                 f"flat vector has {size} entries, spec needs {spec.total_params}")
@@ -280,13 +280,9 @@ def worst_case_logits(bounds: IntervalTensor, labels):
 
     Differentiable in the bounds; ``labels`` is a (B,) integer array.
     """
-    labels = np.asarray(labels)
     width = bounds.shape[-1]
     batch = bounds.shape[0]
-    if labels.shape != (batch,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
-    if labels.min() < 0 or labels.max() >= width:
-        raise ValueError("label out of range for logit width")
+    labels = ad.check_labels(labels, batch, width)
     onehot = np.zeros((batch, width))
     onehot[np.arange(batch), labels] = 1.0
     return onehot * bounds.lower + (1.0 - onehot) * bounds.upper
@@ -367,19 +363,18 @@ class Hypernetwork:
         again reuses the leaf objects, letting several generations in one
         step (or repeated builds in a gradient check) share gradients.
 
-        A frozen embedding becomes a constant: gradients still flow to the
-        generator weights but never into that embedding.
+        A frozen embedding enters as the stored array itself, a constant:
+        gradients still flow to the generator weights but never into that
+        embedding.
         """
         self._check_task(task)
         if leaves is None:
             leaves = {}
+        embed = self.embeddings[task]
         if train_embedding:
-            embed = leaves.setdefault("embedding",
-                                      Tensor.parameter(self.embeddings[task]))
-        else:
-            embed = Tensor.constant(self.embeddings[task])
-        weights = [(leaves.setdefault(f"w{i}", Tensor.parameter(w)),
-                    leaves.setdefault(f"b{i}", Tensor.parameter(b)))
+            embed = leaves.setdefault("embedding", Tensor(embed))
+        weights = [(leaves.setdefault(f"w{i}", Tensor(w)),
+                    leaves.setdefault(f"b{i}", Tensor(b)))
                    for i, (w, b) in enumerate(self.weights)]
         return self._generate(embed, weights), leaves
 

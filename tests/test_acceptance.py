@@ -249,7 +249,7 @@ def test_a1_interval_soundness():
 
 def _loss_net(rng):
     spec = NetworkSpec((3,), [dense(6), act("sigmoid"), dense(3)], 3)
-    flat = Tensor.parameter(rng.normal(scale=0.8, size=spec.total_params))
+    flat = Tensor(rng.normal(scale=0.8, size=spec.total_params))
     x = rng.uniform(0.1, 0.9, size=(4, 3))
     y = rng.integers(0, 3, size=4)
     return spec, flat, x, y

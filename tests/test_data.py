@@ -249,6 +249,11 @@ class TestSplitIndices:
         with pytest.raises(ValueError, match="requested 11 samples from 10"):
             split_indices(10, (6, 5), seed=0)
 
+    def test_negative_size_is_refused(self):
+        # (-3, 2) used to return a 7-index first block.
+        with pytest.raises(ValueError, match="non-negative"):
+            split_indices(10, (-3, 2), seed=0)
+
 
 # ---- permuted / rotated task builders ------------------------------------
 
@@ -304,6 +309,14 @@ class TestPermutedTasks:
         tasks = self.build(small_digits, downsample=2)
         assert tasks[0].train.inputs.shape == (120, 16)
 
+    @pytest.mark.parametrize("split,size", [("train", -90), ("train", 0),
+                                            ("val", 0), ("test", 0)])
+    def test_split_size_below_one_is_refused(self, small_digits, split, size):
+        # train_size=-90 used to train quietly on 10 samples; a size of 0
+        # failed in a reshape.
+        with pytest.raises(ValueError, match=f"{split}_size must be at least 1"):
+            self.build(small_digits, **{f"{split}_size": size})
+
 
 class TestRotatedTasks:
     def build(self, data, **kw):
@@ -328,6 +341,10 @@ class TestRotatedTasks:
         tasks = self.build(small_digits, angles=(0.0, 30.0, 60.0))
         for t in tasks[1:]:
             assert np.array_equal(t.train.labels, tasks[0].train.labels)
+
+    def test_split_size_below_one_is_refused(self, small_digits):
+        with pytest.raises(ValueError, match="val_size must be at least 1"):
+            self.build(small_digits, val_size=0)
 
 
 # ---- blobs ---------------------------------------------------------------

@@ -22,7 +22,7 @@ def identity_params(spec, scale=1.0):
 
 def fgsm_reference(spec, params, x, y, eps, bn_stats=None):
     """FGSM by its formula: clip(x + eps * sign(grad_x CE), 0, 1)."""
-    xt = Tensor.parameter(x.copy())
+    xt = Tensor(x.copy())
     logits = nets.forward_point(spec, params, xt, bn_stats=bn_stats)
     ad.softmax_cross_entropy(logits, y).backward()
     return np.clip(x + eps * np.sign(xt.grad), 0.0, 1.0)
@@ -170,6 +170,33 @@ def test_certify_requires_strict_separation():
     params = identity_params(spec)
     x = np.array([[0.5, 0.5]])
     assert not ev.certify(spec, params, x, np.array([0]), 0.0)[0]
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_certify_refuses_non_finite_radius(eps):
+    # NaN bounds used to certify nothing without an error; an infinite
+    # radius raised a RuntimeWarning inside the affine rule.
+    spec = identity_head_spec()
+    params = identity_params(spec)
+    x = np.array([[0.6, 0.2]])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ev.certify(spec, params, x, np.array([0]), eps)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ev.verified_accuracy(spec, params, x, np.array([0]), eps)
+
+
+@pytest.mark.parametrize("labels,match", [
+    (np.array([0, -1]), "out of range"),  # used to certify against class K-1
+    (np.array([0, 2]), "out of range"),
+    (np.array([0]), "does not match batch"),
+    (np.array([0, 1, 1]), "does not match batch"),
+])
+def test_certify_refuses_bad_labels(labels, match):
+    spec = identity_head_spec()
+    params = identity_params(spec)
+    x = np.array([[0.6, 0.2], [0.2, 0.6]])
+    with pytest.raises(ValueError, match=match):
+        ev.certify(spec, params, x, labels, 0.1)
 
 
 def test_verified_accuracy_zero_eps_equals_clean(trained_blobs_model):

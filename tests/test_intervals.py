@@ -37,6 +37,14 @@ def test_interval_validation():
         IntervalTensor.from_ball(np.zeros(2), -0.1)
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -0.1,
+                                    np.array([[0.1], [np.nan]]),
+                                    np.array([[0.1], [np.inf]])])
+def test_from_ball_refuses_non_finite_or_negative_radius(radius):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        IntervalTensor.from_ball(np.zeros((2, 3)), radius)
+
+
 def test_affine_identity():
     box = IntervalTensor(np.array([[0.0, 2.0]]), np.array([[1.0, 3.0]]))
     out = iv.interval_affine(box, np.eye(2), np.zeros(2))

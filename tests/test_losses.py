@@ -104,7 +104,7 @@ def test_output_reg_requires_earlier_tasks():
 
 def test_output_reg_gradient_flows_to_current_only():
     snap = [np.ones(4)]
-    cur = Tensor.parameter(np.zeros(4))
+    cur = Tensor(np.zeros(4))
     loss = losses.output_reg_loss(snap, [cur])
     loss.backward()
     assert np.allclose(cur.grad, -2.0 * np.ones(4))
@@ -306,7 +306,7 @@ def test_losses_are_finite_and_nonnegative_on_random_draws():
 
 def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
-    centre = Tensor.parameter(rng.normal(size=(5, 3)))
+    centre = Tensor(rng.normal(size=(5, 3)))
     ya = rng.integers(0, 3, size=5)
     yb = rng.integers(0, 3, size=5)
 

@@ -127,9 +127,40 @@ def test_forward_point_tensor_input_matches_ndarray_bitwise():
             params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
             x = rng.uniform(size=(3,) + spec.input_shape)
             plain = nets.forward_point(spec, params, x)
-            taped = nets.forward_point(spec, params, Tensor.parameter(x))
+            taped = nets.forward_point(spec, params, Tensor(x))
             assert isinstance(taped, Tensor)
             assert np.array_equal(taped.value, plain)
+
+
+def test_forward_interval_tensor_params_match_ndarray_bitwise():
+    # Training runs the interval pass on a Tensor-backed ParamSet,
+    # certification on the same flat vector as an ndarray: the bounds must
+    # agree bit for bit, with live and with frozen batchnorm moments.
+    conv = nets.NetworkSpec(
+        (6, 6, 2),
+        [nets.conv(4, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
+         nets.flatten(), nets.dense(3)],
+        classes=3)
+    sigmoid_mlp = nets.NetworkSpec(
+        (5,), [nets.dense(7), nets.batchnorm(), nets.act("sigmoid"), nets.dense(3)],
+        classes=3)
+    for spec in (conv, sigmoid_mlp):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            flat = rng.normal(scale=0.5, size=spec.total_params)
+            x = rng.uniform(size=(4,) + spec.input_shape)
+            eps = rng.uniform(0.0, 0.1)
+            capture: list = []
+            live = nets.forward_interval(spec, nets.ParamSet(spec, flat), x, eps=eps,
+                                         bn_capture=capture)
+            frozen = nets.forward_interval(spec, nets.ParamSet(spec, flat), x,
+                                           eps=eps, bn_stats=capture)
+            for plain, stats in ((live, None), (frozen, capture)):
+                taped = nets.forward_interval(spec, nets.ParamSet(spec, Tensor(flat)),
+                                              x, eps=eps, bn_stats=stats)
+                assert isinstance(taped.lower, Tensor)
+                for got, want in ((taped.lower, plain.lower), (taped.upper, plain.upper)):
+                    assert got.value.tobytes() == want.tobytes(), (spec.layers, seed)
 
 
 def test_interval_forward_nests_with_radius():

@@ -368,7 +368,8 @@ def test_train_sequence_task_count_mismatch():
 def second_task_step_loss():
     """The loss of one step on task 1, built the way ``training._train``
     builds it: mixup task loss plus the output regularizer on task 0,
-    whose frozen embedding enters the tape as a constant."""
+    whose frozen embedding enters as a constant. Returns the loss and the
+    generator's trainable leaves."""
     spec = nets.NetworkSpec((2,), nets.mlp_layers([6], 2), classes=2)
     h = nets.Hypernetwork(spec.total_params, 3, [5], 2, np.random.default_rng(4))
     rng = np.random.default_rng(5)
@@ -383,11 +384,11 @@ def second_task_step_loss():
     task_loss = L.interval_mixup_loss(bounds, logits, labels, labels[::-1],
                                       0.3, 0.75)
     current = [h.tape_generate(0, train_embedding=False, leaves=leaves)[0]]
-    return task_loss + 0.5 * L.output_reg_loss(snapshots, current)
+    return task_loss + 0.5 * L.output_reg_loss(snapshots, current), leaves
 
 
 def unpruned_order(root):
-    """Parents-first DFS over every node, grad-taking or not."""
+    """Parents-first DFS over every node, with no pruning."""
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -403,13 +404,16 @@ def unpruned_order(root):
 
 
 def test_step_tape_walk_visits_only_grad_taking_nodes_in_full_walk_order():
-    loss = second_task_step_loss()
+    loss, leaves = second_task_step_loss()
     order = ad.topological_order(loss)
-    full = unpruned_order(loss)
-    assert all(node.requires_grad for node in order)
-    assert [id(n) for n in order] == [id(n) for n in full if n.requires_grad]
-    # The step's constants (inputs, labels, the frozen embedding) are pruned.
-    assert len(order) < len(full)
+    assert [id(n) for n in order] == [id(n) for n in unpruned_order(loss)]
+    # The step's constants (inputs, labels, the frozen embedding) stay off
+    # the tape: its only leaves are the generator's trainable ones, and
+    # backward reaches each of them.
+    tape_leaves = [n for n in order if not n._parents]
+    assert {id(n) for n in tape_leaves} == {id(n) for n in leaves.values()}
+    loss.backward()
+    assert all(leaf.grad is not None for leaf in tape_leaves)
 
 
 @pytest.mark.parametrize("input_shape,layers,classes,embedding,hidden,pins", [
