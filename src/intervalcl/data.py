@@ -275,8 +275,10 @@ def gen_blobs_tasks(task_count: int, *, classes: int = 3, dims: int = 2,
                 f"({task_count}, {classes}, {dims})")
         if means.min() < 0.0 or means.max() > 1.0:
             raise ValueError("means must lie inside the unit box")
-    elif separation <= 0.0:
+    elif not separation > 0.0:
         raise ValueError(f"separation must be positive, got {separation}")
+    if not 0.0 <= spread < np.inf:
+        raise ValueError(f"spread must be finite and non-negative, got {spread}")
     tasks = []
     for t in range(task_count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,

@@ -8,12 +8,14 @@ a kernel directly; the interval rule for the same layer wraps it.
 
 An ``IntervalTensor`` carries elementwise lower and upper bounds. Each rule
 maps an input box to an output box that contains every image of a point from
-the input box. Dense, conv and batchnorm's scale-and-shift share one
-affine rule that sends the midpoint through the map and the radius through
-it with absolute weights; monotone activations and pooling apply the
-kernel to both bounds, and batch normalization computes its statistics
-over both bounds jointly so that a zero-radius input reproduces the plain
-point computation exactly.
+the input box. Dense, conv and batchnorm share one affine rule that sends
+the midpoint through the map and the radius through it with absolute
+weights. Batch normalization is the per-feature affine map ``weight * x +
+bias`` with ``weight = gamma / sqrt(var + eps)`` and ``bias = shift -
+weight * mean``: a point batch applies it directly, a box goes through the
+affine rule unmodified. Its moments are taken over both bounds jointly (or
+frozen), so a zero-radius input reproduces the point computation exactly.
+Monotone activations and pooling apply the kernel to both bounds.
 
 Payloads may be ndarrays or autodiff Tensors; the kernels are written
 against the dual-mode helpers in :mod:`intervalcl.autodiff` and work
@@ -22,6 +24,7 @@ identically in both modes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,38 +171,51 @@ def _bn_axes(shape) -> tuple:
     raise ValueError(f"batchnorm expects (B, F) or NHWC input, got {shape}")
 
 
-def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, eps=1e-5,
-                       stats=None, capture=None) -> IntervalTensor:
-    """Batch normalization over boxes.
-
-    Without ``stats``, moments are taken over the current batch of bounds
-    (both bounds pooled); pass ``stats=(mean, var)`` to normalize with frozen
-    moments instead. ``capture``, if given, receives the ``(mean, var)``
-    actually used. A negative ``gamma`` flips which bound is which, handled
-    through the centre/half-width form so the output stays ordered.
-    """
-    axes = _bn_axes(iv.shape)
-    feat = iv.shape[-1]
+def _bn_fold(lower, upper, gamma, shift, eps, stats, capture):
+    """``(weight, bias)`` of batchnorm as the map ``x -> weight * x + bias``;
+    see :func:`interval_batchnorm` for ``stats`` and ``capture``."""
+    shape = np.shape(lower)
+    axes = _bn_axes(shape)
+    feat = shape[-1]
     if np.shape(gamma) != (feat,) or np.shape(shift) != (feat,):
         raise ValueError(f"gamma/shift must have shape ({feat},), got "
                          f"{np.shape(gamma)} and {np.shape(shift)}")
     if stats is None:
-        mean, var = batch_moments(iv.lower, iv.upper, axes)
+        mean, var = batch_moments(lower, upper, axes)
     else:
         mean, var = stats
     if capture is not None:
         capture.append((mean, var))
-    scale = 1.0 / ad.sqrt(var + eps)
-    return _affine_box((iv.lower - mean) * scale, (iv.upper - mean) * scale,
-                       lambda x, g: g * x, gamma, shift)
+    weight = gamma / ad.sqrt(var + eps)
+    return weight, shift - weight * mean
+
+
+def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, eps=1e-5,
+                       stats=None, capture=None) -> IntervalTensor:
+    """Batch normalization over boxes, as the affine map ``weight * x + bias``.
+
+    With ``weight = gamma / sqrt(var + eps)`` and ``bias = shift - weight *
+    mean``, the box goes through the shared affine rule unmodified. Without
+    ``stats``, moments are taken over the current batch of bounds (both
+    bounds pooled); pass ``stats=(mean, var)`` to normalize with frozen
+    moments instead. ``capture``, if given, receives the ``(mean, var)``
+    actually used. A negative ``gamma`` makes ``weight`` negative, which
+    flips which bound is which; the centre/half-width form keeps the output
+    ordered.
+    """
+    weight, bias = _bn_fold(iv.lower, iv.upper, gamma, shift, eps, stats, capture)
+    return _affine_box(iv.lower, iv.upper, operator.mul, weight, bias)
 
 
 def point_batchnorm(x, gamma, shift, *, eps=1e-5, stats=None, capture=None):
-    """Point-mode batch normalization sharing every formula with the
-    interval rule (a point batch is a zero-radius box)."""
-    out = interval_batchnorm(IntervalTensor.point(x), gamma, shift,
-                             eps=eps, stats=stats, capture=capture)
-    return out.lower
+    """Batch normalization of a point batch: ``weight * x + bias`` with the
+    folded map of :func:`interval_batchnorm`.
+
+    Live moments come from ``batch_moments(x, x)``, the formula the interval
+    rule uses, so a zero-radius box gives this result bit for bit.
+    """
+    weight, bias = _bn_fold(x, x, gamma, shift, eps, stats, capture)
+    return x * weight + bias
 
 
 def interval_pool(iv: IntervalTensor, kind: str, window: int, stride=None) -> IntervalTensor:

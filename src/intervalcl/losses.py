@@ -88,7 +88,8 @@ def output_reg_loss(snapshots, current):
 def _mixing_coefficient(lam) -> np.ndarray:
     """``lam`` as a float64 array, refused unless every entry is in [0, 1]."""
     lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0.0) or np.any(lam > 1.0):
+    # Written so that NaN fails the range check.
+    if not ((0.0 <= lam) & (lam <= 1.0)).all():
         raise ValueError("mixing coefficient must lie in [0, 1]")
     return lam
 
@@ -114,8 +115,9 @@ def scaled_radius(lam, eps, kind: str = "linear"):
     the endpoints, and monotone in ``s``.
     """
     lam = _mixing_coefficient(lam)
-    if np.any(np.asarray(eps) < 0.0):
-        raise ValueError("eps must be non-negative")
+    radius = np.asarray(eps)
+    if not ((0.0 <= radius) & (radius < np.inf)).all():
+        raise ValueError("eps must be finite and non-negative")
     s = np.abs(2.0 * lam - 1.0)
     if kind == "linear":
         shrink = s
@@ -181,8 +183,8 @@ def schedule_step(step: int, total: int, eps_target: float):
         raise ValueError(f"total steps must be positive, got {total}")
     if not 1 <= step <= total:
         raise ValueError(f"step {step} outside 1..{total}")
-    if eps_target < 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps_target}")
+    if not 0.0 <= eps_target < np.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps_target}")
     kappa = max(0.5, 1.0 - step / (2.0 * total))
     if step <= total // 2:
         eps = eps_target * (2.0 * step / total)

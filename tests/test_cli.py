@@ -328,6 +328,11 @@ class TestExitCodes:
         assert override.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_spread_is_config_error(self, tmp_path, capsys):
+        assert run("train", "--set", "data.spread=-0.05", *TINY_ARGS,
+                   "--set", f"output.dir={tmp_path}/x") == 2
+        assert "spread" in capsys.readouterr().err
+
     def test_bad_override_is_config_error(self, tmp_path):
         assert run("train", "--set", "train.steps=soon",
                    "--set", f"output.dir={tmp_path}/x") == 2

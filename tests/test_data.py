@@ -380,6 +380,24 @@ class TestBlobs:
         with pytest.raises(ValueError, match="could not place"):
             gen_blobs_tasks(1, classes=5, separation=2.0, seed=0)
 
+    @pytest.mark.parametrize("separation", [np.nan, 0.0, -0.1])
+    def test_non_positive_separation_refused_up_front(self, separation):
+        # NaN fails the check at once instead of exhausting the mean draws.
+        with pytest.raises(ValueError, match="separation must be positive"):
+            gen_blobs_tasks(1, separation=separation)
+
+    @pytest.mark.parametrize("spread", [np.nan, np.inf, -0.05])
+    def test_bad_spread_refused(self, spread):
+        means = np.array([[[0.2, 0.2], [0.8, 0.8]]])
+        for kwargs in ({}, {"classes": 2, "means": means}):
+            with pytest.raises(ValueError, match="spread must be finite"):
+                gen_blobs_tasks(1, spread=spread, **kwargs)
+
+    def test_zero_spread_puts_samples_on_the_means(self):
+        task = gen_blobs_tasks(1, classes=2, spread=0.0, seed=5)[0]
+        means = task.descriptor["means"]
+        assert np.array_equal(task.train.inputs, means[task.train.labels])
+
     def test_linearly_learnable(self):
         task = gen_blobs_tasks(1, classes=3, separation=0.4, spread=0.04,
                                train_size=150, test_size=90, seed=2)[0]

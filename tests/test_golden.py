@@ -143,7 +143,7 @@ GOLDEN = {
     "plain_ibp":
         "dac4bc23550629dc039946eaf075fcb122232ab489dc57ec3b8ae5c5a97a4d8a",
     "conv_batchnorm":
-        "0847c704f266d889216443ba0932b1a20463f899475a1804d33d19a533ec760e",
+        "f336a6d43a9a8a8aaa28ac85730cb6791c3947320ec348c21bc73da252bfa104",
     "virtual_only":
         "3b406e7ea7dfcaf0dd40b06e82c4a6a795490433edd5d8f571e23febf83ea4bb",
 }
@@ -248,7 +248,7 @@ def image_tasks(builder, flat):
 
 EVAL_GOLDEN = {
     "conv_bounds_and_certificates":
-        "2cd83c47749ac7dd19d8e33d3a1b40aacac75b4ff33a168bc86dda347edc64c4",
+        "4a536279618879ebd072d512736e788f436b2681d79937dcd96a858d7631a892",
     "attacks":
         "5f5a3205e611fd59e7b88441b50eb664872e5379dea9df04dd5b8700a432ed62",
     ("permuted", True):

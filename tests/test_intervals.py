@@ -206,6 +206,31 @@ def test_batchnorm_zero_radius_box_is_bitwise_point_path():
     assert np.array_equal(out.upper, point)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_batchnorm_box_is_the_exact_corner_hull(sign):
+    # With dyadic gamma, shift and frozen mean, var = 1/4 and eps = 0, every
+    # product and sum of the folded map is exact in binary floating point,
+    # so the bounds must equal the min/max over the input-box corners bit
+    # for bit, whichever way gamma's sign turns the box.
+    rng = np.random.default_rng(8)
+    feat = 4
+    var = np.full((1, feat), 0.25)
+    for _ in range(20):
+        gamma = sign * rng.integers(1, 25, size=feat) / 16.0
+        shift = rng.integers(-16, 17, size=feat) / 16.0
+        mean = rng.integers(-8, 9, size=(1, feat)) / 16.0
+        lower = rng.integers(0, 13, size=(1, feat)) / 16.0
+        upper = lower + rng.integers(0, 4, size=(1, feat)) / 16.0
+        out = iv.interval_batchnorm(IntervalTensor(lower, upper), gamma, shift,
+                                    eps=0.0, stats=(mean, var))
+        images = np.array([
+            (np.where(np.array(mask, dtype=bool), upper, lower) - mean)
+            / np.sqrt(var) * gamma + shift
+            for mask in itertools.product((0, 1), repeat=feat)])
+        assert np.array_equal(out.lower, images.min(axis=0))
+        assert np.array_equal(out.upper, images.max(axis=0))
+
+
 def test_batchnorm_frozen_stats_and_capture():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 2))

@@ -179,6 +179,30 @@ def test_scaled_radius_validation():
         losses.scaled_radius(0.5, 0.1, "cubic")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: losses.mixup_interpolate(np.zeros(2), np.ones(2), NAN),
+    lambda: losses.mixup_interpolate(np.zeros((2, 1)), np.ones((2, 1)),
+                                     np.array([0.5, NAN])),
+    lambda: virtual_samples(np.eye(2), np.array([0, 1]), [[0, 1]], [0.0, NAN]),
+    lambda: losses.scaled_radius(NAN, 0.3),
+    lambda: losses.scaled_radius(0.3, NAN),
+    lambda: losses.scaled_radius(0.3, INF),
+    lambda: losses.scaled_radius(0.3, np.array([0.1, NAN])),
+    lambda: losses.schedule_step(1, 10, NAN),
+    lambda: losses.schedule_step(1, 10, INF),
+], ids=["mixup_nan", "mixup_nan_column", "virtual_grid_nan", "radius_lam_nan",
+        "radius_eps_nan", "radius_eps_inf", "radius_eps_column_nan",
+        "schedule_eps_nan", "schedule_eps_inf"])
+def test_non_finite_coefficients_and_radii_are_refused(call):
+    # Each range check is written so that NaN fails it; a radius must also
+    # be finite.
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_mixup_loss_identical_labels_is_plain_ce():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(5, 3))

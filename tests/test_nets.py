@@ -271,26 +271,49 @@ def test_generate_params_size_mismatch():
         nets.generate_params(h, spec, 0)
 
 
+def _relu_input_margin(spec, params, x, eps):
+    """Smallest distance from 0 of any relu input in the point and interval
+    passes; finite differences are only valid away from the kink."""
+    point, box = [], []
+    nets.forward_point(spec, params, x, record=point)
+    nets.forward_interval(spec, params, x, eps=eps, record=box)
+    inputs = []
+    for layer, p, b in zip(spec.layers, point, box):
+        if layer.activation == "relu":
+            inputs += [p, b.lower, b.upper]
+    return min((np.abs(v).min() for v in inputs), default=np.inf)
+
+
 def test_end_to_end_gradient_through_generator_and_target():
     # The generated weights are an interior node: finite differences on the
     # hypernetwork leaves must match the tape through target forward, the
-    # interval pass, and the worst-case logits.
-    spec = nets.NetworkSpec((3,), nets.mlp_layers([5], 2), classes=2)
-    h = nets.Hypernetwork(spec.total_params, 4, [10], 2, np.random.default_rng(12))
-    rng = np.random.default_rng(13)
-    x = rng.uniform(size=(4, 3))
-    y = rng.integers(0, 2, size=4)
-    shared: dict = {}
+    # interval pass, and the worst-case logits. The image specs carry the
+    # gradient through conv, batchnorm with live moments, and avg/max pooling.
+    specs = (nets.NetworkSpec((3,), nets.mlp_layers([5], 2), classes=2),
+             small_cnn_spec(), small_maxpool_sigmoid_spec())
+    for index, spec in enumerate(specs):
+        # One hypernetwork seed per spec. Seed 12 would leave an upper bound
+        # of the CNN's batchnorm 1.6e-9 from relu's kink, where the central
+        # difference straddles it; the margin check below makes such a
+        # draw fail loudly rather than read as a wrong gradient.
+        h = nets.Hypernetwork(spec.total_params, 4, [10], 2,
+                              np.random.default_rng(12 + index))
+        rng = np.random.default_rng(13)
+        x = rng.uniform(size=(4,) + spec.input_shape)
+        y = rng.integers(0, spec.classes, size=4)
+        shared: dict = {}
+        generated = nets.ParamSet(spec, h.generate_flat(0))
+        assert _relu_input_margin(spec, generated, x, 0.05) > 1e-6
 
-    def build():
-        flat, _ = h.tape_generate(0, leaves=shared)
-        params = nets.ParamSet(spec, flat)
-        logits = nets.forward_point(spec, params, x)
-        bounds = nets.forward_interval(spec, params, x, eps=0.05)
-        wc = nets.worst_case_logits(bounds, y)
-        return (ad.softmax_cross_entropy(logits, y)
-                + ad.softmax_cross_entropy(wc, y))
+        def build():
+            flat, _ = h.tape_generate(0, leaves=shared)
+            params = nets.ParamSet(spec, flat)
+            logits = nets.forward_point(spec, params, x)
+            bounds = nets.forward_interval(spec, params, x, eps=0.05)
+            wc = nets.worst_case_logits(bounds, y)
+            return (ad.softmax_cross_entropy(logits, y)
+                    + ad.softmax_cross_entropy(wc, y))
 
-    build()
-    err = ad.grad_check(build, list(shared.values()), rng=rng, max_coords=10)
-    assert err <= 1e-5
+        build()
+        err = ad.grad_check(build, list(shared.values()), rng=rng, max_coords=10)
+        assert err <= 1e-5, spec.layers

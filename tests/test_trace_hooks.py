@@ -50,8 +50,9 @@ def test_forward_passes_record_layer_spans():
                  "intervals.conv2d", "intervals.batchnorm", "intervals.pool",
                  "intervals.point_batchnorm"):
         assert calls.get(name, 0) >= 1, f"no span recorded for {name}"
-    # The point pass reuses the batchnorm formula through the interval rule.
-    assert calls["intervals.batchnorm"] == 2
+    # Each pass runs its own batchnorm rule once; the point pass never calls
+    # the interval rule.
+    assert calls["intervals.batchnorm"] == calls["intervals.point_batchnorm"] == 1
     assert calls["intervals.conv2d"] == calls["intervals.pool"] == 1
 
 
