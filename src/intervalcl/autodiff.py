@@ -22,13 +22,16 @@ networks, their losses, and gradient-based attacks need, and nothing else:
 - arithmetic: ``+``, ``-``, ``*``, ``/``, ``@`` and the dense node ``linear``;
 - elementwise: ``absolute``, ``relu``, ``sigmoid``, ``sqrt``;
 - reductions: ``sum``, ``mean`` and a one-axis ``max``;
-- shape: ``reshape``, indexing, and the sliding-window
-  gathers ``extract_patches`` (convolution) and ``pool_windows`` (pooling);
+- shape: ``reshape``, the parameter-slot read ``slot``, and the
+  sliding-window gathers ``extract_patches`` (convolution) and
+  ``pool_windows`` (pooling);
 - loss: ``softmax_cross_entropy``, averaged or per sample (``softmax``
   itself takes arrays only: no loss differentiates through it).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -223,21 +226,6 @@ class Tensor:
         orig = self.value.shape
         return _node(self.value.reshape(shape), (self,), lambda g: g.reshape(orig))
 
-    def __getitem__(self, key):
-        """Basic indexing only: slices, ints, or a tuple of them.
-
-        A basic index never selects one element twice, so backward writes
-        the gradient into its view of a zero array. Any other key (arrays,
-        booleans, ``None``, ``Ellipsis``) raises ``TypeError``.
-        """
-        for part in key if isinstance(key, tuple) else (key,):
-            if isinstance(part, bool) or not isinstance(part, (slice, int, np.integer)):
-                raise TypeError(
-                    f"Tensor indexing takes slices and ints, got {type(part).__name__}")
-        shape = self.value.shape
-        return _node(self.value[key], (self,),
-                     lambda g: _add_into_zeros(shape, key, g))
-
     # ---- backward --------------------------------------------------------
 
     def backward(self):
@@ -290,6 +278,19 @@ def topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def slot(flat, offset: int, shape):
+    """``flat[offset:offset + size].reshape(shape)`` in one op.
+
+    Reads one parameter slot out of a flat vector: on an ndarray a view (no
+    copy), on a Tensor one node whose backward writes the gradient into
+    zeros of the flat shape.
+    """
+    vec = payload(flat)
+    key = slice(offset, offset + math.prod(shape))
+    return _node(vec[key].reshape(shape), (flat,),
+                 lambda g: _add_into_zeros(vec.shape, key, g.reshape(-1)))
+
+
 def zero_grads(leaves) -> None:
     for leaf in leaves:
         leaf.grad = None
@@ -306,6 +307,8 @@ def mean(x, axis=None, keepdims=False):
     axes = (range(len(shape)) if axis is None
             else axis if isinstance(axis, tuple) else (axis,))
     n = int(np.prod([shape[a] for a in axes]))
+    if n == 0:
+        raise ValueError(f"mean over zero elements of shape {shape}")
     return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
@@ -389,11 +392,14 @@ def softmax(x: np.ndarray, axis=-1) -> np.ndarray:
 
 
 def check_labels(labels, batch: int, classes: int) -> np.ndarray:
-    """``labels`` as an array, refused unless it is (batch,) in [0, classes)."""
+    """``labels`` as an array, refused unless it is (batch,) integers in
+    [0, classes)."""
     labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
     if labels.shape != (batch,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
-    if labels.min() < 0 or labels.max() >= classes:
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise ValueError("label out of range for logit width")
     return labels
 
@@ -422,6 +428,8 @@ def softmax_cross_entropy(logits, labels, reduction="mean"):
         raise ValueError(f"expected (batch, classes) logits, got {val.shape}")
     batch = val.shape[0]
     labels = check_labels(labels, batch, val.shape[1])
+    if reduction == "mean" and batch == 0:
+        raise ValueError("mean cross-entropy over an empty batch")
     shifted = val - val.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + val.max(axis=1)
     per_sample = lse - val[np.arange(batch), labels]

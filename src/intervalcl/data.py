@@ -237,6 +237,8 @@ def build_rotated_tasks(images, labels, angles, seed: int, *,
     """Rotation task sequence: one task per angle."""
     if not len(angles):
         raise ValueError("need at least one angle")
+    if not np.isfinite(np.asarray(angles, dtype=np.float64)).all():
+        raise ValueError(f"angles must be finite, got {list(angles)}")
     images = downsample_images(np.asarray(images, dtype=np.float64), downsample)
     return _image_tasks(images, labels, seed, "rotated", "angle",
                         [float(a) for a in angles], rotate_images,
@@ -251,6 +253,12 @@ def _balanced_labels(count: int, classes: int, rng) -> np.ndarray:
     labels = np.arange(count) % classes
     rng.shuffle(labels)
     return labels
+
+
+def _check_spread(spread):
+    # Written so that NaN fails the check.
+    if not 0.0 <= spread < np.inf:
+        raise ValueError(f"spread must be finite and non-negative, got {spread}")
 
 
 def gen_blobs_tasks(task_count: int, *, classes: int = 3, dims: int = 2,
@@ -277,8 +285,7 @@ def gen_blobs_tasks(task_count: int, *, classes: int = 3, dims: int = 2,
             raise ValueError("means must lie inside the unit box")
     elif not separation > 0.0:
         raise ValueError(f"separation must be positive, got {separation}")
-    if not 0.0 <= spread < np.inf:
-        raise ValueError(f"spread must be finite and non-negative, got {spread}")
+    _check_spread(spread)
     tasks = []
     for t in range(task_count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
@@ -313,7 +320,8 @@ def ring_task_means(task_count: int, *, classes: int = 3,
     meaningful. Returns a (task_count, classes, 2) array for the
     ``means`` argument of :func:`gen_blobs_tasks`.
     """
-    if radius <= 0.0 or center - radius < 0.0 or center + radius > 1.0:
+    # Written so that NaN fails the check.
+    if not (radius > 0.0 and center - radius >= 0.0 and center + radius <= 1.0):
         raise ValueError("circle must fit inside the unit box")
     angles = (np.deg2rad(task_step_degrees) * np.arange(task_count)[:, None]
               + 2.0 * np.pi / classes * np.arange(classes)[None, :])
@@ -345,6 +353,9 @@ def gen_toy2d(points_per_class: int, seed: int, *,
     """
     if points_per_class < 1:
         raise ValueError("need at least one point per class")
+    _check_spread(spread)
+    if pair_count is not None and pair_count < 1:
+        raise ValueError(f"pair_count must be at least 1 (None for all), got {pair_count}")
     rng = np.random.default_rng(seed)
     centers = np.asarray(centers, dtype=np.float64)
     labels = np.repeat(np.arange(2), points_per_class)
@@ -410,6 +421,9 @@ def gen_digits(count: int, seed: int, *, noise: float = 0.08) -> LabeledData:
     """
     if count < 1:
         raise ValueError("need at least one sample")
+    # Written so that NaN fails the check.
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     rng = np.random.default_rng(seed)
     glyphs = np.stack([_digit_glyph(str(d)) for d in range(10)])
     labels = _balanced_labels(count, 10, rng)

@@ -48,13 +48,23 @@ class AttackConfig:
             raise ValueError(f"attack eps must be finite and non-negative, got {self.eps}")
         if self.step is not None and not 0.0 < self.step < np.inf:
             raise ValueError(f"attack step must be finite and positive, got {self.step}")
+        if isinstance(self.iters, bool) or not isinstance(self.iters, (int, np.integer)):
+            raise ValueError(f"attack iters must be an integer, got {self.iters!r}")
         if self.iters < 1:
             raise ValueError(f"attack needs at least one iteration, got {self.iters}")
 
 
+def _share(hits) -> float:
+    """Fraction of true entries; refused for an empty batch."""
+    if hits.size == 0:
+        raise ValueError("accuracy over an empty batch is undefined")
+    return float(np.mean(hits))
+
+
 def clean_accuracy(spec, params, inputs, labels, bn_stats=None) -> float:
     logits = nets.forward_point(spec, params, inputs, bn_stats=bn_stats)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+    labels = ad.check_labels(labels, logits.shape[0], logits.shape[1])
+    return _share(np.argmax(logits, axis=1) == labels)
 
 
 def _input_gradient(spec, params, inputs, labels, bn_stats):
@@ -124,9 +134,8 @@ def certify(spec, params, inputs, labels, eps, bn_stats=None) -> np.ndarray:
 def verified_accuracy(spec, params, inputs, labels, eps, bn_stats=None) -> float:
     """Fraction both correctly classified and certified at radius ``eps``."""
     logits = nets.forward_point(spec, params, inputs, bn_stats=bn_stats)
-    correct = np.argmax(logits, axis=1) == np.asarray(labels)
     certified = certify(spec, params, inputs, labels, eps, bn_stats=bn_stats)
-    return float(np.mean(correct & certified))
+    return _share((np.argmax(logits, axis=1) == labels) & certified)
 
 
 # ---- continual-learning bookkeeping --------------------------------------
@@ -255,8 +264,8 @@ def cil_evaluate(h, spec, test_sets, attack_cfg: AttackConfig | None = None) -> 
         total += labels.size
         per_task.append({
             "task": t,
-            "task_inference_accuracy": float(np.mean(right_task)),
-            "accuracy": float(np.mean(right_full)),
+            "task_inference_accuracy": _share(right_task),
+            "accuracy": _share(right_full),
         })
     return {
         "task_inference_accuracy": task_hits / total,

@@ -114,18 +114,22 @@ class NetworkSpec:
                 f"got {last.kind} / {getattr(last, 'units', None)} for {self.classes} classes")
 
         self.shapes: list[tuple[int, ...]] = []
-        self.slots: list[tuple[int, str, tuple[int, ...], int, int]] = []
+        # (layer index, name) -> (offset, shape), in layout order
+        self._slots: dict[tuple[int, str], tuple[int, tuple[int, ...]]] = {}
         offset = 0
         shape = self.input_shape
         for index, layer in enumerate(self.layers):
             shape, params = self._flow(index, layer, shape)
             self.shapes.append(shape)
             for name, pshape in params:
-                size = int(np.prod(pshape))
-                self.slots.append((index, name, pshape, offset, size))
-                offset += size
+                self._slots[(index, name)] = (offset, pshape)
+                offset += int(np.prod(pshape))
         self.total_params = offset
-        self._slot_map = {(i, n): (o, s, p) for i, n, p, o, s in self.slots}
+
+    @property
+    def slots(self) -> list[tuple[int, str, tuple[int, ...], int, int]]:
+        """The layout: (layer index, name, shape, offset, size) per slot."""
+        return [(i, n, p, o, int(np.prod(p))) for (i, n), (o, p) in self._slots.items()]
 
     @staticmethod
     def _flow(index, layer, shape):
@@ -176,8 +180,9 @@ class ParamSet:
     """Flat parameter vector viewed through a spec's layout.
 
     ``flat`` may be an ndarray (evaluation) or a Tensor (training, keeping
-    the generated weights differentiable). Structured access reshapes slices
-    of the flat vector; nothing is copied in ndarray mode.
+    the generated weights differentiable). ``get`` reads one slot through
+    :func:`intervalcl.autodiff.slot`: a no-copy view of an ndarray, or one
+    tape node on a Tensor.
     """
 
     def __init__(self, spec: NetworkSpec, flat):
@@ -189,8 +194,8 @@ class ParamSet:
         self.flat = flat if isinstance(flat, Tensor) else np.asarray(flat, dtype=np.float64)
 
     def get(self, layer_index: int, name: str):
-        offset, size, shape = self.spec._slot_map[(layer_index, name)]
-        return self.flat[offset:offset + size].reshape(shape)
+        offset, shape = self.spec._slots[(layer_index, name)]
+        return ad.slot(self.flat, offset, shape)
 
 
 # ---- forward passes ------------------------------------------------------
@@ -266,10 +271,10 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
             out = (iv.interval_pool(out, layer.pool, layer.window, layer.stride)
                    if boxed else iv.pool(out, layer.pool, layer.window, layer.stride))
         elif kind == "flatten":
-            batch = shape[0]
-            out = (IntervalTensor(out.lower.reshape(batch, -1),
-                                  out.upper.reshape(batch, -1)) if boxed
-                   else out.reshape(batch, -1))
+            # The recorded width, not -1: numpy cannot infer -1 for 0 rows.
+            flat = (shape[0],) + spec.shapes[index]
+            out = (IntervalTensor(out.lower.reshape(flat), out.upper.reshape(flat))
+                   if boxed else out.reshape(flat))
         if record is not None:
             record.append(out)
     return out

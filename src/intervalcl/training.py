@@ -112,6 +112,10 @@ class TrainerConfig:
     model_selection: bool = True
 
     def __post_init__(self):
+        for name in ("steps", "batch_size", "val_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be positive, got {self.steps}")
         # Building one refuses an unknown optimizer kind and lr <= 0.

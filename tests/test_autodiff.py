@@ -279,13 +279,16 @@ def test_max_reduction_routes_to_first_tie():
     assert np.array_equal(w.grad, [[0.0, 1.0, 0.0]])
 
 
-def test_reshape_getitem():
+def test_slot_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
-    w = Tensor(rng.normal(size=(4, 6)))
+    w = Tensor(rng.normal(size=24))
 
     def build():
-        t = w.reshape(12, 2)
-        return (t[3:9, :] * t[0:6, :]).sum() + t[2, 1] * t[4, 1:].sum()
+        # Overlapping slots, one read twice, and an untouched tail.
+        a = ad.slot(w, 0, (3, 2))
+        b = ad.slot(w, 4, (2, 3))
+        c = ad.slot(w, 10, (4,))
+        return (a @ b).sum() + (c * c).sum() + ad.slot(w, 0, (3, 2)).sum()
 
     assert ad.grad_check(build, [w]) <= 1e-8
 
@@ -438,14 +441,6 @@ def test_pool_windows_backward_is_bitwise_the_scatter(window, stride, channels):
         rng, x, window, window, stride, stride,
         lambda t: ad.pool_windows(t, window, stride))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_getitem_rejects_advanced_keys():
-    w = Tensor(np.arange(6.0))
-    with pytest.raises(TypeError):
-        w[np.array([0, 2])]
-    with pytest.raises(TypeError):
-        w[w.value > 2.0]
 
 
 def test_softmax_rows_sum_to_one():

@@ -333,6 +333,17 @@ class TestExitCodes:
                    "--set", f"output.dir={tmp_path}/x") == 2
         assert "spread" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("train", ("data.kind=permuted", "data.noise=-0.08"), "noise"),
+        ("toy2d", ("data.spread=-0.05",), "spread"),
+        ("toy2d", ("data.pairs=-2",), "pair_count"),
+    ])
+    def test_bad_generator_argument_is_config_error(self, tmp_path, capsys,
+                                                    command, overrides, message):
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert run(command, *sets, "--set", f"output.dir={tmp_path}/x") == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_override_is_config_error(self, tmp_path):
         assert run("train", "--set", "train.steps=soon",
                    "--set", f"output.dir={tmp_path}/x") == 2

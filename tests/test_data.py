@@ -346,6 +346,12 @@ class TestRotatedTasks:
         with pytest.raises(ValueError, match="val_size must be at least 1"):
             self.build(small_digits, val_size=0)
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf])
+    def test_non_finite_angle_is_refused(self, small_digits, angle):
+        # A NaN angle used to fail inside the rotation's integer cast.
+        with pytest.raises(ValueError, match="angles must be finite"):
+            self.build(small_digits, angles=(0.0, angle))
+
 
 # ---- blobs ---------------------------------------------------------------
 
@@ -454,6 +460,10 @@ class TestRingTaskMeans:
         with pytest.raises(ValueError, match="unit box"):
             ring_task_means(1, radius=0.3, center=0.2)
 
+    def test_nan_radius_refused(self):
+        with pytest.raises(ValueError, match="unit box"):
+            ring_task_means(1, radius=np.nan)
+
 
 # ---- toy 2-d pairing -----------------------------------------------------
 
@@ -501,6 +511,17 @@ class TestToy2d:
         with pytest.raises(ValueError, match="11 pairs requested"):
             gen_toy2d(10, seed=2, pair_count=11)
 
+    @pytest.mark.parametrize("pair_count", [0, -2])
+    def test_pair_count_below_one_is_refused(self, pair_count):
+        # Both used to return every pair, as if no count had been given.
+        with pytest.raises(ValueError, match="pair_count must be at least 1"):
+            gen_toy2d(4, 0, pair_count=pair_count)
+
+    @pytest.mark.parametrize("spread", [np.nan, np.inf, -0.05])
+    def test_bad_spread_refused(self, spread):
+        with pytest.raises(ValueError, match="spread must be finite"):
+            gen_toy2d(4, 0, spread=spread)
+
     def test_single_point_per_class(self):
         data, pairs = gen_toy2d(1, seed=5)
         assert pairs.shape == (1, 2)
@@ -542,3 +563,9 @@ class TestDigits:
         predict = softmax_probe(train.inputs.reshape(600, -1), train.labels, 10)
         accuracy = np.mean(predict(test.inputs.reshape(200, -1)) == test.labels)
         assert accuracy >= 0.95
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -0.08])
+    def test_bad_noise_refused(self, noise):
+        # Infinite noise used to return images of only 0s and 1s.
+        with pytest.raises(ValueError, match="noise must be finite"):
+            gen_digits(20, seed=0, noise=noise)

@@ -64,6 +64,12 @@ def test_attack_config_validation():
         ev.AttackConfig(iters=0)
 
 
+def test_attack_config_refuses_non_integer_iters():
+    # Used to construct, then fail inside pgd.
+    with pytest.raises(ValueError, match="iters must be an integer"):
+        ev.AttackConfig(iters=2.5)
+
+
 @pytest.mark.parametrize("name", ["eps", "step"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_attack_config_refuses_non_finite(name, value):
@@ -197,6 +203,52 @@ def test_certify_refuses_bad_labels(labels, match):
     x = np.array([[0.6, 0.2], [0.2, 0.6]])
     with pytest.raises(ValueError, match=match):
         ev.certify(spec, params, x, labels, 0.1)
+
+
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False])],
+                         ids=["float", "bool"])
+def test_labels_must_be_integers(labels):
+    # Float labels used to fail as a bare IndexError; booleans passed as 0/1.
+    spec = identity_head_spec()
+    params = identity_params(spec)
+    x = np.array([[0.6, 0.2], [0.2, 0.6]])
+    with pytest.raises(ValueError, match="must be integers"):
+        ev.certify(spec, params, x, labels, 0.1)
+    with pytest.raises(ValueError, match="must be integers"):
+        ad.softmax_cross_entropy(x, labels)
+    with pytest.raises(ValueError, match="must be integers"):
+        nets.worst_case_logits(nets.forward_interval(spec, params, x, eps=0.1),
+                               labels)
+
+
+@pytest.mark.parametrize("layers,input_shape", [
+    (nets.mlp_layers([5], 3), (4,)),
+    ([nets.conv(2, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
+      nets.flatten(), nets.dense(3)], (6, 6, 1)),
+], ids=["mlp", "conv"])
+def test_empty_batch_passes_through_and_refuses_a_mean(layers, input_shape):
+    # With no rows, the flatten layer could not infer its width and an
+    # empty label vector had no minimum; a mean over no samples was NaN.
+    spec = nets.NetworkSpec(input_shape, layers, classes=3)
+    rng = np.random.default_rng(4)
+    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    capture = []
+    nets.forward_interval(spec, params, rng.uniform(size=(3,) + input_shape),
+                          eps=0.1, bn_capture=capture)
+    stats = [(np.asarray(m), np.asarray(v)) for m, v in capture] or None
+    x = np.zeros((0,) + input_shape)
+    y = np.zeros(0, dtype=np.int64)
+    assert nets.forward_point(spec, params, x, bn_stats=stats).shape == (0, 3)
+    bounds = nets.forward_interval(spec, params, x, eps=0.1, bn_stats=stats)
+    assert bounds.shape == (0, 3)
+    assert ev.certify(spec, params, x, y, 0.1, bn_stats=stats).shape == (0,)
+    assert ad.softmax_cross_entropy(np.zeros((0, 3)), y, reduction="none").shape == (0,)
+    with pytest.raises(ValueError, match="empty batch"):
+        ev.clean_accuracy(spec, params, x, y, bn_stats=stats)
+    with pytest.raises(ValueError, match="empty batch"):
+        ev.verified_accuracy(spec, params, x, y, 0.1, bn_stats=stats)
+    with pytest.raises(ValueError, match="empty batch"):
+        ad.softmax_cross_entropy(np.zeros((0, 3)), y)
 
 
 def test_verified_accuracy_zero_eps_equals_clean(trained_blobs_model):

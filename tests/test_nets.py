@@ -78,6 +78,22 @@ def test_param_set_size_check():
         nets.ParamSet(spec, np.zeros(spec.total_params + 1))
 
 
+def test_param_set_get_is_a_view_or_one_tape_node():
+    spec = small_cnn_spec()
+    flat = np.arange(float(spec.total_params))
+    for index, name, shape, offset, size in spec.slots:
+        view = nets.ParamSet(spec, flat).get(index, name)
+        assert view.shape == shape and np.shares_memory(view, flat)
+        assert np.array_equal(view.reshape(-1), flat[offset:offset + size])
+        leaf = Tensor(flat)
+        node = nets.ParamSet(spec, leaf).get(index, name)
+        assert node._parents == (leaf,)
+        node.sum().backward()
+        want = np.zeros(spec.total_params)
+        want[offset:offset + size] = 1.0
+        assert np.array_equal(leaf.grad, want)
+
+
 def test_forward_point_matches_manual_mlp():
     spec = small_mlp_spec()
     rng = np.random.default_rng(1)

@@ -113,6 +113,15 @@ def test_trainer_config_validation():
         training.TrainerConfig(optimizer="rmsprop")
 
 
+@pytest.mark.parametrize("name,value", [
+    ("steps", 2.5), ("batch_size", 4.0), ("val_every", 1.5), ("steps", True)])
+def test_trainer_config_refuses_non_integer_counts(name, value):
+    # Each used to construct, then fail mid-training or (val_every) not at all.
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        training.TrainerConfig(**{name: value})
+    training.TrainerConfig(**{name: np.int64(4)})
+
+
 # ---- single-task training ------------------------------------------------
 
 
@@ -417,9 +426,9 @@ def test_step_tape_walk_visits_only_grad_taking_nodes_in_full_walk_order():
 
 
 @pytest.mark.parametrize("input_shape,layers,classes,embedding,hidden,pins", [
-    ((2,), nets.mlp_layers([16], 3), 3, 8, [32], (70, 80, 88)),
+    ((2,), nets.mlp_layers([16], 3), 3, 8, [32], (62, 72, 80)),
     ((8, 8, 1), [nets.conv(8, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
-                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (152, 164, 174)),
+                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (140, 152, 162)),
 ], ids=["blobs_mlp", "digits_conv"])
 def test_training_backward_tape_size_is_pinned(monkeypatch, input_shape, layers,
                                                classes, embedding, hidden, pins):
