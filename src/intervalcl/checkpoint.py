@@ -9,9 +9,9 @@ base64 text of its little-endian float64 bytes in C order, so every value
 (NaN, -0.0 and subnormals included) loads back bit for bit and save ->
 load -> save reproduces the file byte for byte. Infinities are refused.
 
-That is format 2. Format 1 files, written by earlier builds, store
-``data`` as a list of shortest round-tripping floats with NaN as null;
-they still load.
+For a network with batchnorm layers, every trained task must carry one
+frozen (mean, var) pair per batchnorm layer: the loader refuses missing,
+misshapen or non-finite moments and negative variances.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from intervalcl.evaluation import ResultMatrix
 from intervalcl.nets import Hypernetwork, LayerDescriptor, NetworkSpec
 
 FORMAT_VERSION = 2
-_READABLE = (1, FORMAT_VERSION)
 
 
 class CheckpointError(ValueError):
@@ -46,15 +45,11 @@ def _encode_array(array) -> dict:
     return {"data": data.decode("ascii"), "shape": list(array.shape)}
 
 
-def _decode_array(obj, version: int) -> np.ndarray:
+def _decode_array(obj) -> np.ndarray:
     try:
         shape = tuple(int(d) for d in obj["shape"])
-        if version == 1:
-            values = [np.nan if v is None else float(v) for v in obj["data"]]
-        else:
-            values = np.frombuffer(
-                base64.b64decode(obj["data"], validate=True), dtype="<f8")
-        flat = np.array(values, dtype=np.float64)
+        flat = np.frombuffer(base64.b64decode(obj["data"], validate=True),
+                             dtype="<f8").astype(np.float64)
     except (TypeError, KeyError, ValueError) as exc:
         raise CheckpointError(f"malformed array: {exc}") from exc
     if flat.size != int(np.prod(shape)) or min(shape, default=0) < 0:
@@ -88,12 +83,10 @@ class Checkpoint:
     spec: NetworkSpec
     seed: int
     results: ResultMatrix | None
-    extra: dict
 
 
 def save_checkpoint(path: str, hypernet: Hypernetwork, spec: NetworkSpec, *,
-                    seed: int = 0, results: ResultMatrix | None = None,
-                    extra: dict | None = None) -> None:
+                    seed: int = 0, results: ResultMatrix | None = None) -> None:
     layout = hypernet.layout
     if layout.target_size != spec.total_params:
         raise CheckpointError(
@@ -121,7 +114,6 @@ def save_checkpoint(path: str, hypernet: Hypernetwork, spec: NetworkSpec, *,
             "trained_tasks": hypernet.trained_tasks,
         },
         "results": None if results is None else _encode_array(results.values),
-        "extra": extra or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, allow_nan=False,
@@ -140,10 +132,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: expected a JSON object")
     version = payload.get("format")
-    if type(version) is not int or version not in _READABLE:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: format {version!r}, this build reads formats "
-            f"{' and '.join(map(str, _READABLE))}")
+            f"{path}: format {version!r}, this build reads format "
+            f"{FORMAT_VERSION}")
     try:
         spec = spec_from_json(payload["spec"])
         stored = payload["hypernet"]
@@ -152,24 +144,22 @@ def load_checkpoint(path: str) -> Checkpoint:
             int(layout["target_size"]), int(layout["embedding_dim"]),
             [int(h) for h in layout["hidden"]], int(layout["task_count"]),
             np.random.default_rng(0))
-        _restore_array(hypernet.embeddings, stored["embeddings"], "embeddings",
-                       version)
+        _restore_array(hypernet.embeddings, stored["embeddings"], "embeddings")
         if len(stored["weights"]) != len(hypernet.weights):
             raise CheckpointError(
                 f"{len(stored['weights'])} weight layers stored, layout has "
                 f"{len(hypernet.weights)}")
         for (w, b), item in zip(hypernet.weights, stored["weights"]):
-            _restore_array(w, item["w"], "weight", version)
-            _restore_array(b, item["b"], "bias", version)
+            _restore_array(w, item["w"], "weight")
+            _restore_array(b, item["b"], "bias")
         hypernet.bn_stats = {
-            int(task): [(_decode_array(s["mean"], version),
-                         _decode_array(s["var"], version)) for s in stats]
+            int(task): [(_decode_array(s["mean"]), _decode_array(s["var"]))
+                        for s in stats]
             for task, stats in stored["bn_stats"].items()
         }
         hypernet.trained_tasks = int(stored["trained_tasks"])
         results_obj = payload["results"]
         seed = int(payload["seed"])
-        extra = payload.get("extra", {})
     except (TypeError, KeyError, ValueError) as exc:
         if isinstance(exc, CheckpointError):
             raise
@@ -181,21 +171,55 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not 0 <= hypernet.trained_tasks <= hypernet.layout.task_count:
         raise CheckpointError(
             f"{path}: {hypernet.trained_tasks} trained tasks out of range")
+    _check_bn_stats(path, spec, hypernet)
     results = None
     if results_obj is not None:
-        values = _decode_array(results_obj, version)
+        values = _decode_array(results_obj)
         if values.shape != (hypernet.layout.task_count,) * 2:
             raise CheckpointError(
                 f"{path}: result table shape {values.shape} does not match "
                 f"{hypernet.layout.task_count} tasks")
         results = ResultMatrix(hypernet.layout.task_count)
         results.values = values
-    return Checkpoint(hypernet=hypernet, spec=spec, seed=seed,
-                      results=results, extra=extra)
+    return Checkpoint(hypernet=hypernet, spec=spec, seed=seed, results=results)
 
 
-def _restore_array(target: np.ndarray, obj, name: str, version: int) -> None:
-    decoded = _decode_array(obj, version)
+def _check_bn_stats(path: str, spec: NetworkSpec, hypernet: Hypernetwork) -> None:
+    """Each trained task needs one usable (mean, var) pair per batchnorm
+    layer; without it the forward passes fail, fall back to live batch
+    moments, or turn every logit into NaN."""
+    layers = [index for index, layer in enumerate(spec.layers)
+              if layer.kind == "batchnorm"]
+    if not layers:
+        return
+    for task in range(hypernet.trained_tasks):
+        stats = hypernet.bn_stats.get(task, [])
+        if len(stats) != len(layers):
+            raise CheckpointError(
+                f"{path}: task {task} stores {len(stats)} batchnorm moment "
+                f"pairs, network has {len(layers)} batchnorm layers")
+        for index, (mean, var) in zip(layers, stats):
+            where = f"{path}: task {task}, layer {index}"
+            shape = spec.shapes[index]
+            for name, value in (("mean", mean), ("var", var)):
+                # One value per feature on the last axis, broadcasting
+                # against the (batch,) + shape input without adding axes.
+                if (value.shape[-1:] != shape[-1:] or value.size != shape[-1]
+                        or value.ndim > len(shape) + 1):
+                    raise CheckpointError(
+                        f"{where}: batchnorm {name} shaped {value.shape} does "
+                        f"not fit input {shape}")
+            if not np.isfinite(mean).all():
+                raise CheckpointError(f"{where}: batchnorm mean is not finite")
+            # Written so that NaN fails the check.
+            if not ((0.0 <= var) & (var < np.inf)).all():
+                raise CheckpointError(
+                    f"{where}: batchnorm variance must be finite and "
+                    f"non-negative")
+
+
+def _restore_array(target: np.ndarray, obj, name: str) -> None:
+    decoded = _decode_array(obj)
     if decoded.shape != target.shape:
         raise CheckpointError(
             f"{name} shaped {decoded.shape}, layout expects {target.shape}")

@@ -52,6 +52,10 @@ class AttackConfig:
             raise ValueError(f"attack iters must be an integer, got {self.iters!r}")
         if self.iters < 1:
             raise ValueError(f"attack needs at least one iteration, got {self.iters}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(
+                f"attack seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _share(hits) -> float:

@@ -375,11 +375,16 @@ class Hypernetwork:
         self._check_task(task)
         if leaves is None:
             leaves = {}
+
+        def leaf(name, array):
+            if name not in leaves:
+                leaves[name] = Tensor(array)
+            return leaves[name]
+
         embed = self.embeddings[task]
         if train_embedding:
-            embed = leaves.setdefault("embedding", Tensor(embed))
-        weights = [(leaves.setdefault(f"w{i}", Tensor(w)),
-                    leaves.setdefault(f"b{i}", Tensor(b)))
+            embed = leaf("embedding", embed)
+        weights = [(leaf(f"w{i}", w), leaf(f"b{i}", b))
                    for i, (w, b) in enumerate(self.weights)]
         return self._generate(embed, weights), leaves
 

@@ -126,6 +126,9 @@ class TrainerConfig:
             raise ValueError("mixup pairing needs a batch of at least 2")
         if self.val_every < 1:
             raise ValueError(f"val_every must be positive, got {self.val_every}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass

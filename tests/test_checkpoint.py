@@ -3,6 +3,7 @@
 import base64
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from intervalcl.checkpoint import (
     spec_from_json,
     spec_to_json,
 )
-from intervalcl.evaluation import ResultMatrix
+from intervalcl.evaluation import ResultMatrix, certify
+from intervalcl.losses import LossConfig
 from intervalcl.nets import (
     Hypernetwork,
     NetworkSpec,
@@ -23,8 +25,12 @@ from intervalcl.nets import (
     conv,
     dense,
     flatten,
+    forward_interval,
+    forward_point,
+    generate_params,
     mlp_layers,
 )
+from intervalcl.training import TrainerConfig, train_task
 
 
 @pytest.fixture
@@ -69,8 +75,7 @@ class TestRoundTrip:
     def test_all_values_bitwise(self, tmp_path, model, results):
         h, spec = model
         path = str(tmp_path / "model.json")
-        save_checkpoint(path, h, spec, seed=99, results=results,
-                        extra={"note": "x"})
+        save_checkpoint(path, h, spec, seed=99, results=results)
         loaded = load_checkpoint(path)
         assert np.array_equal(loaded.hypernet.embeddings, h.embeddings)
         for (w1, b1), (w2, b2) in zip(loaded.hypernet.weights, h.weights):
@@ -78,7 +83,6 @@ class TestRoundTrip:
             assert np.array_equal(b1, b2)
         assert loaded.hypernet.trained_tasks == 2
         assert loaded.seed == 99
-        assert loaded.extra == {"note": "x"}
         assert set(loaded.hypernet.bn_stats) == {0}
         for (m1, v1), (m2, v2) in zip(loaded.hypernet.bn_stats[0],
                                       h.bn_stats[0]):
@@ -117,8 +121,7 @@ class TestRoundTrip:
         save_checkpoint(str(first), h, spec, seed=5, results=results)
         loaded = load_checkpoint(str(first))
         save_checkpoint(str(second), loaded.hypernet, loaded.spec,
-                        seed=loaded.seed, results=loaded.results,
-                        extra=loaded.extra)
+                        seed=loaded.seed, results=loaded.results)
         assert first.read_bytes() == second.read_bytes()
 
     def test_awkward_floats_survive(self, tmp_path, model):
@@ -135,13 +138,6 @@ class TestRoundTrip:
         assert loaded.hypernet.embeddings.tobytes() == h.embeddings.tobytes()
 
 
-def _list_array(array):
-    """Format 1 array: shortest round-tripping floats, NaN as null."""
-    flat = np.asarray(array, dtype=np.float64).ravel().tolist()
-    return {"shape": list(np.shape(array)),
-            "data": [None if v != v else v for v in flat]}
-
-
 def _bytes_array(array):
     """Format 2 array: base64 of the little-endian float64 bytes."""
     flat = np.asarray(array, dtype=np.float64).ravel().tolist()
@@ -150,12 +146,10 @@ def _bytes_array(array):
             "data": base64.b64encode(packed).decode("ascii")}
 
 
-def _reference_bytes(h, spec, seed, results, extra, version=2):
-    """The file as one ``json.dump`` of the whole payload writes it, with
-    arrays encoded as format ``version`` (1 is what earlier builds wrote)."""
-    encode = {1: _list_array, 2: _bytes_array}[version]
+def _reference_bytes(h, spec, seed, results):
+    """The file as one ``json.dump`` of the whole payload writes it."""
     payload = {
-        "format": version,
+        "format": 2,
         "seed": seed,
         "spec": spec_to_json(spec),
         "hypernet": {
@@ -163,15 +157,16 @@ def _reference_bytes(h, spec, seed, results, extra, version=2):
                        "embedding_dim": h.layout.embedding_dim,
                        "hidden": list(h.layout.hidden),
                        "task_count": h.layout.task_count},
-            "embeddings": encode(h.embeddings),
-            "weights": [{"w": encode(w), "b": encode(b)} for w, b in h.weights],
-            "bn_stats": {str(task): [{"mean": encode(m), "var": encode(v)}
+            "embeddings": _bytes_array(h.embeddings),
+            "weights": [{"w": _bytes_array(w), "b": _bytes_array(b)}
+                        for w, b in h.weights],
+            "bn_stats": {str(task): [{"mean": _bytes_array(m),
+                                      "var": _bytes_array(v)}
                                      for m, v in stats]
                          for task, stats in sorted(h.bn_stats.items())},
             "trained_tasks": h.trained_tasks,
         },
-        "results": encode(results.values),
-        "extra": extra,
+        "results": _bytes_array(results.values),
     }
     text = json.dumps(payload, sort_keys=True, allow_nan=False,
                       separators=(",", ":")) + "\n"
@@ -198,33 +193,26 @@ class TestStreamedWriter:
 
     def test_bytes_equal_one_json_dump(self, tmp_path, awkward_model, results):
         h, spec = awkward_model
-        extra = {"note": "caf\u00e9", "nested": {"b": [1, 2.5], "a": None}}
         path = tmp_path / "model.json"
-        save_checkpoint(str(path), h, spec, seed=3, results=results,
-                        extra=extra)
-        assert path.read_bytes() == _reference_bytes(h, spec, 3, results, extra)
+        save_checkpoint(str(path), h, spec, seed=3, results=results)
+        assert path.read_bytes() == _reference_bytes(h, spec, 3, results)
 
-    def test_format_1_file_loads_bitwise(self, tmp_path, awkward_model,
-                                         results):
+    def test_file_with_empty_extra_key_loads(self, tmp_path, awkward_model,
+                                             results):
+        # Earlier format-2 files carry ``"extra": {}``; the reader ignores it.
         h, spec = awkward_model
-        extra = {"note": "old"}
         path = tmp_path / "model.json"
-        path.write_bytes(_reference_bytes(h, spec, 3, results, extra,
-                                          version=1))
+        save_checkpoint(str(path), h, spec, seed=3, results=results)
+        saved = path.read_bytes()
+        payload = json.loads(saved)
+        payload["extra"] = {}
+        path.write_text(json.dumps(payload, sort_keys=True,
+                                   separators=(",", ":")) + "\n")
         loaded = load_checkpoint(str(path))
-        assert loaded.hypernet.embeddings.tobytes() == h.embeddings.tobytes()
-        for (w1, b1), (w2, b2) in zip(loaded.hypernet.weights, h.weights):
-            assert w1.tobytes() == w2.tobytes()
-            assert b1.tobytes() == b2.tobytes()
-        assert set(loaded.hypernet.bn_stats) == set(h.bn_stats)
-        for task, stats in h.bn_stats.items():
-            for (m1, v1), (m2, v2) in zip(loaded.hypernet.bn_stats[task],
-                                          stats):
-                assert m1.tobytes() == m2.tobytes()
-                assert v1.tobytes() == v2.tobytes()
-        assert loaded.results.values.tobytes() == results.values.tobytes()
-        assert (loaded.seed, loaded.extra) == (3, extra)
-        assert loaded.hypernet.trained_tasks == 2
+        again = tmp_path / "again.json"
+        save_checkpoint(str(again), loaded.hypernet, loaded.spec,
+                        seed=loaded.seed, results=loaded.results)
+        assert again.read_bytes() == saved
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinity_is_refused_by_name(self, tmp_path, awkward_model, value):
@@ -243,10 +231,13 @@ class TestValidation:
         path = tmp_path / "model.json"
         save_checkpoint(str(path), h, spec)
         payload = json.loads(path.read_text())
-        payload["format"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="format 99"):
-            load_checkpoint(str(path))
+        for version in (1, 99):
+            payload["format"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(CheckpointError,
+                               match=f"format {version}, this build reads "
+                                     f"format 2$"):
+                load_checkpoint(str(path))
 
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -322,3 +313,118 @@ class TestValidation:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="result table shape"):
             load_checkpoint(str(path))
+
+
+def _bn_model():
+    """``(2,) -> dense(4) -> batchnorm -> relu -> dense(3)``, three tasks
+    trained, with moments shaped as training freezes them."""
+    spec = NetworkSpec((2,), [dense(4), batchnorm(), act("relu"), dense(3)],
+                       classes=3)
+    h = Hypernetwork(spec.total_params, 4, [6], task_count=3,
+                     rng=np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    h.bn_stats = {t: [(rng.normal(size=(1, 4)),
+                       rng.uniform(0.1, 2.0, size=(1, 4)))] for t in range(3)}
+    h.trained_tasks = 3
+    return h, spec
+
+
+def _replace_pair(task, mean=None, var=None):
+    def tamper(stats):
+        old_mean, old_var = stats[task][0]
+        return {**stats, task: [(old_mean if mean is None else mean(old_mean),
+                                 old_var if var is None else var(old_var))]}
+    return tamper
+
+
+BN_DEFECTS = {
+    "empty": (lambda stats: {**stats, 0: []},
+              r"task 0 stores 0 batchnorm moment pairs, network has 1"),
+    "missing": (lambda stats: {},
+                r"task 0 stores 0 batchnorm moment pairs"),
+    "two-pairs": (lambda stats: {**stats, 1: stats[1] * 2},
+                  r"task 1 stores 2 batchnorm moment pairs"),
+    "narrow": (lambda stats: {**stats, 1: [(np.zeros((1, 3)),
+                                            np.ones((1, 3)))]},
+               r"task 1, layer 1: batchnorm mean shaped \(1, 3\)"),
+    "column": (_replace_pair(0, mean=lambda m: m.reshape(4, 1)),
+               r"task 0, layer 1: batchnorm mean shaped \(4, 1\)"),
+    "extra-axis": (_replace_pair(0, var=lambda v: v.reshape(1, 1, 4)),
+                   r"task 0, layer 1: batchnorm var shaped \(1, 1, 4\)"),
+    "nan-mean": (_replace_pair(2, mean=lambda m: np.where(m > m.min(), m,
+                                                          np.nan)),
+                 r"task 2, layer 1: batchnorm mean is not finite"),
+    "negative-var": (_replace_pair(2, var=lambda v: -v),
+                     r"task 2, layer 1: batchnorm variance must be finite"),
+    "nan-var": (_replace_pair(0, var=lambda v: v * np.nan),
+                r"task 0, layer 1: batchnorm variance must be finite"),
+}
+
+
+class TestBatchnormMoments:
+    @pytest.mark.parametrize("shape", [(1, 4), (4,)])
+    def test_moments_per_feature_load(self, tmp_path, shape):
+        h, spec = _bn_model()
+        h.bn_stats = {t: [(m.reshape(shape), v.reshape(shape))]
+                      for t, [(m, v)] in h.bn_stats.items()}
+        path = str(tmp_path / "model.json")
+        save_checkpoint(path, h, spec)
+        loaded = load_checkpoint(path).hypernet
+        for task in range(3):
+            [(m1, v1)], [(m2, v2)] = loaded.bn_stats[task], h.bn_stats[task]
+            assert m1.shape == m2.shape == shape
+            assert m1.tobytes() == m2.tobytes()
+            assert v1.tobytes() == v2.tobytes()
+
+    @pytest.mark.parametrize("defect", list(BN_DEFECTS))
+    def test_unusable_moments_refused(self, tmp_path, defect):
+        tamper, message = BN_DEFECTS[defect]
+        h, spec = _bn_model()
+        h.bn_stats = tamper(h.bn_stats)
+        path = str(tmp_path / "model.json")
+        save_checkpoint(path, h, spec)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_untrained_tasks_need_no_moments(self, tmp_path):
+        h, spec = _bn_model()
+        h.trained_tasks = 1
+        h.bn_stats = {0: h.bn_stats[0], 2: []}
+        path = str(tmp_path / "model.json")
+        save_checkpoint(path, h, spec)
+        assert set(load_checkpoint(path).hypernet.bn_stats) == {0, 2}
+
+    @pytest.mark.parametrize("input_shape, layers, classes", [
+        ((2,), [dense(4), batchnorm(), act("relu"), dense(3)], 3),
+        ((4, 4, 1), [conv(2, 2), batchnorm(), act("relu"), flatten(),
+                     dense(2)], 2),
+    ], ids=["flat", "nhwc"])
+    def test_trained_moments_load_and_evaluate_bitwise(
+            self, tmp_path, input_shape, layers, classes):
+        spec = NetworkSpec(input_shape, layers, classes)
+        h = Hypernetwork(spec.total_params, 4, [8], task_count=2,
+                         rng=np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        data = SimpleNamespace(inputs=rng.uniform(size=(24,) + input_shape),
+                               labels=np.arange(24) % classes)
+        cfg = TrainerConfig(steps=4, batch_size=8, model_selection=False,
+                            loss=LossConfig(eps=0.02))
+        for task in range(2):
+            train_task(h, spec, task, data, cfg)
+        path = str(tmp_path / "model.json")
+        save_checkpoint(path, h, spec)
+        loaded = load_checkpoint(path).hypernet
+        x, y = data.inputs, data.labels
+        for task in range(2):
+            results = []
+            for model in (h, loaded):
+                params = generate_params(model, spec, task)
+                stats = model.bn_stats[task]
+                bounds = forward_interval(spec, params, x, eps=0.02,
+                                          bn_stats=stats)
+                results.append([
+                    forward_point(spec, params, x, bn_stats=stats),
+                    bounds.lower, bounds.upper,
+                    certify(spec, params, x, y, 0.02, bn_stats=stats)])
+            for ours, theirs in zip(*results):
+                assert ours.tobytes() == theirs.tobytes()

@@ -1,12 +1,15 @@
 """Command-line behavior: artifacts, determinism, and exit codes."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
 
 from intervalcl import cli
+from intervalcl.checkpoint import save_checkpoint
 from intervalcl.cli import main
+from intervalcl.nets import Hypernetwork, NetworkSpec, act, batchnorm, dense
 
 BLOBS_ARGS = [
     "--set", "data.kind=blobs", "--set", "data.tasks=2",
@@ -35,6 +38,20 @@ def read_csv(path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def _as_format_1(obj):
+    """A format-2 payload with each array's data as a float list (NaN as
+    null), the way earlier builds stored it."""
+    if isinstance(obj, dict):
+        if set(obj) == {"data", "shape"}:
+            values = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
+            return {"data": [None if v != v else v for v in values.tolist()],
+                    "shape": obj["shape"]}
+        return {key: _as_format_1(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_as_format_1(value) for value in obj]
+    return obj
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +199,43 @@ class TestEval:
         rc = run("eval", "--checkpoint", str(bad),
                  "--set", f"output.dir={tmp_path}/evalc", *BLOBS_ARGS)
         assert rc == 3
+
+    def test_format_1_checkpoint_is_data_error(self, trained_run, tmp_path,
+                                              capsys):
+        payload = _as_format_1(
+            json.loads((trained_run / "checkpoint.json").read_text()))
+        payload.update(format=1, extra={})
+        old = tmp_path / "format1.json"
+        old.write_text(json.dumps(payload))
+        rc = run("eval", "--checkpoint", str(old),
+                 "--set", f"output.dir={tmp_path}/eval1", *BLOBS_ARGS)
+        assert rc == 3
+        assert "format 1, this build reads format 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["empty", "missing"])
+    def test_unusable_batchnorm_moments_are_data_error(self, tmp_path, defect):
+        # Run on the default blobs config, which this network fits.
+        spec = NetworkSpec((2,), [dense(4), batchnorm(), act("relu"),
+                                  dense(3)], classes=3)
+        h = Hypernetwork(spec.total_params, 4, [6], task_count=3,
+                         rng=np.random.default_rng(4))
+        pair = (np.zeros((1, 4)), np.ones((1, 4)))
+        h.bn_stats = ({} if defect == "missing"
+                      else {0: [], 1: [pair], 2: [pair]})
+        h.trained_tasks = 3
+        path = tmp_path / "bn.json"
+        save_checkpoint(str(path), h, spec)
+        assert run("eval", "--checkpoint", str(path),
+                   "--set", f"output.dir={tmp_path}/evalb") == 3
+
+    def test_negative_attack_seed_is_config_error(self, trained_run, tmp_path,
+                                                  capsys):
+        out = tmp_path / "evals"
+        assert run("eval", "--checkpoint", str(trained_run / "checkpoint.json"),
+                   "--set", f"output.dir={out}", *BLOBS_ARGS,
+                   "--set", "attack.seed=-1") == 2
+        assert "attack seed" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_attack_eps_is_config_error(self, trained_run, tmp_path,

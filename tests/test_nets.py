@@ -267,6 +267,28 @@ def test_tape_generate_frozen_embedding_gets_no_gradient():
         assert leaf.grad is not None
 
 
+def test_tape_generate_reuses_leaves_without_building_new_ones(monkeypatch):
+    built = []
+
+    class CountingTensor(Tensor):
+        def __init__(self, value):
+            built.append(value)
+            super().__init__(value)
+
+    monkeypatch.setattr(nets, "Tensor", CountingTensor)
+    h = nets.Hypernetwork(40, 6, [12, 12], 3, np.random.default_rng(8))
+    _, leaves = h.tape_generate(1)
+    assert len(built) == len(leaves) == 7
+    shared = dict(leaves)
+    for task, train_embedding in ((1, True), (0, False), (2, False)):
+        flat, again = h.tape_generate(task, train_embedding=train_embedding,
+                                      leaves=leaves)
+        assert again is leaves and again.keys() == shared.keys()
+        assert all(again[name] is leaf for name, leaf in shared.items())
+    assert len(built) == 7
+    assert np.array_equal(flat.value, h.generate_flat(2))
+
+
 def test_tape_leaves_alias_stored_arrays():
     h = nets.Hypernetwork(30, 5, [10], 3, np.random.default_rng(10))
     before_other = h.embeddings[2].copy()

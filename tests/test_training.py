@@ -122,6 +122,17 @@ def test_trainer_config_refuses_non_integer_counts(name, value):
     training.TrainerConfig(**{name: np.int64(4)})
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: training.TrainerConfig(seed=seed),
+    lambda seed: ev.AttackConfig(seed=seed)], ids=["trainer", "attack"])
+@pytest.mark.parametrize("value", [-1, 1.5, True])
+def test_configs_refuse_bad_seeds(make, value):
+    # Each used to construct, then fail at first use or (True) not at all.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        make(value)
+    assert make(np.int64(4)).seed == 4
+
+
 # ---- single-task training ------------------------------------------------
 
 
