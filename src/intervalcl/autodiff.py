@@ -22,9 +22,9 @@ networks, their losses, and gradient-based attacks need, and nothing else:
 - arithmetic: ``+``, ``-``, ``*``, ``/``, ``@`` and the dense node ``linear``;
 - elementwise: ``absolute``, ``relu``, ``sigmoid``, ``sqrt``;
 - reductions: ``sum``, ``mean`` and a one-axis ``max``;
-- shape: ``reshape``, the parameter-slot read ``slot``, and the
-  sliding-window gathers ``extract_patches`` (convolution) and
-  ``pool_windows`` (pooling);
+- shape: ``reshape``, the parameter-slot read ``slot``, and the one
+  sliding-window gather ``sliding_windows`` that convolution and pooling
+  both read;
 - loss: ``softmax_cross_entropy``, averaged or per sample (``softmax``
   itself takes arrays only: no loss differentiates through it).
 """
@@ -187,7 +187,6 @@ class Tensor:
     __sub__ = _sub
     __truediv__ = _div
     __matmul__ = _matmul
-    __abs__ = absolute
 
     def __rsub__(self, other):
         return _sub(other, self)
@@ -197,9 +196,6 @@ class Tensor:
 
     def __rmatmul__(self, other):
         return _matmul(other, self)
-
-    def __neg__(self):
-        return _node(-self.value, (self,), lambda g: -g)
 
     # ---- reductions ------------------------------------------------------
 
@@ -344,13 +340,14 @@ def _scatter_windows(grad, shape, sh, sw) -> np.ndarray:
     return gx
 
 
-def _sliding_windows(x, kh, kw, sh, sw, per_channel):
+def sliding_windows(x, kh, kw, sh, sw):
     """Gather the (kh, kw) windows of an NHWC batch with valid padding.
 
-    The windows come out (B, OH, OW, kh*kw, C) with ``per_channel``, else
-    flattened to (B, OH, OW, kh*kw*C), kernel-position major, channel
-    minor. On the tape, backward scatters each window's gradient back onto
-    the input positions it read, summing where windows overlap.
+    Input (B, H, W, C) becomes (B, OH, OW, kh*kw, C): axis 3 runs over the
+    kernel positions row-major, so folding the last two axes gives im2col
+    rows, kernel-position major and channel minor. On the tape, backward
+    scatters each window's gradient back onto the input positions it read,
+    summing where windows overlap.
     """
     val = payload(x)
     if val.ndim != 4:
@@ -366,23 +363,8 @@ def _sliding_windows(x, kh, kw, sh, sw, per_channel):
     rows = (np.arange(oh) * sh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
     cols = (np.arange(ow) * sw)[None, :, None, None] + np.arange(kw)[None, None, None, :]
     gathered = val[:, rows, cols, :]  # (B, OH, OW, kh, kw, C)
-    tail = (kh * kw, channels) if per_channel else (kh * kw * channels,)
-    return _node(gathered.reshape((batch, oh, ow) + tail), (x,),
+    return _node(gathered.reshape(batch, oh, ow, kh * kw, channels), (x,),
                  lambda g: _scatter_windows(g.reshape(gathered.shape), val.shape, sh, sw))
-
-
-def extract_patches(x, kh, kw, sh, sw):
-    """im2col over an NHWC batch.
-
-    Input (B, H, W, C) becomes (B, OH, OW, kh*kw*C) with valid padding; each
-    output row is the flattened window, kernel-position major, channel minor.
-    """
-    return _sliding_windows(x, kh, kw, sh, sw, per_channel=False)
-
-
-def pool_windows(x, window, stride):
-    """Sliding windows kept per channel: (B, H, W, C) -> (B, OH, OW, w*w, C)."""
-    return _sliding_windows(x, window, window, stride, stride, per_channel=True)
 
 
 def softmax(x: np.ndarray, axis=-1) -> np.ndarray:
@@ -404,11 +386,10 @@ def check_labels(labels, batch: int, classes: int) -> np.ndarray:
     return labels
 
 
-def _probs_minus_onehot(shifted, labels) -> np.ndarray:
-    """softmax(shifted) - onehot(labels), the onehot taken in place
-    (bitwise: p - 0.0 is p)."""
-    diff = np.exp(shifted)
-    diff /= diff.sum(axis=1, keepdims=True)
+def _probs_minus_onehot(exp, total, labels) -> np.ndarray:
+    """softmax - onehot(labels) from the forward pass's ``exp`` and its row
+    sums ``total``, the onehot taken in place (bitwise: p - 0.0 is p)."""
+    diff = exp / total
     diff[np.arange(len(labels)), labels] -= 1.0
     return diff
 
@@ -430,14 +411,15 @@ def softmax_cross_entropy(logits, labels, reduction="mean"):
     labels = check_labels(labels, batch, val.shape[1])
     if reduction == "mean" and batch == 0:
         raise ValueError("mean cross-entropy over an empty batch")
-    shifted = val - val.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + val.max(axis=1)
-    per_sample = lse - val[np.arange(batch), labels]
+    top = val.max(axis=1, keepdims=True)
+    exp = np.exp(val - top)
+    total = exp.sum(axis=1, keepdims=True)
+    per_sample = (np.log(total) + top)[:, 0] - val[np.arange(batch), labels]
     if reduction == "mean":
         return _node(per_sample.mean(), (logits,),
-                     lambda g: g * _probs_minus_onehot(shifted, labels) / batch)
+                     lambda g: g * _probs_minus_onehot(exp, total, labels) / batch)
     return _node(per_sample, (logits,),
-                 lambda g: g[:, None] * _probs_minus_onehot(shifted, labels))
+                 lambda g: g[:, None] * _probs_minus_onehot(exp, total, labels))
 
 
 def grad_check(build, leaves, *, step=1e-6, rng=None, max_coords=None):

@@ -26,6 +26,7 @@ class Field:
     default: object
     help: str
     choices: tuple = ()
+    minimum: int | None = None  # smallest accepted "int" value
 
 
 SCHEMA: dict[str, dict[str, Field]] = {
@@ -39,7 +40,8 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "images": Field("str", "", "IDX image file (source = idx)"),
         "labels": Field("str", "", "IDX label file (source = idx)"),
         "tasks": Field("int", 3, "number of tasks T"),
-        "seed": Field("int", 0, "seed for generation, splits, permutations"),
+        "seed": Field("int", 0, "seed for generation, splits, permutations",
+                      minimum=0),
         "angles": Field("floats", (), "rotation angle per task (kind = rotated)"),
         "downsample": Field("int", 1, "integer image downsampling factor"),
         "base_count": Field("int", 3000,
@@ -78,7 +80,7 @@ SCHEMA: dict[str, dict[str, Field]] = {
                                     "train on interpolated hypercubes"),
         "decay": Field("str", "linear", "virtual-sample radius decay",
                        choices=DECAY_KINDS),
-        "seed": Field("int", 0, "training seed"),
+        "seed": Field("int", 0, "training seed", minimum=0),
         "val_every": Field("int", 50, "steps between validation passes"),
         "model_selection": Field("bool", True,
                                  "restore the best validation snapshot"),
@@ -94,13 +96,14 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "iters": Field("int", 100, "PGD iterations"),
         "random_start": Field("bool", True,
                               "start PGD from a random point in the ball"),
-        "seed": Field("int", 0, "attack randomness seed"),
+        "seed": Field("int", 0, "attack randomness seed", minimum=0),
     },
     "output": {
         "dir": Field("str", "run", "output directory (joined to the "
                                    "INTERVALCL_OUTPUT_ROOT env var if relative)"),
         "grid_resolution": Field("int", 41,
-                                 "decision-grid resolution per axis (toy2d)"),
+                                 "decision-grid resolution per axis (toy2d)",
+                                 minimum=2),
     },
 }
 
@@ -147,6 +150,9 @@ def _parse_field(section: str, key: str, raw: str, field: Field):
     if field.choices and value not in field.choices:
         raise ConfigError(f"{where}: {value!r} is not one of "
                           f"{'/'.join(field.choices)}")
+    if field.minimum is not None and value < field.minimum:
+        raise ConfigError(f"{where}: {value!r} is below the minimum "
+                          f"{field.minimum}")
     return value
 
 
@@ -229,6 +235,8 @@ def documented_defaults() -> str:
             note = field.help
             if field.choices:
                 note += f" (one of: {', '.join(str(c) for c in field.choices)})"
+            if field.minimum is not None:
+                note += f" (at least {field.minimum})"
             out.write(f"# {note}\n")
             out.write(f"{key} = {_format_value(field.default)}\n")
         out.write("\n")

@@ -49,9 +49,6 @@ class LabeledData:
     def __len__(self):
         return self.labels.shape[0]
 
-    def subset(self, index) -> "LabeledData":
-        return LabeledData(self.inputs[index], self.labels[index])
-
 
 @dataclass
 class Task:

@@ -51,11 +51,6 @@ class IntervalTensor:
         return np.shape(self.lower)
 
     @classmethod
-    def point(cls, x) -> "IntervalTensor":
-        """Degenerate box with zero radius sharing the payload on both sides."""
-        return cls(x, x)
-
-    @classmethod
     def from_ball(cls, x, eps) -> "IntervalTensor":
         """Box of radius ``eps`` (scalar or broadcastable) around ``x``."""
         radius = np.asarray(eps)
@@ -74,9 +69,9 @@ def conv2d(x, kernel, stride=1):
     ``kernel`` has shape (kh, kw, c_in, c_out).
     """
     kh, kw, c_in, c_out = np.shape(kernel)
-    patches = ad.extract_patches(x, kh, kw, stride, stride)
-    batch, oh, ow, width = np.shape(patches)
-    flat = patches.reshape(batch * oh * ow, width)
+    windows = ad.sliding_windows(x, kh, kw, stride, stride)
+    batch, oh, ow = np.shape(windows)[:3]
+    flat = windows.reshape(batch * oh * ow, kh * kw * c_in)
     kflat = kernel.reshape(kh * kw * c_in, c_out)
     return (flat @ kflat).reshape(batch, oh, ow, c_out)
 
@@ -95,7 +90,7 @@ def activation(x, kind: str):
 
 def pool(x, kind: str, window: int, stride: int):
     """Average or max over each (window, window) patch, per channel."""
-    windows = ad.pool_windows(x, window, stride)
+    windows = ad.sliding_windows(x, window, window, stride, stride)
     if kind == "avg":
         return ad.mean(windows, axis=3)
     if kind == "max":

@@ -16,13 +16,13 @@ def test_square_gradient_is_two_x():
 
 def test_abs_gradient_sign():
     w = Tensor(np.array(-2.0))
-    abs(w).backward()
+    ad.absolute(w).backward()
     assert w.grad == pytest.approx(-1.0)
 
 
 def test_abs_subgradient_zero_at_kink():
     w = Tensor(np.array(0.0))
-    abs(w).backward()
+    ad.absolute(w).backward()
     assert w.grad == 0.0
 
 
@@ -235,7 +235,7 @@ def test_composite_ops_match_finite_differences(seed):
 
     def build():
         h = ad.relu(rng2 @ w) @ v
-        mixed = ad.sigmoid(h) + abs(h) * 0.25 + ad.sqrt(h * h + 1.0)
+        mixed = ad.sigmoid(h) + ad.absolute(h) * 0.25 + ad.sqrt(h * h + 1.0)
         return mixed.sum() + (h * 1e-2).sum() * (1.0 / 12)
 
     rng2 = rng.normal(size=(6, 4))
@@ -330,7 +330,8 @@ def test_subtraction_is_one_node_bitwise_the_negate_add_chain(left, right,
         return out, [t.grad for t in (a, b) if isinstance(t, Tensor)]
 
     out, grads = run(lambda a, b: a - b)
-    ref, ref_grads = run(lambda a, b: a + (-b))
+    # Multiplying by -1.0 negates exactly, value and gradient alike.
+    ref, ref_grads = run(lambda a, b: a + b * -1.0)
     assert len(out._parents) == (left, right).count("T")
     assert all(not parent._parents for parent in out._parents)  # one node
     assert np.array_equal(_bits(out.value), _bits(ref.value))
@@ -348,39 +349,50 @@ def test_ndarray_on_left_dispatches_to_tensor():
 
 
 def test_extract_patches_values_and_gradient():
-    # 1x3x3x1 input, 2x2 window, stride 1: four patches read row-major.
+    # Convolution's patches: a 1x3x3x1 input under a 2x2 window at stride 1
+    # gives four windows, each reading its kernel positions row-major.
     x = np.arange(9, dtype=np.float64).reshape(1, 3, 3, 1)
-    patches = ad.extract_patches(x, 2, 2, 1, 1)
-    assert patches.shape == (1, 2, 2, 4)
-    assert np.array_equal(patches[0, 0, 0], [0.0, 1.0, 3.0, 4.0])
-    assert np.array_equal(patches[0, 1, 1], [4.0, 5.0, 7.0, 8.0])
+    windows = ad.sliding_windows(x, 2, 2, 1, 1)
+    assert windows.shape == (1, 2, 2, 4, 1)
+    assert np.array_equal(windows[0, 0, 0, :, 0], [0.0, 1.0, 3.0, 4.0])
+    assert np.array_equal(windows[0, 1, 1, :, 0], [4.0, 5.0, 7.0, 8.0])
 
     t = Tensor(x)
-    weights = np.arange(16, dtype=np.float64).reshape(1, 2, 2, 4)
+    weights = np.arange(16, dtype=np.float64).reshape(1, 2, 2, 4, 1)
 
     def build():
-        return (ad.extract_patches(t, 2, 2, 1, 1) * weights).sum()
+        return (ad.sliding_windows(t, 2, 2, 1, 1) * weights).sum()
 
     assert ad.grad_check(build, [t]) <= 1e-8
 
 
 def test_extract_patches_rejects_oversized_window():
     x = np.zeros((1, 3, 3, 1))
+    with pytest.raises(ValueError, match="does not fit"):
+        ad.sliding_windows(x, 4, 4, 1, 1)
+    with pytest.raises(ValueError, match="does not fit"):
+        ad.sliding_windows(np.zeros((1, 3, 5, 1)), 2, 6, 1, 1)
+
+
+@pytest.mark.parametrize("shape, window", [
+    ((3, 3, 1), (2, 2, 1, 1)), ((1, 3, 3, 1), (2, 2, 0, 1)),
+    ((1, 3, 3, 1), (0, 2, 1, 1))])
+def test_sliding_windows_rejects_bad_rank_and_sizes(shape, window):
     with pytest.raises(ValueError):
-        ad.extract_patches(x, 4, 4, 1, 1)
+        ad.sliding_windows(np.zeros(shape), *window)
 
 
 def test_pool_windows_shape_and_gradient():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 4, 4, 3))
-    grouped = ad.pool_windows(x, 2, 2)
+    grouped = ad.sliding_windows(x, 2, 2, 2, 2)
     assert grouped.shape == (2, 2, 2, 4, 3)
     assert np.array_equal(grouped[0, 0, 0, :, 1], x[0, 0:2, 0:2, 1].reshape(-1))
 
     t = Tensor(x)
 
     def build():
-        return ad.pool_windows(t, 2, 2).max(axis=3).sum()
+        return ad.sliding_windows(t, 2, 2, 2, 2).max(axis=3).sum()
 
     assert ad.grad_check(build, [t], rng=rng, max_coords=24) <= 1e-8
 
@@ -389,10 +401,10 @@ def test_extract_patches_gradient_at_stride_two():
     # Overlapping 3x3 windows on stride 2 over two channels.
     rng = np.random.default_rng(11)
     t = Tensor(rng.normal(size=(2, 7, 6, 2)))
-    weights = rng.normal(size=(2, 3, 2, 18))
+    weights = rng.normal(size=(2, 3, 2, 9, 2))
 
     def build():
-        return (ad.extract_patches(t, 3, 3, 2, 2) * weights).sum()
+        return (ad.sliding_windows(t, 3, 3, 2, 2) * weights).sum()
 
     assert ad.grad_check(build, [t]) <= 1e-8
 
@@ -428,7 +440,7 @@ def test_extract_patches_backward_is_bitwise_the_scatter(kh, kw, sh, sw, channel
     x = rng.normal(size=(2, 7, 8, channels))
     got, want = _window_grad(
         rng, x, kh, kw, sh, sw,
-        lambda t: ad.extract_patches(t, kh, kw, sh, sw))
+        lambda t: ad.sliding_windows(t, kh, kw, sh, sw))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -439,7 +451,7 @@ def test_pool_windows_backward_is_bitwise_the_scatter(window, stride, channels):
     x = rng.normal(size=(2, 7, 7, channels))
     got, want = _window_grad(
         rng, x, window, window, stride, stride,
-        lambda t: ad.pool_windows(t, window, stride))
+        lambda t: ad.sliding_windows(t, window, window, stride, stride))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

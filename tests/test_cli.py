@@ -234,7 +234,7 @@ class TestEval:
         assert run("eval", "--checkpoint", str(trained_run / "checkpoint.json"),
                    "--set", f"output.dir={out}", *BLOBS_ARGS,
                    "--set", "attack.seed=-1") == 2
-        assert "attack seed" in capsys.readouterr().err
+        assert "attack.seed: -1" in capsys.readouterr().err
         assert not (out / "eval.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -381,6 +381,36 @@ class TestExitCodes:
                    "--set", f"output.dir={tmp_path}/x") == 2
         assert override.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, override", [
+        ("train", "data.seed=-1"), ("train", "train.seed=-1"),
+        ("train", "attack.seed=-1"), ("toy2d", "data.seed=-1"),
+        ("toy2d", "train.seed=-1"), ("toy2d", "output.grid_resolution=0"),
+        ("toy2d", "output.grid_resolution=1"),
+        ("toy2d", "output.grid_resolution=-1"),
+    ])
+    def test_value_below_key_minimum_names_key_and_value(self, tmp_path, capsys,
+                                                          command, override):
+        assert run(command, "--set", override,
+                   "--set", f"output.dir={tmp_path}/x") == 2
+        key, _, value = override.partition("=")
+        assert f"{key}: {value} is below the minimum" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_in_config_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text("[data]\nseed = -3\n", encoding="utf-8")
+        assert run("train", "--config", str(path),
+                   "--set", f"output.dir={tmp_path}/x") == 2
+        assert "data.seed: -3" in capsys.readouterr().err
+
+    def test_smallest_grid_resolution_runs(self, tmp_path):
+        out = tmp_path / "g"
+        assert run("toy2d", "--set", "output.grid_resolution=2",
+                   "--set", "data.points=4", "--set", "net.hidden=4",
+                   "--set", "hypernet.hidden=4", "--set", "hypernet.embedding=2",
+                   "--set", "train.steps=2", "--set", f"output.dir={out}") == 0
+        assert len(read_csv(out / "grid.csv")) == 4
 
     def test_negative_spread_is_config_error(self, tmp_path, capsys):
         assert run("train", "--set", "data.spread=-0.05", *TINY_ARGS,

@@ -31,6 +31,8 @@ class TestDefaults:
             for key, field in keys.items():
                 if field.choices:
                     assert field.default in field.choices
+                if field.minimum is not None:
+                    assert field.default >= field.minimum
 
 
 class TestParsing:

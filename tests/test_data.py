@@ -78,12 +78,6 @@ class TestLabeledData:
         with pytest.raises(ValueError, match="non-negative"):
             LabeledData(np.zeros((1, 3)), np.array([-1]))
 
-    def test_subset(self):
-        d = LabeledData(np.linspace(0, 1, 12).reshape(4, 3), np.arange(4))
-        s = d.subset(np.array([2, 0]))
-        assert np.array_equal(s.labels, [2, 0])
-        assert np.array_equal(s.inputs, d.inputs[[2, 0]])
-
 
 class TestTask:
     def _split(self, labels):

@@ -135,6 +135,25 @@ def test_conv_matches_corner_hull_exactly_on_dyadic_boxes():
     assert np.array_equal(out.upper[0, :, :, :], hi)
 
 
+@pytest.mark.parametrize("kh, kw, stride", [(2, 3, 1), (3, 2, 2), (3, 3, 2)])
+def test_conv2d_reads_windows_in_im2col_order(kh, kw, stride):
+    # Dyadic inputs and weights make every product and sum exact, so the
+    # patch matmul must equal a direct loop over windows bit for bit,
+    # whatever order it sums in, unless it pairs a pixel with the wrong
+    # kernel position or channel.
+    rng = np.random.default_rng(kh * 10 + kw + stride)
+    x = rng.integers(-8, 9, size=(2, 7, 6, 3)) / 8.0
+    kernel = rng.integers(-8, 9, size=(kh, kw, 3, 4)) / 8.0
+    out = iv.conv2d(x, kernel, stride)
+    oh, ow = (7 - kh) // stride + 1, (6 - kw) // stride + 1
+    want = np.zeros((2, oh, ow, 4))
+    for i in range(oh):
+        for j in range(ow):
+            window = x[:, i * stride:i * stride + kh, j * stride:j * stride + kw, :]
+            want[:, i, j, :] = np.tensordot(window, kernel, axes=3)
+    assert np.array_equal(out, want)
+
+
 def test_relu_interval():
     box = IntervalTensor(np.array([[-1.0, 0.5]]), np.array([[2.0, 1.5]]))
     out = iv.interval_activation(box, "relu")
@@ -150,7 +169,7 @@ def test_sigmoid_interval():
 
 
 def test_unknown_activation():
-    box = IntervalTensor.point(np.zeros((1, 2)))
+    box = IntervalTensor(np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         iv.interval_activation(box, "tanh")
 
@@ -260,7 +279,7 @@ def test_batchnorm_nhwc_axes():
 
 
 def test_batchnorm_param_shape_error():
-    box = IntervalTensor.point(np.zeros((2, 3)))
+    box = IntervalTensor(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         iv.interval_batchnorm(box, np.ones(2), np.zeros(3))
 
@@ -314,7 +333,7 @@ def test_rules_are_monotone_in_the_input_box():
 def test_zero_radius_collapse_is_bitwise_for_every_rule():
     rng = np.random.default_rng(9)
     x = rng.uniform(size=(2, 4, 4, 2))
-    box = IntervalTensor.point(x)
+    box = IntervalTensor(x, x)
 
     kernel = rng.normal(size=(2, 2, 2, 3))
     bias3 = rng.normal(size=3)
@@ -329,7 +348,7 @@ def test_zero_radius_collapse_is_bitwise_for_every_rule():
     flat = x.reshape(2, -1)
     w = rng.normal(size=(5, flat.shape[1]))
     b = rng.normal(size=5)
-    aff = iv.interval_affine(IntervalTensor.point(flat), w, b)
+    aff = iv.interval_affine(IntervalTensor(flat, flat), w, b)
     assert np.array_equal(aff.lower, aff.upper)
     assert np.array_equal(aff.lower, flat @ w.T + b)
 
@@ -399,6 +418,6 @@ def test_soundness_zero_radius_has_zero_violation():
     rng = np.random.default_rng(14)
     params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
     x = rng.uniform(size=(2, 4))
-    report = iv.soundness_oracle(spec, params, IntervalTensor.point(x),
+    report = iv.soundness_oracle(spec, params, IntervalTensor(x, x),
                                  samples=50, seed=4)
     assert report.max_violation <= 0.0

@@ -37,7 +37,7 @@ def test_ibp_loss_collapses_to_cross_entropy_at_zero_radius():
     logits = rng.normal(size=(6, 3))
     labels = rng.integers(0, 3, size=6)
     ce = ad.softmax_cross_entropy(logits, labels)
-    box = IntervalTensor.point(logits)
+    box = IntervalTensor(logits, logits)
     for kappa in (0.0, 0.3, 1.0):
         got = losses.ibp_loss(box, logits, labels, kappa)
         assert got == pytest.approx(ce, rel=1e-12)
@@ -55,7 +55,7 @@ def test_ibp_loss_kappa_one_is_clean_loss():
 def test_ibp_loss_zero_width_two_class_uniform():
     # Bounds identically zero in both classes: the worst-case vector is
     # (0, 0) and its cross-entropy is ln 2.
-    box = IntervalTensor.point(np.zeros((3, 2)))
+    box = IntervalTensor(np.zeros((3, 2)), np.zeros((3, 2)))
     got = losses.ibp_loss(box, np.zeros((3, 2)), np.array([0, 1, 0]), 0.0)
     assert got == pytest.approx(np.log(2.0))
 
@@ -71,7 +71,7 @@ def test_ibp_loss_worst_case_dominates_clean():
 
 
 def test_ibp_loss_rejects_bad_kappa():
-    box = IntervalTensor.point(np.zeros((1, 2)))
+    box = IntervalTensor(np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         losses.ibp_loss(box, np.zeros((1, 2)), np.array([0]), -0.1)
 
@@ -249,7 +249,7 @@ def test_interval_mixup_collapses_to_mixup_at_zero_radius():
     logits = rng.normal(size=(6, 3))
     ya = rng.integers(0, 3, size=6)
     yb = rng.integers(0, 3, size=6)
-    box = IntervalTensor.point(logits)
+    box = IntervalTensor(logits, logits)
     plain = losses.mixup_loss(logits, ya, yb, 0.35)
     for kappa in (0.0, 0.5, 1.0):
         got = losses.interval_mixup_loss(box, logits, ya, yb, 0.35, kappa)

@@ -215,12 +215,12 @@ def test_worst_case_logits_frozen_example():
 
 def test_worst_case_logits_point_box_is_the_logits():
     logits = np.array([[1.0, -2.0, 0.5]])
-    box = IntervalTensor.point(logits)
+    box = IntervalTensor(logits, logits)
     assert np.array_equal(nets.worst_case_logits(box, np.array([2])), logits)
 
 
 def test_worst_case_logits_rejects_bad_labels():
-    box = IntervalTensor.point(np.zeros((2, 3)))
+    box = IntervalTensor(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         nets.worst_case_logits(box, np.array([0, 3]))
     with pytest.raises(ValueError):
