@@ -186,8 +186,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def _check_bn_stats(path: str, spec: NetworkSpec, hypernet: Hypernetwork) -> None:
     """Each trained task needs one usable (mean, var) pair per batchnorm
-    layer; without it the forward passes fail, fall back to live batch
-    moments, or turn every logit into NaN."""
+    layer; without it the forward passes refuse the call, the point pass
+    normalizes with each batch's own moments, or every logit turns NaN."""
     layers = [index for index, layer in enumerate(spec.layers)
               if layer.kind == "batchnorm"]
     if not layers:

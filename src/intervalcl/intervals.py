@@ -13,8 +13,10 @@ the midpoint through the map and the radius through it with absolute
 weights. Batch normalization is the per-feature affine map ``weight * x +
 bias`` with ``weight = gamma / sqrt(var + eps)`` and ``bias = shift -
 weight * mean``: a point batch applies it directly, a box goes through the
-affine rule unmodified. Its moments are taken over both bounds jointly (or
-frozen), so a zero-radius input reproduces the point computation exactly.
+affine rule unmodified. Only a point batch may take live moments from
+itself; a box is always normalized with moments given to it (frozen, or
+captured from the point pass over the same step), so its bounds hold for
+the one network the point pass ran.
 Monotone activations and pooling apply the kernel to both bounds.
 
 Payloads may be ndarrays or autodiff Tensors; the kernels are written
@@ -141,21 +143,11 @@ def interval_activation(iv: IntervalTensor, kind: str) -> IntervalTensor:
     return IntervalTensor(activation(iv.lower, kind), activation(iv.upper, kind))
 
 
-def batch_moments(lower, upper, axes):
-    """Per-feature mean and population variance over both bounds jointly.
-
-    Equivalent to concatenating the lower and upper batches and taking the
-    moments of the result, but computed in a decomposed form so that a
-    degenerate box (lower == upper) yields the moments of the point batch
-    bit for bit.
-    """
-    mean = (ad.mean(lower, axes, keepdims=True)
-            + ad.mean(upper, axes, keepdims=True)) * 0.5
-    dev_l = lower - mean
-    dev_u = upper - mean
-    var = (ad.mean(dev_l * dev_l, axes, keepdims=True)
-           + ad.mean(dev_u * dev_u, axes, keepdims=True)) * 0.5
-    return mean, var
+def batch_moments(x, axes):
+    """Per-feature mean and population variance of the batch ``x``."""
+    mean = ad.mean(x, axes, keepdims=True)
+    dev = x - mean
+    return mean, ad.mean(dev * dev, axes, keepdims=True)
 
 
 def _bn_axes(shape) -> tuple:
@@ -166,39 +158,31 @@ def _bn_axes(shape) -> tuple:
     raise ValueError(f"batchnorm expects (B, F) or NHWC input, got {shape}")
 
 
-def _bn_fold(lower, upper, gamma, shift, eps, stats, capture):
-    """``(weight, bias)`` of batchnorm as the map ``x -> weight * x + bias``;
-    see :func:`interval_batchnorm` for ``stats`` and ``capture``."""
-    shape = np.shape(lower)
-    axes = _bn_axes(shape)
+def _bn_fold(x, gamma, shift, eps, stats):
+    """``(weight, bias)`` of batchnorm over inputs shaped like ``x`` with
+    moments ``stats = (mean, var)``, as the map ``x -> weight * x + bias``."""
+    shape = np.shape(x)
+    _bn_axes(shape)
     feat = shape[-1]
     if np.shape(gamma) != (feat,) or np.shape(shift) != (feat,):
         raise ValueError(f"gamma/shift must have shape ({feat},), got "
                          f"{np.shape(gamma)} and {np.shape(shift)}")
-    if stats is None:
-        mean, var = batch_moments(lower, upper, axes)
-    else:
-        mean, var = stats
-    if capture is not None:
-        capture.append((mean, var))
+    mean, var = stats
     weight = gamma / ad.sqrt(var + eps)
     return weight, shift - weight * mean
 
 
-def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, eps=1e-5,
-                       stats=None, capture=None) -> IntervalTensor:
+def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, stats,
+                       eps=1e-5) -> IntervalTensor:
     """Batch normalization over boxes, as the affine map ``weight * x + bias``.
 
     With ``weight = gamma / sqrt(var + eps)`` and ``bias = shift - weight *
-    mean``, the box goes through the shared affine rule unmodified. Without
-    ``stats``, moments are taken over the current batch of bounds (both
-    bounds pooled); pass ``stats=(mean, var)`` to normalize with frozen
-    moments instead. ``capture``, if given, receives the ``(mean, var)``
-    actually used. A negative ``gamma`` makes ``weight`` negative, which
-    flips which bound is which; the centre/half-width form keeps the output
-    ordered.
+    mean`` for the given moments ``stats = (mean, var)``, the box goes
+    through the shared affine rule unmodified. A negative ``gamma`` makes
+    ``weight`` negative, which flips which bound is which; the
+    centre/half-width form keeps the output ordered.
     """
-    weight, bias = _bn_fold(iv.lower, iv.upper, gamma, shift, eps, stats, capture)
+    weight, bias = _bn_fold(iv.lower, gamma, shift, eps, stats)
     return _affine_box(iv.lower, iv.upper, operator.mul, weight, bias)
 
 
@@ -206,10 +190,15 @@ def point_batchnorm(x, gamma, shift, *, eps=1e-5, stats=None, capture=None):
     """Batch normalization of a point batch: ``weight * x + bias`` with the
     folded map of :func:`interval_batchnorm`.
 
-    Live moments come from ``batch_moments(x, x)``, the formula the interval
-    rule uses, so a zero-radius box gives this result bit for bit.
+    Without ``stats`` the moments are the batch's own
+    (:func:`batch_moments`). ``capture``, if given, receives the ``(mean,
+    var)`` used, ready to hand to :func:`interval_batchnorm`.
     """
-    weight, bias = _bn_fold(x, x, gamma, shift, eps, stats, capture)
+    if stats is None:
+        stats = batch_moments(x, _bn_axes(np.shape(x)))
+    if capture is not None:
+        capture.append(stats)
+    weight, bias = _bn_fold(x, gamma, shift, eps, stats)
     return x * weight + bias
 
 
@@ -242,25 +231,30 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
                      samples: int, seed: int, tol: float = 1e-9) -> SoundnessReport:
     """Sample points from the input box and check containment at every layer.
 
-    For each box in the batch, ``samples`` uniform points are drawn, pushed
-    through the plain point forward pass (batch statistics frozen to the
-    ones the interval pass used), and every intermediate and final
-    activation is compared with the propagated bounds. Violations are
-    measured relative to ``max(1, |bound|)``; a sample counts as violating
-    if it escapes anywhere by more than ``tol``.
+    Batchnorm layers normalize with the moments of the box midpoints, taken
+    by one point pass, so the bounds and the sampled points go through the
+    same network. For each box in the batch, ``samples`` uniform points are
+    drawn, pushed through the plain point forward pass, and every
+    intermediate and final activation is compared with the propagated
+    bounds. Violations are measured relative to ``max(1, |bound|)``; a
+    sample counts as violating if it escapes anywhere by more than ``tol``.
     """
     from intervalcl import nets
 
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     lo = np.asarray(ad.payload(input_box.lower), dtype=np.float64)
     hi = np.asarray(ad.payload(input_box.upper), dtype=np.float64)
     rng = np.random.default_rng(seed)
     batch = lo.shape[0]
 
-    bn_capture: list = []
+    bn_stats: list = []
+    nets.forward_point(net_spec, params, (lo + hi) * 0.5, bn_capture=bn_stats)
     bound_trace: list = []
     nets.forward_interval(net_spec, params, input_box, record=bound_trace,
-                          bn_capture=bn_capture)
-    bn_stats = [(ad.payload(m), ad.payload(v)) for m, v in bn_capture] or None
+                          bn_stats=bn_stats)
 
     # One point forward over all boxes and draws at once: (B*S, features).
     draw = rng.uniform(0.0, 1.0, size=(samples,) + lo.shape)

@@ -202,30 +202,33 @@ class ParamSet:
 
 
 def forward_point(spec: NetworkSpec, params: ParamSet, x, *,
-                  bn_stats=None, record=None):
+                  bn_stats=None, record=None, bn_capture=None):
     """Plain forward pass over a batch; returns logits (B, classes).
 
     ``bn_stats`` supplies frozen (mean, var) pairs for the batchnorm layers
-    in order; without it each batchnorm normalizes with current batch
-    moments. ``record``, if a list, receives the input and every layer
-    output.
+    in order; without it each batchnorm normalizes with the moments of the
+    current batch. ``bn_capture``, if a list, receives the (mean, var) pair
+    each batchnorm used, ready to pass as ``bn_stats`` to
+    :func:`forward_interval`. ``record``, if a list, receives the input and
+    every layer output.
     """
-    return _walk(spec, params, x, bn_stats, record, None)
+    return _walk(spec, params, x, bn_stats, record, bn_capture)
 
 
 def forward_interval(spec: NetworkSpec, params: ParamSet, box, *,
-                     eps=None, bn_stats=None, record=None, bn_capture=None):
+                     eps=None, bn_stats=None, record=None):
     """Interval forward pass; returns an IntervalTensor of logit bounds.
 
     ``box`` is either an IntervalTensor or, with ``eps`` given, a batch of
-    points expanded to radius ``eps``. ``bn_capture`` collects the (mean,
-    var) pairs each batchnorm actually used, so they can be frozen later.
+    points expanded to radius ``eps``. A box takes no moments from itself:
+    a spec with batchnorm needs ``bn_stats``, the (mean, var) pairs frozen
+    after training or captured by :func:`forward_point`.
     """
     if not isinstance(box, IntervalTensor):
         if eps is None:
             raise ValueError("pass an IntervalTensor or points with eps")
         box = IntervalTensor.from_ball(box, eps)
-    return _walk(spec, params, box, bn_stats, record, bn_capture)
+    return _walk(spec, params, box, bn_stats, record, None)
 
 
 def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
@@ -242,6 +245,11 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
     if tuple(shape[1:]) != spec.input_shape:
         raise ValueError(f"input shape {tuple(shape[1:])} does not match spec "
                          f"{spec.input_shape}")
+    if bn_stats is not None:
+        layers = sum(layer.kind == "batchnorm" for layer in spec.layers)
+        if len(bn_stats) != layers:
+            raise ValueError(f"bn_stats holds {len(bn_stats)} batchnorm moment "
+                             f"pairs, network has {layers} batchnorm layers")
     if record is not None:
         record.append(x)
     bn_index = 0
@@ -264,9 +272,13 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
         elif kind == "batchnorm":
             stats = bn_stats[bn_index] if bn_stats is not None else None
             bn_index += 1
-            norm = iv.interval_batchnorm if boxed else iv.point_batchnorm
-            out = norm(out, params.get(index, "gamma"), params.get(index, "shift"),
-                       stats=stats, capture=bn_capture)
+            if boxed and stats is None:
+                raise ValueError(f"layer {index}: batchnorm on boxes needs "
+                                 "moments (bn_stats)")
+            gamma, shift = params.get(index, "gamma"), params.get(index, "shift")
+            out = (iv.interval_batchnorm(out, gamma, shift, stats=stats) if boxed
+                   else iv.point_batchnorm(out, gamma, shift, stats=stats,
+                                           capture=bn_capture))
         elif kind == "pool":
             out = (iv.interval_pool(out, layer.pool, layer.window, layer.stride)
                    if boxed else iv.pool(out, layer.pool, layer.window, layer.stride))

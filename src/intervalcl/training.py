@@ -1,13 +1,14 @@
 """Task-sequential training of the hypernetwork.
 
 One optimizer loop trains every task: generate the current task's target
-weights on the tape, propagate the point and the interval forward passes
-over the step's input box, blend the losses under the warmup schedule, add
-the output regularizer against weight vectors snapshotted before this task
-started, and update only the generator weights and the current task's
-embedding. Earlier embeddings are frozen and must come out of a task
-bitwise unchanged. ``train_task`` feeds the loop mixed (or plain IBP)
-minibatches, ``train_virtual`` a fixed set of interpolated samples.
+weights on the tape, propagate the point forward pass and then the interval
+pass (with the point pass's batchnorm moments) over the step's input box,
+blend the losses under the warmup schedule, add the output regularizer
+against weight vectors snapshotted before this task started, and update
+only the generator weights and the current task's embedding. Earlier
+embeddings are frozen and must come out of a task bitwise unchanged.
+``train_task`` feeds the loop mixed (or plain IBP) minibatches,
+``train_virtual`` a fixed set of interpolated samples.
 """
 
 from __future__ import annotations
@@ -149,11 +150,10 @@ def _validation_criterion(h, spec, task, val_data, cfg, snapshots) -> float:
     """Selection score: half-blend loss at the target radius, plus the
     regularizer, all in plain numpy."""
     params = nets.generate_params(h, spec, task)
-    bn_capture: list = []
+    stats: list = []
+    logits = nets.forward_point(spec, params, val_data.inputs, bn_capture=stats)
     bounds = nets.forward_interval(spec, params, val_data.inputs,
-                                   eps=cfg.loss.eps, bn_capture=bn_capture)
-    stats = [(np.asarray(m), np.asarray(v)) for m, v in bn_capture] or None
-    logits = nets.forward_point(spec, params, val_data.inputs, bn_stats=stats)
+                                   eps=cfg.loss.eps, bn_stats=stats)
     score = float(L.ibp_loss(bounds, logits, val_data.labels, 0.5))
     if snapshots and cfg.loss.beta > 0.0:
         current = [h.generate_flat(j) for j in range(task)]
@@ -161,16 +161,15 @@ def _validation_criterion(h, spec, task, val_data, cfg, snapshots) -> float:
     return score
 
 
-def _freeze_batch_stats(h, spec, task, inputs, cfg):
-    """One deterministic full pass at the target radius fixes the batchnorm
-    moments this task will use at evaluation time."""
+def _freeze_batch_stats(h, spec, task, inputs):
+    """One point pass over the training split fixes the batchnorm moments
+    this task will use at evaluation time."""
     if not any(layer.kind == "batchnorm" for layer in spec.layers):
         return
-    params = nets.generate_params(h, spec, task)
     capture: list = []
-    nets.forward_interval(spec, params, inputs, eps=cfg.loss.eps,
-                          bn_capture=capture)
-    h.bn_stats[task] = [(np.array(m), np.array(v)) for m, v in capture]
+    nets.forward_point(spec, nets.generate_params(h, spec, task), inputs,
+                       bn_capture=capture)
+    h.bn_stats[task] = capture
 
 
 def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
@@ -201,8 +200,9 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
 
         flat, _ = h.tape_generate(task, leaves=leaves)
         params = ParamSet(spec, flat)
-        logits = nets.forward_point(spec, params, x)
-        bounds = nets.forward_interval(spec, params, x, eps=radius)
+        stats: list = []
+        logits = nets.forward_point(spec, params, x, bn_capture=stats)
+        bounds = nets.forward_interval(spec, params, x, eps=radius, bn_stats=stats)
         if lam is None:
             task_loss = L.ibp_loss(bounds, logits, labels_a, kappa)
         else:
@@ -251,7 +251,7 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
     if task > 0 and not np.array_equal(h.embeddings[:task], frozen_before):
         raise AssertionError("frozen embeddings changed during training")
 
-    _freeze_batch_stats(h, spec, task, fit_inputs, cfg)
+    _freeze_batch_stats(h, spec, task, fit_inputs)
     h.trained_tasks = task + 1
     return log
 

@@ -232,10 +232,9 @@ def test_empty_batch_passes_through_and_refuses_a_mean(layers, input_shape):
     spec = nets.NetworkSpec(input_shape, layers, classes=3)
     rng = np.random.default_rng(4)
     params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
-    capture = []
-    nets.forward_interval(spec, params, rng.uniform(size=(3,) + input_shape),
-                          eps=0.1, bn_capture=capture)
-    stats = [(np.asarray(m), np.asarray(v)) for m, v in capture] or None
+    stats: list = []
+    nets.forward_point(spec, params, rng.uniform(size=(3,) + input_shape),
+                       bn_capture=stats)
     x = np.zeros((0,) + input_shape)
     y = np.zeros(0, dtype=np.int64)
     assert nets.forward_point(spec, params, x, bn_stats=stats).shape == (0, 3)
@@ -249,6 +248,67 @@ def test_empty_batch_passes_through_and_refuses_a_mean(layers, input_shape):
         ev.verified_accuracy(spec, params, x, y, 0.1, bn_stats=stats)
     with pytest.raises(ValueError, match="empty batch"):
         ad.softmax_cross_entropy(np.zeros((0, 3)), y)
+
+
+def _conv_batchnorm_case(seed):
+    """Conv -> batchnorm (layer 1) net, moments frozen from a separate fit
+    batch, and 16 test inputs labelled with their predicted classes."""
+    spec = nets.NetworkSpec(
+        (6, 6, 2),
+        [nets.conv(4, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
+         nets.flatten(), nets.dense(3)],
+        classes=3)
+    rng = np.random.default_rng(seed)
+    params = nets.ParamSet(spec, rng.normal(scale=0.5, size=spec.total_params))
+    stats: list = []
+    nets.forward_point(spec, params, rng.uniform(size=(20, 6, 6, 2)), bn_capture=stats)
+    x = rng.uniform(size=(16, 6, 6, 2))
+    y = np.argmax(nets.forward_point(spec, params, x, bn_stats=stats), axis=1)
+    return spec, params, stats, x, y, rng
+
+
+def test_interval_pass_refuses_batchnorm_without_moments():
+    spec, params, _, x, y, _ = _conv_batchnorm_case(0)
+    match = "layer 1: batchnorm on boxes needs moments"
+    with pytest.raises(ValueError, match=match):
+        nets.forward_interval(spec, params, x, eps=0.02)
+    with pytest.raises(ValueError, match=match):
+        ev.certify(spec, params, x, y, 0.02)
+    with pytest.raises(ValueError, match=match):
+        ev.verified_accuracy(spec, params, x, y, 0.02)
+
+
+def test_certificate_under_frozen_moments_ignores_batch_mates():
+    # Frozen moments fix one network, so a sample's bounds and flag may not
+    # depend on the other samples in its batch: bit for bit among other
+    # batch-mates. Alone, the final dense layer is a one-row matmul, which
+    # BLAS rounds differently, so there the flag must agree and the bounds
+    # to within a few ulps.
+    certified = refused = 0
+    for seed in range(6):
+        spec, params, stats, x, y, rng = _conv_batchnorm_case(seed)
+        mates = rng.uniform(size=(5, 6, 6, 2))
+        for eps in (0.005, 0.02, 0.05):
+            flags = ev.certify(spec, params, x, y, eps, bn_stats=stats)
+            bounds = nets.forward_interval(spec, params, x, eps=eps, bn_stats=stats)
+            certified += int(flags.sum())
+            refused += int((~flags).sum())
+            for i in range(len(x)):
+                batch = np.concatenate([mates, x[i:i + 1], mates[:2]])
+                labels = np.concatenate([y[:5], y[i:i + 1], y[:2]])
+                among = nets.forward_interval(spec, params, batch, eps=eps,
+                                              bn_stats=stats)
+                assert among.lower[5].tobytes() == bounds.lower[i].tobytes()
+                assert among.upper[5].tobytes() == bounds.upper[i].tobytes()
+                assert ev.certify(spec, params, batch, labels, eps,
+                                  bn_stats=stats)[5] == flags[i]
+                alone = nets.forward_interval(spec, params, x[i:i + 1], eps=eps,
+                                              bn_stats=stats)
+                for got, want in ((alone.lower, bounds.lower), (alone.upper, bounds.upper)):
+                    np.testing.assert_allclose(got[0], want[i], rtol=0, atol=1e-13)
+                assert ev.certify(spec, params, x[i:i + 1], y[i:i + 1], eps,
+                                  bn_stats=stats)[0] == flags[i]
+    assert certified > 0 and refused > 0
 
 
 def test_verified_accuracy_zero_eps_equals_clean(trained_blobs_model):

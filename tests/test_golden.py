@@ -9,7 +9,8 @@ not part of the training contract.
 
 The evaluation cases hash what the untaped path returns on fixed inputs:
 every layer's bounds and the certificates of a conv -> batchnorm ->
-maxpool network, the FGSM and PGD adversarial inputs, and the arrays of
+maxpool network under the moments its point pass captured, the FGSM and
+PGD adversarial inputs, and the arrays of
 the permuted and rotated image-task builders.
 
 The digests belong to one numpy/OpenBLAS build: another BLAS, or another
@@ -143,7 +144,7 @@ GOLDEN = {
     "plain_ibp":
         "dac4bc23550629dc039946eaf075fcb122232ab489dc57ec3b8ae5c5a97a4d8a",
     "conv_batchnorm":
-        "f336a6d43a9a8a8aaa28ac85730cb6791c3947320ec348c21bc73da252bfa104",
+        "d46cb1bfccbb28e2ae8ee6ba081c20375bdef398217a2a90421f36460a8ce9b0",
     "virtual_only":
         "3b406e7ea7dfcaf0dd40b06e82c4a6a795490433edd5d8f571e23febf83ea4bb",
 }
@@ -191,17 +192,15 @@ def _mlp_net():
 
 def conv_bounds_and_certificates():
     spec, params, x, y = _conv_net()
-    capture: list = []
-    arrays = [nets.forward_point(spec, params, x)]
-    for stats in (None, "frozen"):
-        bn_stats = capture[:1] if stats else None
-        for eps in (0.0, 0.004, 0.02, 0.1):
-            record: list = []
-            nets.forward_interval(spec, params, x, eps=eps, record=record,
-                                  bn_stats=bn_stats, bn_capture=capture)
-            arrays += [a for box in record[1:] for a in (box.lower, box.upper)]
-            arrays.append(ev.certify(spec, params, x, y, eps, bn_stats=bn_stats))
-        arrays.append(nets.forward_point(spec, params, x, bn_stats=capture[:1]))
+    stats: list = []
+    arrays = [nets.forward_point(spec, params, x, bn_capture=stats)]
+    for eps in (0.0, 0.004, 0.02, 0.1):
+        record: list = []
+        nets.forward_interval(spec, params, x, eps=eps, record=record,
+                              bn_stats=stats)
+        arrays += [a for box in record[1:] for a in (box.lower, box.upper)]
+        arrays.append(ev.certify(spec, params, x, y, eps, bn_stats=stats))
+    arrays.append(nets.forward_point(spec, params, x, bn_stats=stats))
     return _hash(arrays)
 
 
@@ -248,7 +247,7 @@ def image_tasks(builder, flat):
 
 EVAL_GOLDEN = {
     "conv_bounds_and_certificates":
-        "4a536279618879ebd072d512736e788f436b2681d79937dcd96a858d7631a892",
+        "f90c3e60268f3228909287b3c52d62360c5b2c1ecee9a7a0a13e1fe786b32a67",
     "attacks":
         "5f5a3205e611fd59e7b88441b50eb664872e5379dea9df04dd5b8700a432ed62",
     ("permuted", True):

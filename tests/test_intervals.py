@@ -174,22 +174,29 @@ def test_unknown_activation():
         iv.interval_activation(box, "tanh")
 
 
-def test_batch_moments_match_concatenated_batch():
+_MOMENTS_2_2 = (np.array([[2.0]]), np.array([[2.0]]))
+
+
+def test_batch_moments_match_numpy():
     rng = np.random.default_rng(2)
-    lower = rng.normal(size=(6, 4))
-    upper = lower + rng.uniform(0.0, 1.0, size=(6, 4))
-    mean, var = iv.batch_moments(lower, upper, (0,))
-    stacked = np.concatenate([lower, upper], axis=0)
-    assert np.allclose(mean[0], stacked.mean(axis=0), atol=1e-12)
-    assert np.allclose(var[0], stacked.var(axis=0), atol=1e-12)
+    flat = rng.normal(size=(6, 4))
+    mean, var = iv.batch_moments(flat, (0,))
+    assert mean.shape == var.shape == (1, 4)
+    assert np.allclose(mean, flat.mean(axis=0), atol=1e-12)
+    assert np.allclose(var, flat.var(axis=0), atol=1e-12)
+    nhwc = rng.normal(size=(2, 3, 3, 4))
+    mean, var = iv.batch_moments(nhwc, (0, 1, 2))
+    assert mean.shape == var.shape == (1, 1, 1, 4)
+    assert np.allclose(var, nhwc.var(axis=(0, 1, 2), keepdims=True), atol=1e-12)
 
 
 def test_batchnorm_frozen_example():
-    # Two scalar-feature samples with bounds [0,2] and [2,4]: pooled mean 2,
-    # population variance 2, so with unit gamma and zero shift the outputs
-    # are [-sqrt(2), 0] and [0, sqrt(2)].
+    # Two scalar-feature samples with bounds [0,2] and [2,4] under mean 2 and
+    # variance 2: with unit gamma and zero shift the outputs are
+    # [-sqrt(2), 0] and [0, sqrt(2)].
     box = IntervalTensor(np.array([[0.0], [2.0]]), np.array([[2.0], [4.0]]))
-    out = iv.interval_batchnorm(box, np.ones(1), np.zeros(1), eps=0.0)
+    out = iv.interval_batchnorm(box, np.ones(1), np.zeros(1), eps=0.0,
+                                stats=_MOMENTS_2_2)
     root2 = np.sqrt(2.0)
     assert np.allclose(out.lower, [[-root2], [0.0]], atol=1e-12)
     assert np.allclose(out.upper, [[0.0], [root2]], atol=1e-12)
@@ -197,8 +204,10 @@ def test_batchnorm_frozen_example():
 
 def test_batchnorm_negative_gamma_swaps_roles():
     box = IntervalTensor(np.array([[0.0], [2.0]]), np.array([[2.0], [4.0]]))
-    pos = iv.interval_batchnorm(box, np.ones(1), np.zeros(1), eps=0.0)
-    neg = iv.interval_batchnorm(box, -np.ones(1), np.zeros(1), eps=0.0)
+    pos = iv.interval_batchnorm(box, np.ones(1), np.zeros(1), eps=0.0,
+                                stats=_MOMENTS_2_2)
+    neg = iv.interval_batchnorm(box, -np.ones(1), np.zeros(1), eps=0.0,
+                                stats=_MOMENTS_2_2)
     assert np.allclose(neg.lower, -pos.upper, atol=1e-12)
     assert np.allclose(neg.upper, -pos.lower, atol=1e-12)
     assert np.all(neg.lower <= neg.upper)
@@ -219,8 +228,10 @@ def test_batchnorm_zero_radius_box_is_bitwise_point_path():
     x = rng.normal(size=(6, 3))
     gamma = rng.normal(size=3)
     shift = rng.normal(size=3)
-    out = iv.interval_batchnorm(IntervalTensor(x, x), gamma, shift)
-    point = iv.point_batchnorm(x, gamma, shift)
+    capture = []
+    point = iv.point_batchnorm(x, gamma, shift, capture=capture)
+    out = iv.interval_batchnorm(IntervalTensor(x, x), gamma, shift,
+                                stats=capture[0])
     assert np.array_equal(out.lower, point)
     assert np.array_equal(out.upper, point)
 
@@ -253,20 +264,25 @@ def test_batchnorm_box_is_the_exact_corner_hull(sign):
 def test_batchnorm_frozen_stats_and_capture():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 2))
-    box = IntervalTensor(x - 0.1, x + 0.1)
     capture = []
-    iv.interval_batchnorm(box, np.ones(2), np.zeros(2), capture=capture)
+    live = iv.point_batchnorm(x, np.ones(2), np.zeros(2), capture=capture)
     assert len(capture) == 1
     mean, var = capture[0]
-    frozen = iv.interval_batchnorm(box, np.ones(2), np.zeros(2), stats=(mean, var))
-    live = iv.interval_batchnorm(box, np.ones(2), np.zeros(2))
-    assert np.array_equal(frozen.lower, live.lower)
+    assert np.array_equal(mean, iv.batch_moments(x, (0,))[0])
+    frozen = iv.point_batchnorm(x, np.ones(2), np.zeros(2), stats=(mean, var))
+    assert np.array_equal(frozen, live)
     # Different batch with frozen stats differs from its own live stats.
-    other = IntervalTensor(x[:2] + 1.0, x[:2] + 1.2)
-    frozen_other = iv.interval_batchnorm(other, np.ones(2), np.zeros(2),
-                                         stats=(mean, var))
-    live_other = iv.interval_batchnorm(other, np.ones(2), np.zeros(2))
-    assert not np.allclose(frozen_other.lower, live_other.lower)
+    other = x[:2] + 1.0
+    frozen_other = iv.point_batchnorm(other, np.ones(2), np.zeros(2),
+                                      stats=(mean, var))
+    live_other = iv.point_batchnorm(other, np.ones(2), np.zeros(2))
+    assert not np.allclose(frozen_other, live_other)
+
+
+def test_interval_batchnorm_takes_no_moments_from_its_box():
+    box = IntervalTensor(np.zeros((2, 3)), np.ones((2, 3)))
+    with pytest.raises(TypeError, match="stats"):
+        iv.interval_batchnorm(box, np.ones(3), np.zeros(3))
 
 
 def test_batchnorm_nhwc_axes():
@@ -281,7 +297,8 @@ def test_batchnorm_nhwc_axes():
 def test_batchnorm_param_shape_error():
     box = IntervalTensor(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        iv.interval_batchnorm(box, np.ones(2), np.zeros(3))
+        iv.interval_batchnorm(box, np.ones(2), np.zeros(3),
+                              stats=(np.zeros((1, 3)), np.ones((1, 3))))
 
 
 def test_pool_max_and_avg_windows():
@@ -421,3 +438,16 @@ def test_soundness_zero_radius_has_zero_violation():
     report = iv.soundness_oracle(spec, params, IntervalTensor(x, x),
                                  samples=50, seed=4)
     assert report.max_violation <= 0.0
+
+
+@pytest.mark.parametrize("samples,match", [
+    (0, "samples must be at least 1, got 0"),
+    (-1, "samples must be at least 1, got -1"),
+    (2.0, "samples must be an integer"),
+])
+def test_soundness_oracle_refuses_bad_sample_counts(samples, match):
+    spec = nets.NetworkSpec((4,), nets.mlp_layers([6], 2), classes=2)
+    params = nets.ParamSet(spec, np.zeros(spec.total_params))
+    box = IntervalTensor.from_ball(np.zeros((1, 4)), 0.1)
+    with pytest.raises(ValueError, match=match):
+        iv.soundness_oracle(spec, params, box, samples=samples, seed=0)

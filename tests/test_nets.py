@@ -123,8 +123,9 @@ def test_interval_forward_collapses_bitwise_at_zero_radius():
         rng = np.random.default_rng(2)
         params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
         x = rng.uniform(size=(3,) + spec.input_shape)
-        point = nets.forward_point(spec, params, x)
-        bounds = nets.forward_interval(spec, params, x, eps=0.0)
+        stats: list = []
+        point = nets.forward_point(spec, params, x, bn_capture=stats)
+        bounds = nets.forward_interval(spec, params, x, eps=0.0, bn_stats=stats)
         assert np.array_equal(bounds.lower, point)
         assert np.array_equal(bounds.upper, point)
 
@@ -149,9 +150,10 @@ def test_forward_point_tensor_input_matches_ndarray_bitwise():
 
 
 def test_forward_interval_tensor_params_match_ndarray_bitwise():
-    # Training runs the interval pass on a Tensor-backed ParamSet,
-    # certification on the same flat vector as an ndarray: the bounds must
-    # agree bit for bit, with live and with frozen batchnorm moments.
+    # Training runs the interval pass on a Tensor-backed ParamSet with the
+    # moment Tensors its point pass captured, certification on the same flat
+    # vector as an ndarray with frozen moments: the bounds must agree bit
+    # for bit.
     conv = nets.NetworkSpec(
         (6, 6, 2),
         [nets.conv(4, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
@@ -166,17 +168,43 @@ def test_forward_interval_tensor_params_match_ndarray_bitwise():
             flat = rng.normal(scale=0.5, size=spec.total_params)
             x = rng.uniform(size=(4,) + spec.input_shape)
             eps = rng.uniform(0.0, 0.1)
-            capture: list = []
-            live = nets.forward_interval(spec, nets.ParamSet(spec, flat), x, eps=eps,
-                                         bn_capture=capture)
-            frozen = nets.forward_interval(spec, nets.ParamSet(spec, flat), x,
-                                           eps=eps, bn_stats=capture)
-            for plain, stats in ((live, None), (frozen, capture)):
-                taped = nets.forward_interval(spec, nets.ParamSet(spec, Tensor(flat)),
-                                              x, eps=eps, bn_stats=stats)
+            frozen: list = []
+            nets.forward_point(spec, nets.ParamSet(spec, flat), x, bn_capture=frozen)
+            plain = nets.forward_interval(spec, nets.ParamSet(spec, flat), x,
+                                          eps=eps, bn_stats=frozen)
+            taped_params = nets.ParamSet(spec, Tensor(flat))
+            captured: list = []
+            nets.forward_point(spec, taped_params, x, bn_capture=captured)
+            assert isinstance(captured[0][0], Tensor)
+            for stats in (captured, frozen):
+                taped = nets.forward_interval(spec, taped_params, x, eps=eps,
+                                              bn_stats=stats)
                 assert isinstance(taped.lower, Tensor)
                 for got, want in ((taped.lower, plain.lower), (taped.upper, plain.upper)):
                     assert got.value.tobytes() == want.tobytes(), (spec.layers, seed)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_bn_stats_must_hold_one_pair_per_batchnorm_layer(extra):
+    spec = nets.NetworkSpec(
+        (5,), [nets.dense(4), nets.batchnorm(), nets.act("relu"), nets.dense(3)],
+        classes=3)
+    rng = np.random.default_rng(0)
+    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    x = rng.uniform(size=(3, 5))
+    stats: list = []
+    nets.forward_point(spec, params, x, bn_capture=stats)
+    wrong = stats * (1 + extra)
+    match = f"bn_stats holds {1 + extra} batchnorm moment pairs, network has 1 "
+    with pytest.raises(ValueError, match=match):
+        nets.forward_point(spec, params, x, bn_stats=wrong)
+    with pytest.raises(ValueError, match=match):
+        nets.forward_interval(spec, params, x, eps=0.1, bn_stats=wrong)
+    # A network without batchnorm takes an empty list as it takes None.
+    mlp = small_mlp_spec()
+    mlp_params = nets.ParamSet(mlp, rng.normal(size=mlp.total_params))
+    assert np.array_equal(nets.forward_point(mlp, mlp_params, x[:, :4], bn_stats=[]),
+                          nets.forward_point(mlp, mlp_params, x[:, :4]))
 
 
 def test_interval_forward_nests_with_radius():
@@ -197,10 +225,9 @@ def test_interval_forward_record_aligns_with_point_record():
     x = rng.uniform(size=(2,) + spec.input_shape)
     boxes: list = []
     acts: list = []
-    capture: list = []
-    nets.forward_interval(spec, params, x, eps=0.0, record=boxes, bn_capture=capture)
-    stats = [(np.asarray(m), np.asarray(v)) for m, v in capture]
-    nets.forward_point(spec, params, x, record=acts, bn_stats=stats)
+    stats: list = []
+    nets.forward_point(spec, params, x, record=acts, bn_capture=stats)
+    nets.forward_interval(spec, params, x, eps=0.0, record=boxes, bn_stats=stats)
     assert len(boxes) == len(acts) == len(spec.layers) + 1
     for box, a in zip(boxes, acts):
         lo = box.lower if isinstance(box, IntervalTensor) else box
@@ -312,9 +339,9 @@ def test_generate_params_size_mismatch():
 def _relu_input_margin(spec, params, x, eps):
     """Smallest distance from 0 of any relu input in the point and interval
     passes; finite differences are only valid away from the kink."""
-    point, box = [], []
-    nets.forward_point(spec, params, x, record=point)
-    nets.forward_interval(spec, params, x, eps=eps, record=box)
+    point, box, stats = [], [], []
+    nets.forward_point(spec, params, x, record=point, bn_capture=stats)
+    nets.forward_interval(spec, params, x, eps=eps, record=box, bn_stats=stats)
     inputs = []
     for layer, p, b in zip(spec.layers, point, box):
         if layer.activation == "relu":
@@ -326,7 +353,8 @@ def test_end_to_end_gradient_through_generator_and_target():
     # The generated weights are an interior node: finite differences on the
     # hypernetwork leaves must match the tape through target forward, the
     # interval pass, and the worst-case logits. The image specs carry the
-    # gradient through conv, batchnorm with live moments, and avg/max pooling.
+    # gradient through conv, batchnorm with live moments (the point pass's,
+    # handed on to the interval pass as Tensors), and avg/max pooling.
     specs = (nets.NetworkSpec((3,), nets.mlp_layers([5], 2), classes=2),
              small_cnn_spec(), small_maxpool_sigmoid_spec())
     for index, spec in enumerate(specs):
@@ -346,8 +374,9 @@ def test_end_to_end_gradient_through_generator_and_target():
         def build():
             flat, _ = h.tape_generate(0, leaves=shared)
             params = nets.ParamSet(spec, flat)
-            logits = nets.forward_point(spec, params, x)
-            bounds = nets.forward_interval(spec, params, x, eps=0.05)
+            stats: list = []
+            logits = nets.forward_point(spec, params, x, bn_capture=stats)
+            bounds = nets.forward_interval(spec, params, x, eps=0.05, bn_stats=stats)
             wc = nets.worst_case_logits(bounds, y)
             return (ad.softmax_cross_entropy(logits, y)
                     + ad.softmax_cross_entropy(wc, y))

@@ -39,8 +39,9 @@ def test_forward_passes_record_layer_spans():
     tracer.install()
     tracer.active = True
     try:
-        nets.forward_interval(spec, params, x, eps=0.01)
-        nets.forward_point(spec, params, x)
+        stats: list = []
+        nets.forward_point(spec, params, x, bn_capture=stats)
+        nets.forward_interval(spec, params, x, eps=0.01, bn_stats=stats)
     finally:
         tracer.active = False
         tracer.uninstall()

@@ -318,6 +318,44 @@ def test_batchnorm_stats_are_frozen_per_task():
     assert acc1 == acc2
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_training_step_bounds_enclose_its_own_point_logits(monkeypatch, eps):
+    # A step's bounds hold only for the network its point pass ran, so the
+    # interval pass must normalize with the point pass's batchnorm moments.
+    # The generator is one bias-only layer, which makes the target weights
+    # exactly an N(0, 0.5^2) draw; one plain-IBP step at the full radius
+    # hands its bounds and point logits to ibp_loss.
+    spec = nets.NetworkSpec(
+        (8, 8, 1),
+        [nets.flatten(), nets.dense(16), nets.batchnorm(), nets.act("relu"),
+         nets.dense(10)],
+        classes=10)
+    seen = []
+    ibp_loss = L.ibp_loss
+
+    def recording(bounds, logits, labels, kappa):
+        seen.append((bounds.lower.value, logits.value, bounds.upper.value))
+        return ibp_loss(bounds, logits, labels, kappa)
+
+    monkeypatch.setattr(L, "ibp_loss", recording)
+    cfg = training.TrainerConfig(steps=1, batch_size=32, use_interval_mixup=False,
+                                 model_selection=False, loss=L.LossConfig(eps=eps))
+    escaped = 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        flat = rng.normal(scale=0.5, size=spec.total_params)
+        data = Data(rng.uniform(size=(32, 8, 8, 1)), rng.integers(0, 10, size=32))
+        h = nets.Hypernetwork(spec.total_params, 1, [], 1, rng)
+        weight, bias = h.weights[0]
+        weight[:] = 0.0
+        bias[:] = flat
+        training.train_task(h, spec, 0, data, cfg)
+        lower, logits, upper = seen[-1]
+        escaped += int(((logits < lower) | (logits > upper)).any(axis=1).sum())
+    assert len(seen) == 50
+    assert escaped == 0
+
+
 def test_train_sequence_single_task_matrix():
     spec, h = small_setup()
     task = make_blobs(14, 90, [[0.25, 0.25], [0.75, 0.75]])
@@ -439,7 +477,7 @@ def test_step_tape_walk_visits_only_grad_taking_nodes_in_full_walk_order():
 @pytest.mark.parametrize("input_shape,layers,classes,embedding,hidden,pins", [
     ((2,), nets.mlp_layers([16], 3), 3, 8, [32], (62, 72, 80)),
     ((8, 8, 1), [nets.conv(8, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
-                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (140, 152, 162)),
+                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (114, 126, 136)),
 ], ids=["blobs_mlp", "digits_conv"])
 def test_training_backward_tape_size_is_pinned(monkeypatch, input_shape, layers,
                                                classes, embedding, hidden, pins):
