@@ -22,9 +22,9 @@ networks, their losses, and gradient-based attacks need, and nothing else:
 - arithmetic: ``+``, ``-``, ``*``, ``/``, ``@`` and the dense node ``linear``;
 - elementwise: ``absolute``, ``relu``, ``sigmoid``, ``sqrt``;
 - reductions: ``sum``, ``mean`` and a one-axis ``max``;
-- shape: ``reshape``, the parameter-slot read ``slot``, and the one
-  sliding-window gather ``sliding_windows`` that convolution and pooling
-  both read;
+- shape: ``reshape``, the parameter-slot read ``slot``, the row stack
+  ``append_row``, and the one sliding-window gather ``sliding_windows``
+  that convolution and pooling both read;
 - loss: ``softmax_cross_entropy``, averaged or per sample (``softmax``
   itself takes arrays only: no loss differentiates through it).
 """
@@ -50,9 +50,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _add_into_zeros(shape, key, grad) -> np.ndarray:
-    """Zeros of ``shape`` with ``grad`` added at the basic index ``key``."""
+    """Zeros of ``shape`` with ``grad`` added at the slice ``key`` of their
+    C-order ravel."""
     gx = np.zeros(shape)
-    gx[key] += grad
+    gx.reshape(-1)[key] += grad
     return gx
 
 
@@ -275,16 +276,32 @@ def topological_order(root: Tensor) -> list[Tensor]:
 
 
 def slot(flat, offset: int, shape):
-    """``flat[offset:offset + size].reshape(shape)`` in one op.
+    """``flat.reshape(-1)[offset:offset + size].reshape(shape)`` in one op.
 
-    Reads one parameter slot out of a flat vector: on an ndarray a view (no
-    copy), on a Tensor one node whose backward writes the gradient into
-    zeros of the flat shape.
+    Reads one parameter slot out of a flat vector, or a run of elements out
+    of a block read in C order (one or more whole rows of a generated
+    weight block): on a contiguous ndarray a view (no copy), on a Tensor one
+    node whose backward writes the gradient into zeros of ``flat``'s shape.
     """
     vec = payload(flat)
     key = slice(offset, offset + math.prod(shape))
-    return _node(vec[key].reshape(shape), (flat,),
+    return _node(vec.reshape(-1)[key].reshape(shape), (flat,),
                  lambda g: _add_into_zeros(vec.shape, key, g.reshape(-1)))
+
+
+def append_row(block, row):
+    """``block`` (k, n) with ``row`` (n,) stacked under it as row k, in one op.
+
+    On the tape each operand's gradient is its own rows of the output's:
+    a constant block (frozen task embeddings) stays off the tape while a
+    Tensor row (the live one) takes the last row's gradient.
+    """
+    rows, vec = payload(block), payload(row)
+    if np.ndim(rows) != 2 or np.shape(vec) != (np.shape(rows)[1],):
+        raise ValueError(f"cannot append a row of shape {np.shape(vec)} "
+                         f"to a block of shape {np.shape(rows)}")
+    return _node(np.concatenate((rows, vec[None])), (block, row),
+                 lambda g: g[:-1], lambda g: g[-1])
 
 
 def zero_grads(leaves) -> None:

@@ -66,23 +66,28 @@ def ibp_loss(bounds: IntervalTensor, logits, labels, kappa):
 
 
 def output_reg_loss(snapshots, current):
-    """Mean squared drift of generated weight vectors for earlier tasks.
+    """Mean squared drift of the generated weight vectors of earlier tasks.
 
     ``snapshots`` holds the flat target vectors produced before the current
-    task started (no gradient); ``current`` the vectors the live generator
-    produces for the same embeddings. Each pair contributes the sum of
-    squared differences; pairs are averaged.
+    task started, one row per earlier task (no gradient); ``current`` is the
+    ``(tasks, P)`` block the live generator produces for the same
+    embeddings, a Tensor slice of the training step's generated block or an
+    array. Each row contributes its sum of squared differences; rows are
+    averaged.
     """
+    snapshots = np.asarray(snapshots, dtype=np.float64)
+    if not isinstance(current, ad.Tensor):
+        current = np.asarray(current, dtype=np.float64)
     if len(snapshots) == 0:
         raise ValueError("no earlier tasks to regularize")
-    if len(snapshots) != len(current):
-        raise ValueError(f"{len(snapshots)} snapshots vs {len(current)} current vectors")
-    total = None
-    for snap, cur in zip(snapshots, current):
-        diff = cur - np.asarray(snap)
-        term = (diff * diff).sum()
-        total = term if total is None else total + term
-    return total * (1.0 / len(snapshots))
+    if snapshots.ndim != 2:
+        raise ValueError(f"snapshots must hold one row per earlier task, "
+                         f"got shape {snapshots.shape}")
+    if snapshots.shape != current.shape:
+        raise ValueError(f"snapshots shaped {snapshots.shape} vs current "
+                         f"vectors shaped {current.shape}")
+    diff = current - snapshots
+    return (diff * diff).sum() * (1.0 / len(snapshots))
 
 
 def _mixing_coefficient(lam) -> np.ndarray:
@@ -102,6 +107,9 @@ def mixup_interpolate(xa, xb, lam):
     lam = _mixing_coefficient(lam)
     if lam.ndim == 1:
         # per-sample coefficients against batched inputs
+        if not sa or lam.size != sa[0]:
+            raise ValueError(f"{lam.size} mixing coefficients for inputs "
+                             f"shaped {sa}")
         lam = lam.reshape((-1,) + (1,) * (len(sa) - 1))
     return lam * xa + (1.0 - lam) * xb
 
@@ -209,6 +217,12 @@ def virtual_samples(points, labels, pairs, lam_grid):
     lam_grid = np.asarray(lam_grid, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"pairs must be shaped (P, 2), got {pairs.shape}")
+    if not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError(f"pair indices must be integers, got {pairs.dtype}")
+    count = len(points)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= count):
+        raise ValueError(f"pair indices must lie in [0, {count}), got "
+                         f"{pairs.min()}..{pairs.max()}")
     if lam_grid.ndim != 1 or lam_grid.size == 0:
         raise ValueError("need a non-empty coefficient grid")
     xa = points[pairs[:, 0]]
@@ -216,8 +230,7 @@ def virtual_samples(points, labels, pairs, lam_grid):
     ya = labels[pairs[:, 0]]
     yb = labels[pairs[:, 1]]
     blocks = [mixup_interpolate(xa, xb, float(lam)) for lam in lam_grid]
-    count = pairs.shape[0]
     return (np.concatenate(blocks, axis=0),
             np.tile(ya, lam_grid.size),
             np.tile(yb, lam_grid.size),
-            np.repeat(lam_grid, count))
+            np.repeat(lam_grid, pairs.shape[0]))

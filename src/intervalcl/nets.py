@@ -9,9 +9,12 @@ intermediate node of the graph, never a leaf.
 ``forward_point`` (ordinary activations) and ``forward_interval`` (boxes)
 are two entry points into one walk over the spec's layers. The walk applies
 each layer's kernel from :mod:`intervalcl.intervals` to a point batch, or
-the interval rule wrapping that kernel to a box. In the same way,
-``generate_flat`` (numpy, for evaluation) and ``tape_generate`` (for
-training) run one generator layer chain over an array or a Tensor.
+the interval rule wrapping that kernel to a box. In the same way, one
+generator layer chain maps a block of embedding rows to a block of weight
+rows, on an array or a Tensor: ``generate_flat`` (numpy, for evaluation)
+runs it over one task's row, and ``tape_generate`` (for training) over the
+current task's row stacked under every earlier task's, so one training
+step makes one generator pass whatever the task index.
 """
 
 from __future__ import annotations
@@ -354,35 +357,43 @@ class Hypernetwork:
             raise ValueError(
                 f"task {task} out of range for {self.layout.task_count} tasks")
 
-    def _generate(self, embedding, weights):
-        """The generator's layer chain, on an ndarray or a Tensor embedding."""
-        x = embedding.reshape(1, self.layout.embedding_dim)
+    def _generate(self, embeddings, weights):
+        """The generator's layer chain: a (k, embedding_dim) block of
+        embedding rows, ndarray or Tensor, to the (k, target_size) block of
+        their weight rows."""
+        x = embeddings
         last = len(weights) - 1
         for i, (w, b) in enumerate(weights):
             x = ad.linear(x, w, b)
             if i < last:
                 x = ad.relu(x)
-        return x.reshape(self.layout.target_size)
+        return x
 
     def generate_flat(self, task: int) -> np.ndarray:
         """Target weight vector for one task, plain numpy."""
         self._check_task(task)
-        return self._generate(self.embeddings[task], self.weights)
+        return self._generate(self.embeddings[task:task + 1],
+                              self.weights).reshape(self.layout.target_size)
 
-    def tape_generate(self, task: int, *, train_embedding: bool = True,
-                      leaves: dict | None = None):
-        """Differentiable generation.
+    def tape_generate(self, task: int, *, leaves: dict | None = None):
+        """Differentiable generation of tasks ``0..task`` in one pass.
 
-        Returns ``(flat, leaves)`` where ``flat`` is a Tensor holding the
-        target weights and ``leaves`` maps names to the trainable leaf
-        Tensors. Leaf values alias the stored arrays, so in-place optimizer
+        Returns ``(block, leaves)``. ``block`` is a ``(task + 1,
+        target_size)`` Tensor: row ``task`` holds the current task's target
+        weights and rows ``0..task-1`` every earlier task's, as the output
+        regularizer reads them. Each generator layer is one matmul over the
+        whole block, so its weight gradient is one product however many
+        rows there are. ``leaves`` maps names to the trainable leaf Tensors:
+        the generator weights and biases, and the current task's embedding.
+        Earlier embeddings enter as a constant array, so they take no
+        gradient. Leaf values alias the stored arrays, so in-place optimizer
         updates take effect immediately. Passing the same ``leaves`` dict
-        again reuses the leaf objects, letting several generations in one
-        step (or repeated builds in a gradient check) share gradients.
+        again reuses the leaf objects (repeated builds in a gradient check
+        share them); it must come from the same task.
 
-        A frozen embedding enters as the stored array itself, a constant:
-        gradients still flow to the generator weights but never into that
-        embedding.
+        Row 0 of ``tape_generate(0)`` is bitwise ``generate_flat(0)``; for a
+        later task the block's matmuls may round rows differently from the
+        one-row pass, by a few units in the last place.
         """
         self._check_task(task)
         if leaves is None:
@@ -393,12 +404,14 @@ class Hypernetwork:
                 leaves[name] = Tensor(array)
             return leaves[name]
 
-        embed = self.embeddings[task]
-        if train_embedding:
-            embed = leaf("embedding", embed)
+        embed = leaf("embedding", self.embeddings[task])
+        if not np.may_share_memory(embed.value, self.embeddings[task]):
+            raise ValueError(
+                f"leaves hold another task's embedding, not task {task}'s")
+        block = ad.append_row(self.embeddings[:task], embed)
         weights = [(leaf(f"w{i}", w), leaf(f"b{i}", b))
                    for i, (w, b) in enumerate(self.weights)]
-        return self._generate(embed, weights), leaves
+        return self._generate(block, weights), leaves
 
 
 def generate_params(h: Hypernetwork, spec: NetworkSpec, task: int) -> ParamSet:

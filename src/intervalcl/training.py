@@ -1,12 +1,15 @@
 """Task-sequential training of the hypernetwork.
 
-One optimizer loop trains every task: generate the current task's target
-weights on the tape, propagate the point forward pass and then the interval
-pass (with the point pass's batchnorm moments) over the step's input box,
-blend the losses under the warmup schedule, add the output regularizer
-against weight vectors snapshotted before this task started, and update
-only the generator weights and the current task's embedding. Earlier
-embeddings are frozen and must come out of a task bitwise unchanged.
+One optimizer loop trains every task. Each step makes one generator pass
+on the tape over the current task's embedding stacked under every earlier
+task's, giving one row of target weights per task. The current task's row
+feeds the point forward pass and then the interval pass (with the point
+pass's batchnorm moments) over the step's input box, and the losses are
+blended under the warmup schedule. The earlier rows feed the output
+regularizer, against the weight vectors snapshotted before this task
+started. Only the generator weights and the current task's embedding are
+updated: earlier embeddings enter the pass as constants and must come out
+of a task bitwise unchanged.
 ``train_task`` feeds the loop mixed (or plain IBP) minibatches,
 ``train_virtual`` a fixed set of interpolated samples.
 """
@@ -155,7 +158,7 @@ def _validation_criterion(h, spec, task, val_data, cfg, snapshots) -> float:
     bounds = nets.forward_interval(spec, params, val_data.inputs,
                                    eps=cfg.loss.eps, bn_stats=stats)
     score = float(L.ibp_loss(bounds, logits, val_data.labels, 0.5))
-    if snapshots and cfg.loss.beta > 0.0:
+    if task > 0 and cfg.loss.beta > 0.0:
         current = [h.generate_flat(j) for j in range(task)]
         score += cfg.loss.beta * float(L.output_reg_loss(snapshots, current))
     return score
@@ -186,7 +189,8 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
         raise ValueError(
             f"tasks must be trained in order: expected task {h.trained_tasks}, "
             f"got {task}")
-    snapshots = [h.generate_flat(j) for j in range(task)]
+    size = h.layout.target_size
+    snapshots = np.array([h.generate_flat(j) for j in range(task)])
     frozen_before = h.embeddings[:task].copy()
 
     leaves: dict = {}
@@ -198,8 +202,8 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
         kappa, eps_step = L.schedule_step(step, cfg.steps, cfg.loss.eps)
         x, labels_a, labels_b, lam, radius = batch(eps_step)
 
-        flat, _ = h.tape_generate(task, leaves=leaves)
-        params = ParamSet(spec, flat)
+        block, _ = h.tape_generate(task, leaves=leaves)
+        params = ParamSet(spec, ad.slot(block, task * size, (size,)))
         stats: list = []
         logits = nets.forward_point(spec, params, x, bn_capture=stats)
         bounds = nets.forward_interval(spec, params, x, eps=radius, bn_stats=stats)
@@ -211,9 +215,7 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
 
         total, reg_value = task_loss, 0.0
         if task > 0 and cfg.loss.beta > 0.0:
-            current = [h.tape_generate(j, train_embedding=False, leaves=leaves)[0]
-                       for j in range(task)]
-            reg = L.output_reg_loss(snapshots, current)
+            reg = L.output_reg_loss(snapshots, ad.slot(block, 0, (task, size)))
             total = task_loss + cfg.loss.beta * reg
             reg_value = float(reg.value)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from intervalcl.autodiff import Tensor, grad_check
+from intervalcl.autodiff import Tensor, grad_check, slot
 from intervalcl.data import (
     build_permuted_tasks,
     gen_blobs_tasks,
@@ -308,14 +308,16 @@ def test_a2_gradient_correctness():
         worst["interval_mixup"] = max(worst["interval_mixup"], err)
         assert err <= tol, f"interval mixup seed {seed}: {err:.2e}"
 
-    # Full training objective through the generator: mixed-sample interval
-    # loss for the live task plus the drift penalty on an earlier task.
+    # Full training objective through the generator, built from one
+    # generated block as training builds it: mixed-sample interval loss for
+    # the live task's row plus the drift penalty on two earlier tasks' rows.
     for seed in seeds:
         rng = np.random.default_rng(6000 + seed)
         spec = NetworkSpec((3,), [dense(5), act("sigmoid"), dense(3)], 3)
-        h = fresh_hypernet(spec, 2, 4, [8], seed)
-        snapshots = [h.generate_flat(0)]
-        h.trained_tasks = 1
+        size = spec.total_params
+        h = fresh_hypernet(spec, 3, 4, [8], seed)
+        snapshots = [h.generate_flat(0), h.generate_flat(1)]
+        h.trained_tasks = 2
         x = rng.uniform(0.1, 0.9, size=(4, 3))
         ya = rng.integers(0, 3, size=4)
         yb = rng.integers(0, 3, size=4)
@@ -324,14 +326,13 @@ def test_a2_gradient_correctness():
         leaves: dict = {}
 
         def build_total():
-            flat_t, _ = h.tape_generate(1, leaves=leaves)
-            params = ParamSet(spec, flat_t)
+            block, _ = h.tape_generate(2, leaves=leaves)
+            params = ParamSet(spec, slot(block, 2 * size, (size,)))
             logits = forward_point(spec, params, x)
             bounds = forward_interval(spec, params,
                                       IntervalTensor.from_ball(x, radius))
             task_loss = interval_mixup_loss(bounds, logits, ya, yb, lam, 0.8)
-            current = [h.tape_generate(0, train_embedding=False,
-                                       leaves=leaves)[0]]
+            current = slot(block, 0, (2, size))
             return task_loss + 0.01 * output_reg_loss(snapshots, current)
 
         build_total()  # populate the shared leaf dict once

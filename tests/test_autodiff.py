@@ -293,6 +293,43 @@ def test_slot_gradient_matches_finite_differences():
     assert ad.grad_check(build, [w]) <= 1e-8
 
 
+def test_slot_reads_a_block_in_c_order():
+    rng = np.random.default_rng(6)
+    block = Tensor(rng.normal(size=(3, 8)))
+    row = ad.slot(block, 8, (8,))
+    assert np.array_equal(row.value, block.value[1])
+    assert np.array_equal(ad.slot(block.value, 0, (2, 8)), block.value[:2])
+
+    def build():
+        head = ad.slot(block, 0, (2, 8))
+        return (head * head).sum() + (ad.slot(block, 16, (2, 4)) * 3.0).sum()
+
+    assert ad.grad_check(build, [block]) <= 1e-8
+
+
+def test_append_row_stacks_and_routes_the_gradient_to_its_operands():
+    rng = np.random.default_rng(7)
+    frozen = rng.normal(size=(2, 3))
+    row = Tensor(rng.normal(size=3))
+    out = ad.append_row(frozen, row)
+    assert np.array_equal(out.value, np.vstack([frozen, row.value]))
+    assert [id(p) for p in out._parents] == [id(row)]
+    weight = rng.normal(size=(3, 3))
+    (out * weight).sum().backward()
+    assert np.array_equal(row.grad, weight[2])
+    assert np.array_equal(ad.append_row(np.zeros((0, 3)), row.value),
+                          row.value[None])
+    both = Tensor(frozen)
+    ad.zero_grads([row])
+    ad.append_row(both, row).sum().backward()
+    assert np.array_equal(both.grad, np.ones((2, 3)))
+    assert np.array_equal(row.grad, np.ones(3))
+    with pytest.raises(ValueError, match="cannot append"):
+        ad.append_row(frozen, np.zeros(4))
+    with pytest.raises(ValueError, match="cannot append"):
+        ad.append_row(np.zeros(3), np.zeros(3))
+
+
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 

@@ -140,11 +140,11 @@ def virtual_only():
 
 GOLDEN = {
     "mixup_with_selection":
-        "1871b1b7d802285fc355c13cc472ed85bd81065e795087b95a44d3580c7e771e",
+        "7d4aec740da4a7609c452caaac69e97ab0a74c187bfadf8eb2c1b9585fa14adb",
     "plain_ibp":
-        "dac4bc23550629dc039946eaf075fcb122232ab489dc57ec3b8ae5c5a97a4d8a",
+        "e01f3b159adeb9aed485758712d35b93787f37fab8e987194586517238f1b313",
     "conv_batchnorm":
-        "d46cb1bfccbb28e2ae8ee6ba081c20375bdef398217a2a90421f36460a8ce9b0",
+        "a647ade8dd808096b623943ff45c94f877987888dfaca9bdf800df9237f739dc",
     "virtual_only":
         "3b406e7ea7dfcaf0dd40b06e82c4a6a795490433edd5d8f571e23febf83ea4bb",
 }

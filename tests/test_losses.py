@@ -90,8 +90,8 @@ def test_output_reg_all_ones_difference_gives_dimension():
 
 
 def test_output_reg_averages_over_tasks():
-    snaps = [np.zeros(2), np.zeros(4)]
-    cur = [np.array([1.0, 1.0]), np.array([1.0, 1.0, 1.0, 1.0])]
+    snaps = [np.zeros(4), np.zeros(4)]
+    cur = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
     assert losses.output_reg_loss(snaps, cur) == pytest.approx(3.0)
 
 
@@ -102,12 +102,21 @@ def test_output_reg_requires_earlier_tasks():
         losses.output_reg_loss([np.zeros(2)], [])
 
 
+def test_output_reg_refuses_mismatched_shapes_naming_both():
+    with pytest.raises(ValueError, match=r"\(1, 3\).*\(1, 4\)"):
+        losses.output_reg_loss([np.zeros(3)], [np.zeros(4)])
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(1, 3\)"):
+        losses.output_reg_loss(np.zeros((2, 3)), Tensor(np.zeros((1, 3))))
+    with pytest.raises(ValueError, match="one row per earlier task"):
+        losses.output_reg_loss(np.zeros(3), np.zeros(3))
+
+
 def test_output_reg_gradient_flows_to_current_only():
     snap = [np.ones(4)]
-    cur = Tensor(np.zeros(4))
-    loss = losses.output_reg_loss(snap, [cur])
+    cur = Tensor(np.zeros((1, 4)))
+    loss = losses.output_reg_loss(snap, cur)
     loss.backward()
-    assert np.allclose(cur.grad, -2.0 * np.ones(4))
+    assert np.allclose(cur.grad, -2.0 * np.ones((1, 4)))
 
 
 # ---- mixup ---------------------------------------------------------------
@@ -139,6 +148,14 @@ def test_mixup_interpolate_per_sample_lambda():
     lam = np.array([0.0, 0.5, 1.0])
     got = losses.mixup_interpolate(xa, xb, lam)
     assert np.allclose(got, [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+
+
+def test_mixup_interpolate_refuses_lambda_of_another_length():
+    with pytest.raises(ValueError, match="3 mixing coefficients"):
+        losses.mixup_interpolate(np.ones((5, 2)), np.zeros((5, 2)),
+                                 np.full(3, 0.5))
+    with pytest.raises(ValueError, match="2 mixing coefficients"):
+        losses.mixup_interpolate(1.0, 0.0, np.full(2, 0.5))
 
 
 def test_scaled_radius_midpoint_is_zero_for_all_kinds():
@@ -426,6 +443,17 @@ class TestVirtualSamples:
         with pytest.raises(ValueError, match="pairs"):
             virtual_samples(np.zeros((3, 2)), np.zeros(3, dtype=int),
                             np.array([0, 1]), np.array([0.5]))
+
+    @pytest.mark.parametrize("pairs", [[[0, -1]], [[0, 5]], [[3, 0]]])
+    def test_pair_index_out_of_range(self, pairs):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            virtual_samples(np.zeros((3, 2)), np.zeros(3, dtype=int),
+                            np.array(pairs), np.array([0.5]))
+
+    def test_pair_index_not_integer(self):
+        with pytest.raises(ValueError, match="integers"):
+            virtual_samples(np.zeros((3, 2)), np.zeros(3, dtype=int),
+                            np.array([[0.0, 1.0]]), np.array([0.5]))
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="grid"):

@@ -425,24 +425,25 @@ def test_train_sequence_task_count_mismatch():
 
 def second_task_step_loss():
     """The loss of one step on task 1, built the way ``training._train``
-    builds it: mixup task loss plus the output regularizer on task 0,
-    whose frozen embedding enters as a constant. Returns the loss and the
-    generator's trainable leaves."""
+    builds it from one generated block: mixup task loss on row 1 plus the
+    output regularizer on row 0, whose frozen embedding enters as a
+    constant. Returns the loss and the generator's trainable leaves."""
     spec = nets.NetworkSpec((2,), nets.mlp_layers([6], 2), classes=2)
-    h = nets.Hypernetwork(spec.total_params, 3, [5], 2, np.random.default_rng(4))
+    size = spec.total_params
+    h = nets.Hypernetwork(size, 3, [5], 2, np.random.default_rng(4))
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(4, 2))
     labels = np.array([0, 1, 1, 0])
     snapshots = [h.generate_flat(0)]
     leaves = {}
-    flat, _ = h.tape_generate(1, leaves=leaves)
-    params = nets.ParamSet(spec, flat)
+    block, _ = h.tape_generate(1, leaves=leaves)
+    params = nets.ParamSet(spec, ad.slot(block, size, (size,)))
     logits = nets.forward_point(spec, params, x)
     bounds = nets.forward_interval(spec, params, x, eps=0.05)
     task_loss = L.interval_mixup_loss(bounds, logits, labels, labels[::-1],
                                       0.3, 0.75)
-    current = [h.tape_generate(0, train_embedding=False, leaves=leaves)[0]]
-    return task_loss + 0.5 * L.output_reg_loss(snapshots, current), leaves
+    reg = L.output_reg_loss(snapshots, ad.slot(block, 0, (1, size)))
+    return task_loss + 0.5 * reg, leaves
 
 
 def unpruned_order(root):
@@ -474,17 +475,49 @@ def test_step_tape_walk_visits_only_grad_taking_nodes_in_full_walk_order():
     assert all(leaf.grad is not None for leaf in tape_leaves)
 
 
+def test_later_task_step_leaves_earlier_embeddings_off_the_tape(monkeypatch):
+    # One step on task 2 makes one generation, whose leaves are the
+    # generator's and task 2's embedding: embeddings 0 and 1 take no
+    # gradient and come out bitwise unchanged.
+    spec, h = small_setup(task_count=3)
+    train = make_blobs(0, 40, [[0.3, 0.3], [0.7, 0.7]])
+    cfg = quick_cfg(steps=1, loss=L.LossConfig(eps=0.05, beta=0.5))
+    for task in range(2):
+        training.train_task(h, spec, task, train, cfg)
+    frozen = h.embeddings[:2].copy()
+    calls = []
+    generate = nets.Hypernetwork.tape_generate
+
+    def recording(self, task, **kwargs):
+        block, leaves = generate(self, task, **kwargs)
+        calls.append((task, block.shape, leaves))
+        return block, leaves
+
+    monkeypatch.setattr(nets.Hypernetwork, "tape_generate", recording)
+    training.train_task(h, spec, 2, train, cfg)
+    assert [(task, shape) for task, shape, _ in calls] == [
+        (2, (3, spec.total_params))]
+    leaves = calls[0][2]
+    assert np.may_share_memory(leaves["embedding"].value, h.embeddings[2])
+    assert not any(np.may_share_memory(leaf.value, h.embeddings[:2])
+                   for leaf in leaves.values())
+    assert all(leaf.grad is not None for leaf in leaves.values())
+    assert np.array_equal(h.embeddings[:2], frozen)
+
+
 @pytest.mark.parametrize("input_shape,layers,classes,embedding,hidden,pins", [
-    ((2,), nets.mlp_layers([16], 3), 3, 8, [32], (62, 72, 80)),
+    ((2,), nets.mlp_layers([16], 3), 3, 8, [32], (62, 69, 69)),
     ((8, 8, 1), [nets.conv(8, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
-                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (114, 126, 136)),
+                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (114, 121, 121)),
 ], ids=["blobs_mlp", "digits_conv"])
 def test_training_backward_tape_size_is_pinned(monkeypatch, input_shape, layers,
                                                classes, embedding, hidden, pins):
     # Nodes per training backward for tasks 0/1/2 of the benchmark's
     # blobs_mlp and digits_conv architectures and trainer settings. The
     # count depends only on the architecture, so tiny random data will do.
-    # A change to the tape size updates these pins.
+    # One generator pass serves every task, so from task 1 on the count no
+    # longer grows with the task index. A change to the tape size updates
+    # these pins.
     counts = []
     walk = ad.topological_order
 
