@@ -25,8 +25,9 @@ networks, their losses, and gradient-based attacks need, and nothing else:
 - shape: ``reshape``, the parameter-slot read ``slot``, the row stack
   ``append_row``, and the one sliding-window gather ``sliding_windows``
   that convolution and pooling both read;
-- loss: ``softmax_cross_entropy``, averaged or per sample (``softmax``
-  itself takes arrays only: no loss differentiates through it).
+- loss: ``softmax_cross_entropy``, the batch mean against (B, K) target
+  rows that ``onehot`` builds from labels (``softmax`` itself takes arrays
+  only: no loss differentiates through it).
 """
 
 from __future__ import annotations
@@ -403,40 +404,43 @@ def check_labels(labels, batch: int, classes: int) -> np.ndarray:
     return labels
 
 
-def _probs_minus_onehot(exp, total, labels) -> np.ndarray:
-    """softmax - onehot(labels) from the forward pass's ``exp`` and its row
-    sums ``total``, the onehot taken in place (bitwise: p - 0.0 is p)."""
-    diff = exp / total
-    diff[np.arange(len(labels)), labels] -= 1.0
-    return diff
+def onehot(labels, classes: int) -> np.ndarray:
+    """(B, classes) float64 rows with a 1.0 at each label, refused unless
+    ``labels`` is a 1-d integer array of values in [0, classes)."""
+    labels = check_labels(labels, np.size(labels), classes)
+    rows = np.zeros((labels.size, classes))
+    rows[np.arange(labels.size), labels] = 1.0
+    return rows
 
 
-def softmax_cross_entropy(logits, labels, reduction="mean"):
-    """Cross-entropy between softmax(logits) and integer labels.
+def softmax_cross_entropy(logits, targets):
+    """Batch mean of the cross-entropy of softmax(logits) against target rows.
 
-    Args:
-        logits: (B, K) Tensor or ndarray.
-        labels: (B,) integer array.
-        reduction: "mean" or "none" (per-sample vector).
+    ``logits`` is a (B, K) Tensor or ndarray, ``targets`` a non-negative
+    (B, K) array. With ``mass_i`` the row sum, sample i scores
+    ``mass_i * logsumexp(z_i) - t_i . z_i``: a one-hot row gives the
+    hard-label loss, a row ``lam * a + (1 - lam) * b`` MixUp's loss. The
+    gradient is ``(mass * softmax - t) / B``.
     """
-    if reduction not in ("mean", "none"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     val = payload(logits)
-    if val.ndim != 2:
-        raise ValueError(f"expected (batch, classes) logits, got {val.shape}")
+    targets = np.asarray(targets, dtype=np.float64)
+    if val.ndim != 2 or targets.shape != val.shape:
+        raise ValueError(f"targets shaped {targets.shape} for logits shaped "
+                         f"{val.shape}; need equal (batch, classes) shapes")
     batch = val.shape[0]
-    labels = check_labels(labels, batch, val.shape[1])
-    if reduction == "mean" and batch == 0:
+    if batch == 0:
         raise ValueError("mean cross-entropy over an empty batch")
+    # Written so that NaN fails the check.
+    if not targets.min() >= 0.0:
+        raise ValueError("cross-entropy targets must be non-negative")
     top = val.max(axis=1, keepdims=True)
     exp = np.exp(val - top)
     total = exp.sum(axis=1, keepdims=True)
-    per_sample = (np.log(total) + top)[:, 0] - val[np.arange(batch), labels]
-    if reduction == "mean":
-        return _node(per_sample.mean(), (logits,),
-                     lambda g: g * _probs_minus_onehot(exp, total, labels) / batch)
-    return _node(per_sample, (logits,),
-                 lambda g: g[:, None] * _probs_minus_onehot(exp, total, labels))
+    # einsum: a third of sum(axis=1)'s time on narrow rows. One-hot rows add exact zeros.
+    mass = np.einsum("ij->i", targets)
+    per_sample = mass * (np.log(total) + top)[:, 0] - np.einsum("ij,ij->i", targets, val)
+    return _node(per_sample.mean(), (logits,),
+                 lambda g: g * (mass[:, None] * (exp / total) - targets) / batch)
 
 
 def grad_check(build, leaves, *, step=1e-6, rng=None, max_coords=None):

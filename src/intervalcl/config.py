@@ -39,7 +39,7 @@ SCHEMA: dict[str, dict[str, Field]] = {
                         choices=("glyphs", "idx")),
         "images": Field("str", "", "IDX image file (source = idx)"),
         "labels": Field("str", "", "IDX label file (source = idx)"),
-        "tasks": Field("int", 3, "number of tasks T"),
+        "tasks": Field("int", 3, "number of tasks T", minimum=1),
         "seed": Field("int", 0, "seed for generation, splits, permutations",
                       minimum=0),
         "angles": Field("floats", (), "rotation angle per task (kind = rotated)"),
@@ -47,8 +47,8 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "base_count": Field("int", 3000,
                             "glyph images generated before splitting"),
         "noise": Field("float", 0.08, "glyph pixel noise level"),
-        "classes": Field("int", 3, "classes per task (kind = blobs)"),
-        "dims": Field("int", 2, "input dimension (kind = blobs)"),
+        "classes": Field("int", 3, "classes per task (kind = blobs)", minimum=2),
+        "dims": Field("int", 2, "input dimension (kind = blobs)", minimum=1),
         "separation": Field("float", 0.35, "minimum blob mean distance"),
         "spread": Field("float", 0.05, "blob standard deviation"),
         "train_size": Field("int", 300, "training samples per task"),
@@ -85,7 +85,8 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "model_selection": Field("bool", True,
                                  "restore the best validation snapshot"),
         "lam_steps": Field("int", 11,
-                           "mixing grid size per pair (toy2d training)"),
+                           "mixing grid size per pair (toy2d training)",
+                           minimum=1),
     },
     "attack": {
         "enabled": Field("bool", True,

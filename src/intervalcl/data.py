@@ -272,6 +272,9 @@ def gen_blobs_tasks(task_count: int, *, classes: int = 3, dims: int = 2,
     Pass ``means`` with shape (task_count, classes, dims) to place the
     clusters explicitly instead; ``separation`` is then ignored.
     """
+    for name, value in (("classes", classes), ("dims", dims)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if means is not None:
         means = np.asarray(means, dtype=np.float64)
         if means.shape != (task_count, classes, dims):

@@ -71,13 +71,6 @@ def clean_accuracy(spec, params, inputs, labels, bn_stats=None) -> float:
     return _share(np.argmax(logits, axis=1) == labels)
 
 
-def _input_gradient(spec, params, inputs, labels, bn_stats):
-    x = Tensor(inputs)
-    logits = nets.forward_point(spec, params, x, bn_stats=bn_stats)
-    ad.softmax_cross_entropy(logits, labels).backward()
-    return x.grad
-
-
 def pgd(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.ndarray:
     """Iterated signed ascent projected to the eps-ball and the [0, 1] box.
 
@@ -85,6 +78,7 @@ def pgd(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.nd
     one signed gradient step of size eps, clipped to the [0, 1] box.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
+    targets = ad.onehot(labels, spec.classes)
     step = cfg.step if cfg.step is not None else cfg.eps / 4.0
     rng = np.random.default_rng(cfg.seed)
     if cfg.random_start:
@@ -93,8 +87,10 @@ def pgd(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.nd
         x = inputs.copy()
     x = np.clip(x, 0.0, 1.0)
     for _ in range(cfg.iters):
-        grad = _input_gradient(spec, params, x, labels, bn_stats)
-        x = x + step * np.sign(grad)
+        point = Tensor(x)
+        logits = nets.forward_point(spec, params, point, bn_stats=bn_stats)
+        ad.softmax_cross_entropy(logits, targets).backward()
+        x = x + step * np.sign(point.grad)
         x = np.clip(x, inputs - cfg.eps, inputs + cfg.eps)
         x = np.clip(x, 0.0, 1.0)
     return x

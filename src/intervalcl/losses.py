@@ -1,10 +1,11 @@
 """Training losses, MixUp interpolation, and the warmup schedules.
 
-All losses return scalars and run on the tape or on plain arrays. The
-fence-sitting constant ``kappa`` blends the clean cross-entropy with the
-worst-case (bound-based) cross-entropy; MixUp variants weight per-sample
-cross-entropies by the mixing coefficient, which may be a scalar or a
-per-sample vector.
+All losses return scalars and run on the tape or on plain arrays. Each one
+is a sum of batch-mean cross-entropies against target rows: one-hot rows
+for hard labels, and for MixUp the rows ``lam * onehot(a)`` and
+``(1 - lam) * onehot(b)``, with ``lam`` a scalar or one value per sample.
+The fence-sitting constant ``kappa`` blends the clean cross-entropy with
+the worst-case (bound-based) cross-entropy.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ def ibp_loss(bounds: IntervalTensor, logits, labels, kappa):
     on the adversarial logit vector read off the bounds.
     """
     _check_kappa(kappa)
-    labels = np.asarray(labels)
-    clean = ad.softmax_cross_entropy(logits, labels)
-    worst = ad.softmax_cross_entropy(worst_case_logits(bounds, labels), labels)
+    rows = ad.onehot(labels, bounds.shape[-1])
+    clean = ad.softmax_cross_entropy(logits, rows)
+    worst = ad.softmax_cross_entropy(worst_case_logits(bounds, labels), rows)
     return kappa * clean + (1.0 - kappa) * worst
 
 
@@ -140,20 +141,26 @@ def scaled_radius(lam, eps, kind: str = "linear"):
     return eps * shrink
 
 
-def _weighted_pair_ce(logits_a, logits_b, labels_a, labels_b, lam):
-    """Batch mean of ``lam * CE(logits_a, a) + (1 - lam) * CE(logits_b, b)``."""
-    ce_a = ad.softmax_cross_entropy(logits_a, labels_a, reduction="none")
-    ce_b = ad.softmax_cross_entropy(logits_b, labels_b, reduction="none")
-    return ad.mean(lam * ce_a + (1.0 - lam) * ce_b)
+def _mixed_targets(labels_a, labels_b, lam, classes):
+    """Target rows ``lam * onehot(a)`` and ``(1 - lam) * onehot(b)``."""
+    lam = _mixing_coefficient(lam)
+    rows_a, rows_b = ad.onehot(labels_a, classes), ad.onehot(labels_b, classes)
+    if rows_a.shape != rows_b.shape:
+        raise ValueError(f"cannot mix labels shaped {np.shape(labels_a)} and {np.shape(labels_b)}")
+    if lam.ndim:
+        if lam.shape != (len(rows_a),):
+            raise ValueError(f"mixing coefficients shaped {lam.shape} for "
+                             f"labels shaped {np.shape(labels_a)}")
+        lam = lam[:, None]
+    return lam * rows_a, (1.0 - lam) * rows_b
 
 
 def mixup_loss(logits, labels_a, labels_b, lam):
-    """Cross-entropy of mixed virtual samples against both source labels.
-
-    ``lam`` may be one scalar for the whole batch or a per-sample vector.
-    """
-    return _weighted_pair_ce(logits, logits, labels_a, labels_b,
-                             _mixing_coefficient(lam))
+    """Cross-entropy of virtual samples against the mixed label
+    ``lam * a + (1 - lam) * b``, with ``lam`` a scalar or one per sample."""
+    rows_a, rows_b = _mixed_targets(labels_a, labels_b, lam,
+                                    ad.payload(logits).shape[-1])
+    return ad.softmax_cross_entropy(logits, rows_a + rows_b)
 
 
 def interval_mixup_loss(bounds: IntervalTensor, logits, labels_a, labels_b,
@@ -161,15 +168,14 @@ def interval_mixup_loss(bounds: IntervalTensor, logits, labels_a, labels_b,
     """MixUp loss fused with its worst-case counterpart.
 
     The clean part scores the point logits of the virtual sample against
-    both source labels; the worst-case part scores the adversarial logit
-    vectors taken under each label in turn, with the same weights.
+    the mixed label; the worst-case part scores the adversarial logit
+    vector taken under each label against that label's weighted row.
     """
     _check_kappa(kappa)
-    lam = _mixing_coefficient(lam)
-    clean = _weighted_pair_ce(logits, logits, labels_a, labels_b, lam)
-    worst = _weighted_pair_ce(worst_case_logits(bounds, labels_a),
-                              worst_case_logits(bounds, labels_b),
-                              labels_a, labels_b, lam)
+    rows_a, rows_b = _mixed_targets(labels_a, labels_b, lam, bounds.shape[-1])
+    clean = ad.softmax_cross_entropy(logits, rows_a + rows_b)
+    worst = (ad.softmax_cross_entropy(worst_case_logits(bounds, labels_a), rows_a)
+             + ad.softmax_cross_entropy(worst_case_logits(bounds, labels_b), rows_b))
     return kappa * clean + (1.0 - kappa) * worst
 
 

@@ -300,11 +300,9 @@ def worst_case_logits(bounds: IntervalTensor, labels):
 
     Differentiable in the bounds; ``labels`` is a (B,) integer array.
     """
-    width = bounds.shape[-1]
-    batch = bounds.shape[0]
-    labels = ad.check_labels(labels, batch, width)
-    onehot = np.zeros((batch, width))
-    onehot[np.arange(batch), labels] = 1.0
+    onehot = ad.onehot(labels, bounds.shape[-1])
+    if len(onehot) != bounds.shape[0]:
+        raise ValueError(f"labels shape {np.shape(labels)} does not match batch {bounds.shape[0]}")
     return onehot * bounds.lower + (1.0 - onehot) * bounds.upper
 
 

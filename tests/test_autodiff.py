@@ -502,7 +502,7 @@ def test_softmax_rows_sum_to_one():
 
 def test_softmax_cross_entropy_uniform_logits():
     logits = np.zeros((2, 4))
-    loss = ad.softmax_cross_entropy(logits, np.array([0, 3]))
+    loss = ad.softmax_cross_entropy(logits, ad.onehot(np.array([0, 3]), 4))
     assert loss == pytest.approx(np.log(4.0))
 
 
@@ -512,40 +512,126 @@ def test_softmax_cross_entropy_matches_manual():
     labels = rng.integers(0, 3, size=6)
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     manual = -np.log(probs[np.arange(6), labels])
-    got = ad.softmax_cross_entropy(logits, labels, reduction="none")
+    rows = ad.onehot(labels, 3)
+    got = [ad.softmax_cross_entropy(logits[i:i + 1], rows[i:i + 1]) for i in range(6)]
     assert np.allclose(got, manual, atol=1e-12)
-    assert ad.softmax_cross_entropy(logits, labels) == pytest.approx(manual.mean())
+    assert ad.softmax_cross_entropy(logits, rows) == pytest.approx(manual.mean())
 
 
-@pytest.mark.parametrize("reduction", ["mean", "none"])
-def test_softmax_cross_entropy_gradient(reduction):
+def test_onehot_rows_are_bitwise_the_hand_formula():
+    # Value: mean of log sum exp(z - top) + top - z_y; gradient:
+    # (softmax - onehot) / B. A one-hot row adds exact zeros, so both hold
+    # to the last bit.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        batch, classes = int(rng.integers(1, 80)), int(rng.integers(2, 12))
+        z = rng.normal(size=(batch, classes)) * rng.uniform(0.1, 30.0)
+        y = rng.integers(0, classes, size=batch)
+        rows = ad.onehot(y, classes)
+        top = z.max(axis=1, keepdims=True)
+        per_sample = ((np.log(np.exp(z - top).sum(axis=1, keepdims=True)) + top)[:, 0]
+                      - z[np.arange(batch), y])
+        logits = Tensor(z)
+        loss = ad.softmax_cross_entropy(logits, rows)
+        loss.backward()
+        assert loss.value.tobytes() == per_sample.mean().tobytes(), seed
+        want = (ad.softmax(z) - rows) / batch
+        assert logits.grad.tobytes() == want.tobytes(), seed
+
+
+def test_mixed_rows_are_the_weighted_pair_of_hard_label_losses():
+    rng = np.random.default_rng(12)
+    z = rng.normal(size=(7, 5)) * 3.0
+    ya, yb = rng.integers(0, 5, size=7), rng.integers(0, 5, size=7)
+    lam = 0.37
+    rows_a, rows_b = ad.onehot(ya, 5), ad.onehot(yb, 5)
+    got = ad.softmax_cross_entropy(z, lam * rows_a + (1.0 - lam) * rows_b)
+    want = (lam * ad.softmax_cross_entropy(z, rows_a)
+            + (1.0 - lam) * ad.softmax_cross_entropy(z, rows_b))
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    logits = Tensor(z)
+    lam_rows = rng.uniform(size=(7, 1))
+    targets = lam_rows * rows_a + (1.0 - lam_rows) * rows_b
+    assert ad.grad_check(lambda: ad.softmax_cross_entropy(logits, targets),
+                         [logits]) <= 1e-7
+
+
+def test_row_mass_scales_the_loss():
+    rng = np.random.default_rng(13)
+    z = rng.normal(size=(4, 3))
+    t = rng.uniform(size=(4, 3))
+    t /= t.sum(axis=1, keepdims=True)
+    unit = ad.softmax_cross_entropy(z, t)
+    # Scaling by a power of two is exact, so the loss scales bitwise.
+    for scale in (0.25, 2.0, 8.0):
+        assert ad.softmax_cross_entropy(z, scale * t) == scale * unit
+    assert ad.softmax_cross_entropy(z, 0.3 * t) == pytest.approx(0.3 * unit, rel=1e-15)
+    # A row of mass 0 scores 0 and takes no gradient.
+    logits = Tensor(z)
+    ad.softmax_cross_entropy(logits, np.zeros((4, 3))).backward()
+    assert not logits.grad.any()
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]]), np.array([0, 1]),
+    np.ones((2, 3, 1)),
+], ids=["rows", "width", "labels", "3d"])
+def test_softmax_cross_entropy_refuses_other_target_shapes(rows):
+    with pytest.raises(ValueError) as info:
+        ad.softmax_cross_entropy(np.zeros((2, 3)), rows)
+    assert str(rows.shape) in str(info.value) and "(2, 3)" in str(info.value)
+
+
+def test_softmax_cross_entropy_refuses_empty_and_negative_targets():
+    with pytest.raises(ValueError, match="empty batch"):
+        ad.softmax_cross_entropy(np.zeros((0, 3)), np.zeros((0, 3)))
+    for bad in (-0.5, np.nan):
+        rows = np.full((2, 3), 0.5)
+        rows[1, 2] = bad
+        with pytest.raises(ValueError, match="non-negative"):
+            ad.softmax_cross_entropy(np.zeros((2, 3)), rows)
+
+
+@pytest.mark.parametrize("rows", ["onehot", "weighted"])
+def test_softmax_cross_entropy_gradient(rows):
     rng = np.random.default_rng(11)
     logits = Tensor(rng.normal(size=(5, 4)))
-    labels = rng.integers(0, 4, size=5)
-    weights = rng.uniform(0.5, 1.5, size=5)
+    targets = ad.onehot(rng.integers(0, 4, size=5), 4)
+    if rows == "weighted":
+        targets *= rng.uniform(0.5, 1.5, size=(5, 1))
 
     def build():
-        loss = ad.softmax_cross_entropy(logits, labels, reduction=reduction)
-        if reduction == "none":
-            return (loss * weights).sum()
-        return loss
+        return ad.softmax_cross_entropy(logits, targets)
 
     assert ad.grad_check(build, [logits]) <= 1e-7
 
 
 def test_softmax_cross_entropy_is_overflow_safe():
     logits = np.array([[1000.0, 0.0], [-1000.0, 0.0]])
-    loss = ad.softmax_cross_entropy(logits, np.array([0, 0]), reduction="none")
+    rows = ad.onehot(np.array([0, 0]), 2)
+    loss = [ad.softmax_cross_entropy(logits[i:i + 1], rows[i:i + 1]) for i in range(2)]
     assert np.isfinite(loss).all()
     assert loss[0] == pytest.approx(0.0, abs=1e-12)
     assert loss[1] == pytest.approx(1000.0, rel=1e-9)
 
 
-def test_softmax_cross_entropy_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        ad.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
-    with pytest.raises(ValueError):
-        ad.softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
+def test_onehot_rows():
+    rows = ad.onehot(np.array([2, 0, 2]), 3)
+    assert rows.dtype == np.float64
+    assert np.array_equal(rows, [[0, 0, 1], [1, 0, 0], [0, 0, 1]])
+    assert ad.onehot(np.zeros(0, dtype=np.int64), 3).shape == (0, 3)
+
+
+def test_onehot_refuses_bad_labels():
+    for labels, match in ((np.array([0, 3]), "out of range"),
+                          (np.array([-1, 0]), "out of range"),
+                          (np.array([0.0, 1.0]), "must be integers"),
+                          (np.array([True, False]), "must be integers"),
+                          (np.array([[0, 1]]), "does not match"),
+                          (np.array(1), "does not match")):
+        with pytest.raises(ValueError, match=match):
+            ad.onehot(labels, 3)
 
 
 def test_grad_check_flags_a_wrong_gradient():

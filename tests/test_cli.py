@@ -388,6 +388,10 @@ class TestExitCodes:
         ("toy2d", "train.seed=-1"), ("toy2d", "output.grid_resolution=0"),
         ("toy2d", "output.grid_resolution=1"),
         ("toy2d", "output.grid_resolution=-1"),
+        ("train", "data.classes=0"), ("train", "data.classes=1"),
+        ("train", "data.classes=-2"), ("train", "data.dims=0"),
+        ("train", "data.dims=-1"), ("train", "data.tasks=0"),
+        ("toy2d", "train.lam_steps=0"), ("toy2d", "train.lam_steps=-1"),
     ])
     def test_value_below_key_minimum_names_key_and_value(self, tmp_path, capsys,
                                                           command, override):

@@ -393,6 +393,14 @@ class TestBlobs:
             with pytest.raises(ValueError, match="spread must be finite"):
                 gen_blobs_tasks(1, spread=spread, **kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("classes", 0), ("classes", -2), ("dims", 0), ("dims", -1)])
+    def test_non_positive_family_size_refused_by_name(self, name, value):
+        # These used to fail inside numpy: a zero-size minimum, or negative
+        # dimensions.
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+            gen_blobs_tasks(1, **{name: value})
+
     def test_zero_spread_puts_samples_on_the_means(self):
         task = gen_blobs_tasks(1, classes=2, spread=0.0, seed=5)[0]
         means = task.descriptor["means"]

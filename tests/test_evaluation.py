@@ -24,7 +24,7 @@ def fgsm_reference(spec, params, x, y, eps, bn_stats=None):
     """FGSM by its formula: clip(x + eps * sign(grad_x CE), 0, 1)."""
     xt = Tensor(x.copy())
     logits = nets.forward_point(spec, params, xt, bn_stats=bn_stats)
-    ad.softmax_cross_entropy(logits, y).backward()
+    ad.softmax_cross_entropy(logits, ad.onehot(y, spec.classes)).backward()
     return np.clip(x + eps * np.sign(xt.grad), 0.0, 1.0)
 
 
@@ -215,7 +215,7 @@ def test_labels_must_be_integers(labels):
     with pytest.raises(ValueError, match="must be integers"):
         ev.certify(spec, params, x, labels, 0.1)
     with pytest.raises(ValueError, match="must be integers"):
-        ad.softmax_cross_entropy(x, labels)
+        ad.onehot(labels, 2)
     with pytest.raises(ValueError, match="must be integers"):
         nets.worst_case_logits(nets.forward_interval(spec, params, x, eps=0.1),
                                labels)
@@ -241,13 +241,13 @@ def test_empty_batch_passes_through_and_refuses_a_mean(layers, input_shape):
     bounds = nets.forward_interval(spec, params, x, eps=0.1, bn_stats=stats)
     assert bounds.shape == (0, 3)
     assert ev.certify(spec, params, x, y, 0.1, bn_stats=stats).shape == (0,)
-    assert ad.softmax_cross_entropy(np.zeros((0, 3)), y, reduction="none").shape == (0,)
+    assert ad.onehot(y, 3).shape == (0, 3)
     with pytest.raises(ValueError, match="empty batch"):
         ev.clean_accuracy(spec, params, x, y, bn_stats=stats)
     with pytest.raises(ValueError, match="empty batch"):
         ev.verified_accuracy(spec, params, x, y, 0.1, bn_stats=stats)
     with pytest.raises(ValueError, match="empty batch"):
-        ad.softmax_cross_entropy(np.zeros((0, 3)), y)
+        ad.softmax_cross_entropy(np.zeros((0, 3)), ad.onehot(y, 3))
 
 
 def _conv_batchnorm_case(seed):

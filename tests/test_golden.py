@@ -140,13 +140,13 @@ def virtual_only():
 
 GOLDEN = {
     "mixup_with_selection":
-        "7d4aec740da4a7609c452caaac69e97ab0a74c187bfadf8eb2c1b9585fa14adb",
+        "a1b10bc675fba901fe8053098e7f6e55c9120c6a57bc262bfd709483da62d9ce",
     "plain_ibp":
         "e01f3b159adeb9aed485758712d35b93787f37fab8e987194586517238f1b313",
     "conv_batchnorm":
-        "a647ade8dd808096b623943ff45c94f877987888dfaca9bdf800df9237f739dc",
+        "a8c685c9c0d6bad88ca0dc4ba5d55cd2ea7f447ed0efdaa099dc96ce42e75269",
     "virtual_only":
-        "3b406e7ea7dfcaf0dd40b06e82c4a6a795490433edd5d8f571e23febf83ea4bb",
+        "d834c550c8373add049f86982ddb68c4a147d6ab324f29e845aa6fc31c2ad7a2",
 }
 
 

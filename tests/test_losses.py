@@ -36,7 +36,7 @@ def test_ibp_loss_collapses_to_cross_entropy_at_zero_radius():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(6, 3))
     labels = rng.integers(0, 3, size=6)
-    ce = ad.softmax_cross_entropy(logits, labels)
+    ce = ad.softmax_cross_entropy(logits, ad.onehot(labels, 3))
     box = IntervalTensor(logits, logits)
     for kappa in (0.0, 0.3, 1.0):
         got = losses.ibp_loss(box, logits, labels, kappa)
@@ -49,7 +49,7 @@ def test_ibp_loss_kappa_one_is_clean_loss():
     labels = rng.integers(0, 3, size=4)
     box = IntervalTensor.from_ball(logits, 0.5)
     got = losses.ibp_loss(box, logits, labels, 1.0)
-    assert got == pytest.approx(ad.softmax_cross_entropy(logits, labels))
+    assert got == pytest.approx(ad.softmax_cross_entropy(logits, ad.onehot(labels, 3)))
 
 
 def test_ibp_loss_zero_width_two_class_uniform():
@@ -225,7 +225,8 @@ def test_mixup_loss_identical_labels_is_plain_ce():
     logits = rng.normal(size=(5, 3))
     labels = rng.integers(0, 3, size=5)
     got = losses.mixup_loss(logits, labels, labels, 0.3)
-    assert got == pytest.approx(ad.softmax_cross_entropy(logits, labels), rel=1e-12)
+    assert got == pytest.approx(ad.softmax_cross_entropy(logits, ad.onehot(labels, 3)),
+                                rel=1e-12)
 
 
 def test_mixup_loss_endpoint_reduces_to_one_label():
@@ -234,9 +235,9 @@ def test_mixup_loss_endpoint_reduces_to_one_label():
     ya = rng.integers(0, 3, size=5)
     yb = rng.integers(0, 3, size=5)
     assert losses.mixup_loss(logits, ya, yb, 1.0) == pytest.approx(
-        ad.softmax_cross_entropy(logits, ya))
+        ad.softmax_cross_entropy(logits, ad.onehot(ya, 3)))
     assert losses.mixup_loss(logits, ya, yb, 0.0) == pytest.approx(
-        ad.softmax_cross_entropy(logits, yb))
+        ad.softmax_cross_entropy(logits, ad.onehot(yb, 3)))
 
 
 def test_mixup_loss_uniform_logits():
@@ -252,10 +253,39 @@ def test_mixup_loss_per_sample_lambda_matches_manual():
     ya = rng.integers(0, 3, size=4)
     yb = rng.integers(0, 3, size=4)
     lam = np.array([0.1, 0.4, 0.9, 1.0])
-    ce_a = ad.softmax_cross_entropy(logits, ya, reduction="none")
-    ce_b = ad.softmax_cross_entropy(logits, yb, reduction="none")
+    lse = np.log(np.exp(logits).sum(axis=1))
+    ce_a = lse - logits[np.arange(4), ya]
+    ce_b = lse - logits[np.arange(4), yb]
     manual = np.mean(lam * ce_a + (1.0 - lam) * ce_b)
     assert losses.mixup_loss(logits, ya, yb, lam) == pytest.approx(manual, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [np.array([0.1, 0.9, 0.5]),
+                                 np.array([[0.1], [0.9], [0.5], [0.3]])],
+                         ids=["short", "column"])
+def test_mixup_losses_refuse_lambda_neither_scalar_nor_per_sample(lam):
+    # A short vector used to die in numpy's broadcasting; a (B, 1) column
+    # was silently averaged over a B x B outer grid.
+    rng = np.random.default_rng(0)
+    logits = rng.normal(size=(4, 3))
+    ya, yb = np.array([0, 1, 2, 0]), np.array([1, 2, 0, 2])
+    box = IntervalTensor.from_ball(logits, 0.1)
+    for call in (lambda: losses.mixup_loss(logits, ya, yb, lam),
+                 lambda: losses.interval_mixup_loss(box, logits, ya, yb, lam, 0.5)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(lam.shape) in str(info.value) and "(4,)" in str(info.value)
+
+
+def test_mixup_losses_refuse_label_vectors_of_different_lengths():
+    # One label in the second vector would broadcast over the whole batch.
+    logits = np.zeros((4, 3))
+    ya, yb = np.array([0, 1, 2, 0]), np.array([1])
+    box = IntervalTensor.from_ball(logits, 0.1)
+    with pytest.raises(ValueError, match=r"\(4,\) and \(1,\)"):
+        losses.mixup_loss(logits, ya, yb, 0.5)
+    with pytest.raises(ValueError, match=r"\(4,\) and \(1,\)"):
+        losses.interval_mixup_loss(box, logits, ya, yb, 0.5, 0.5)
 
 
 # ---- interval mixup ------------------------------------------------------

@@ -404,8 +404,9 @@ def test_end_to_end_gradient_through_generator_and_target():
             logits = nets.forward_point(spec, params, x, bn_capture=stats)
             bounds = nets.forward_interval(spec, params, x, eps=0.05, bn_stats=stats)
             wc = nets.worst_case_logits(bounds, y)
-            return (ad.softmax_cross_entropy(logits, y)
-                    + ad.softmax_cross_entropy(wc, y))
+            rows = ad.onehot(y, spec.classes)
+            return (ad.softmax_cross_entropy(logits, rows)
+                    + ad.softmax_cross_entropy(wc, rows))
 
         build()
         err = ad.grad_check(build, list(shared.values()), rng=rng, max_coords=10)

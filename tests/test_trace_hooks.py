@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from intervalcl import autodiff as ad
-from intervalcl import checkpoint, nets
+from intervalcl import checkpoint, data, losses, nets, training
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -88,7 +88,7 @@ def test_backward_records_its_pruned_node_count():
     flat, _ = h.tape_generate(0)
     x = np.random.default_rng(3).uniform(size=(2, 3))
     logits = nets.forward_point(spec, nets.ParamSet(spec, flat), x)
-    loss = ad.softmax_cross_entropy(logits, np.array([0, 1]))
+    loss = ad.softmax_cross_entropy(logits, ad.onehot(np.array([0, 1]), 2))
     expected = len(ad.topological_order(loss))
 
     tracer = load_spans().Tracer()
@@ -101,3 +101,30 @@ def test_backward_records_its_pruned_node_count():
         tracer.uninstall()
 
     assert tracer.nodes_per_backward == [expected]
+
+
+def test_mixup_training_records_one_loss_span_per_step_and_per_validation():
+    # The benchmark's loss spans patch ``losses.interval_mixup_loss`` and
+    # ``losses.ibp_loss``; training and validation must reach both through
+    # the module.
+    spec = nets.NetworkSpec((2,), nets.mlp_layers([4], 2), classes=2)
+    h = nets.Hypernetwork(spec.total_params, 3, [5], task_count=1,
+                          rng=np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    split = data.LabeledData(rng.uniform(size=(8, 2)), np.arange(8) % 2)
+    cfg = training.TrainerConfig(steps=6, batch_size=4, seed=1, val_every=2,
+                                 use_interval_mixup=True, model_selection=True,
+                                 loss=losses.LossConfig(eps=0.05))
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        training.train_task(h, spec, 0, split, cfg, val_data=split)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+
+    calls, _ = tracer.self_times()
+    assert calls["losses.interval_mixup_loss"] == 6
+    assert calls["losses.ibp_loss"] == 3

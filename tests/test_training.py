@@ -506,18 +506,19 @@ def test_later_task_step_leaves_earlier_embeddings_off_the_tape(monkeypatch):
 
 
 @pytest.mark.parametrize("input_shape,layers,classes,embedding,hidden,pins", [
-    ((2,), nets.mlp_layers([16], 3), 3, 8, [32], (62, 69, 69)),
+    ((2,), nets.mlp_layers([16], 3), 3, 8, [32], (52, 59, 59)),
+    ((64,), nets.mlp_layers([48], 10), 10, 24, [64, 64], (56, 63, 63)),
     ((8, 8, 1), [nets.conv(8, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
-                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (114, 121, 121)),
-], ids=["blobs_mlp", "digits_conv"])
+                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (104, 111, 111)),
+], ids=["blobs_mlp", "digits_mlp", "digits_conv"])
 def test_training_backward_tape_size_is_pinned(monkeypatch, input_shape, layers,
                                                classes, embedding, hidden, pins):
-    # Nodes per training backward for tasks 0/1/2 of the benchmark's
-    # blobs_mlp and digits_conv architectures and trainer settings. The
-    # count depends only on the architecture, so tiny random data will do.
-    # One generator pass serves every task, so from task 1 on the count no
-    # longer grows with the task index. A change to the tape size updates
-    # these pins.
+    # Nodes per training backward for tasks 0/1/2 of the benchmark's three
+    # architectures and trainer settings. The count depends only on the
+    # architecture, so tiny random data will do. One generator pass serves
+    # every task, so from task 1 on the count no longer grows with the task
+    # index; the MixUp head is one cross-entropy per target-row set. A
+    # change to the tape size updates these pins.
     counts = []
     walk = ad.topological_order
 
