@@ -3,13 +3,14 @@
 Attack gradients go through the plain point forward pass; certification
 goes through the interval pass. The two never substitute for each other:
 an attack failing is evidence, a certificate is proof, and tests hold the
-certificate to the stronger standard. The one attack loop is ``pgd``;
+certificate to the stronger standard. The one attack is ``pgd``: it takes
+inputs in the [0, 1] box and projects onto the eps-ball within that box;
 FGSM is its single full step of size eps from the clean input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +24,8 @@ from intervalcl.autodiff import Tensor
 class AttackConfig:
     """Gradient attack settings.
 
-    kind: "fgsm" or "pgd"; "fgsm" is one PGD step of size eps from the
-        clean input, so it ignores step, iters and random_start. To run no
+    kind: "fgsm" or "pgd"; ``pgd`` runs "fgsm" as one step of size eps from
+        the clean input, ignoring step, iters and random_start. To run no
         attack, pass no config (``None``) where one is optional.
     eps: attack radius in the input box.
     step: PGD ascent step; defaults to eps / 4 when unset.
@@ -72,42 +73,40 @@ def clean_accuracy(spec, params, inputs, labels, bn_stats=None) -> float:
 
 
 def pgd(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.ndarray:
-    """Iterated signed ascent projected to the eps-ball and the [0, 1] box.
+    """Signed cross-entropy ascent from ``inputs``, which must lie in [0, 1],
+    projected onto the eps-ball intersected with the [0, 1] box.
 
-    With one iteration, no random start and a step of eps, this is FGSM:
-    one signed gradient step of size eps, clipped to the [0, 1] box.
+    An empty batch or eps 0 comes back unchanged. ``kind="fgsm"`` is FGSM:
+    one signed gradient step of size eps from the clean input.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
+    # Written so that NaN fails the range check.
+    if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
+        raise ValueError("attack inputs must lie in [0, 1]")
+    labels = ad.check_labels(labels, len(inputs), spec.classes)
+    if len(inputs) == 0 or cfg.eps == 0.0:
+        return inputs
+    fgsm = cfg.kind == "fgsm"
+    step = cfg.eps if fgsm else cfg.step if cfg.step is not None else cfg.eps / 4.0
     targets = ad.onehot(labels, spec.classes)
-    step = cfg.step if cfg.step is not None else cfg.eps / 4.0
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.random_start:
-        x = inputs + rng.uniform(-cfg.eps, cfg.eps, size=inputs.shape)
-    else:
-        x = inputs.copy()
-    x = np.clip(x, 0.0, 1.0)
-    for _ in range(cfg.iters):
+    # The ball meets the box at ``inputs``, so one clip onto the intersection
+    # is bitwise a clip onto the ball followed by one onto the box.
+    low, high = np.maximum(inputs - cfg.eps, 0.0), np.minimum(inputs + cfg.eps, 1.0)
+    x = inputs
+    if cfg.random_start and not fgsm:
+        rng = np.random.default_rng(cfg.seed)
+        x = np.clip(inputs + rng.uniform(-cfg.eps, cfg.eps, inputs.shape), low, high)
+    for _ in range(1 if fgsm else cfg.iters):
         point = Tensor(x)
         logits = nets.forward_point(spec, params, point, bn_stats=bn_stats)
         ad.softmax_cross_entropy(logits, targets).backward()
-        x = x + step * np.sign(point.grad)
-        x = np.clip(x, inputs - cfg.eps, inputs + cfg.eps)
-        x = np.clip(x, 0.0, 1.0)
+        x = np.clip(x + step * np.sign(point.grad), low, high)
     return x
-
-
-def attack(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.ndarray:
-    """Adversarial version of ``inputs`` under the configured attack."""
-    if cfg.eps == 0.0:
-        return np.asarray(inputs, dtype=np.float64)
-    if cfg.kind == "fgsm":
-        cfg = replace(cfg, step=cfg.eps, iters=1, random_start=False)
-    return pgd(spec, params, inputs, labels, cfg, bn_stats=bn_stats)
 
 
 def attacked_accuracy(spec, params, inputs, labels, cfg: AttackConfig,
                       bn_stats=None) -> float:
-    adv = attack(spec, params, inputs, labels, cfg, bn_stats=bn_stats)
+    adv = pgd(spec, params, inputs, labels, cfg, bn_stats=bn_stats)
     return clean_accuracy(spec, params, adv, labels, bn_stats=bn_stats)
 
 
@@ -238,9 +237,9 @@ def cil_evaluate(h, spec, test_sets, attack_cfg: AttackConfig | None = None) -> 
     """Class-incremental accuracy over one test set per trained task.
 
     A sample counts as correct only when both the inferred task and the
-    predicted class are right. With an attack configured, inputs are
-    perturbed against the true task's network first, then task inference
-    runs on the perturbed inputs.
+    predicted class are right. With an attack configured, ``pgd`` first
+    perturbs the inputs (which must lie in [0, 1]) against the true task's
+    network, then task inference runs on the perturbed inputs.
     """
     if len(test_sets) != h.trained_tasks:
         raise ValueError(
@@ -254,8 +253,8 @@ def cil_evaluate(h, spec, test_sets, attack_cfg: AttackConfig | None = None) -> 
         labels = np.asarray(data.labels)
         if attack_cfg is not None:
             params = nets.generate_params(h, spec, t)
-            inputs = attack(spec, params, inputs, labels, attack_cfg,
-                            bn_stats=h.bn_stats.get(t))
+            inputs = pgd(spec, params, inputs, labels, attack_cfg,
+                         bn_stats=h.bn_stats.get(t))
         task_pred, class_pred = cil_infer(h, spec, inputs)
         right_task = task_pred == t
         right_full = right_task & (class_pred == labels)

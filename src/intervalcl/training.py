@@ -274,10 +274,16 @@ def train_task(h: Hypernetwork, spec: NetworkSpec, task: int, train_data,
     if inputs.shape[0] != labels.shape[0]:
         raise ValueError(
             f"{inputs.shape[0]} inputs vs {labels.shape[0]} labels")
-    if (cfg.model_selection and val_data is not None
-            and len(val_data.labels) == 0):
-        raise ValueError("empty validation set: model selection has "
-                         "nothing to score")
+    if cfg.model_selection and val_data is not None:
+        if len(val_data.labels) == 0:
+            raise ValueError("empty validation set: model selection has "
+                             "nothing to score")
+        # Refused here, not at step val_every after the generator has moved.
+        ad.check_labels(val_data.labels, len(val_data.inputs), spec.classes)
+        if np.shape(val_data.inputs)[1:] != spec.input_shape:
+            raise ValueError(
+                f"validation inputs shaped {np.shape(val_data.inputs)[1:]} per "
+                f"sample, network reads {spec.input_shape}")
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(task,)))

@@ -83,7 +83,7 @@ def test_fgsm_zero_eps_is_identity():
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(8, 2))
     y = rng.integers(0, 2, size=8)
-    adv = ev.attack(spec, params, x, y, ev.AttackConfig(kind="fgsm", eps=0.0))
+    adv = ev.pgd(spec, params, x, y, ev.AttackConfig(kind="fgsm", eps=0.0))
     assert np.array_equal(adv, x)
 
 
@@ -94,7 +94,7 @@ def test_fgsm_moves_against_true_class_and_clips():
     params = identity_params(spec)
     x = np.array([[0.5, 0.5], [0.05, 0.98]])
     y = np.array([0, 0])
-    adv = ev.attack(spec, params, x, y, ev.AttackConfig(kind="fgsm", eps=0.1))
+    adv = ev.pgd(spec, params, x, y, ev.AttackConfig(kind="fgsm", eps=0.1))
     assert np.allclose(adv[0], [0.4, 0.6])
     assert np.allclose(adv[1], [0.0, 1.0])  # clipped at both box faces
 
@@ -117,7 +117,7 @@ def test_pgd_single_full_step_equals_fgsm():
         assert np.array_equal(ev.pgd(spec, params, x, y, cfg, bn_stats), want)
         # kind="fgsm" takes one full step whatever the PGD settings say
         fgsm = ev.AttackConfig(kind="fgsm", eps=0.07, step=0.01, iters=40, seed=3)
-        assert np.array_equal(ev.attack(spec, params, x, y, fgsm, bn_stats), want)
+        assert np.array_equal(ev.pgd(spec, params, x, y, fgsm, bn_stats), want)
 
 
 def test_pgd_respects_ball_and_box():
@@ -131,6 +131,84 @@ def test_pgd_respects_ball_and_box():
     assert np.all(np.abs(adv - x) <= 0.1 + 1e-12)
     assert np.all(adv >= 0.0)
     assert np.all(adv <= 1.0)
+
+
+def pgd_two_clip_reference(spec, params, x, y, eps, step, iters, start):
+    """PGD with the ball and the box as two clips, recomputed every step."""
+    x0 = x
+    x = np.clip(x + start, 0.0, 1.0)
+    for _ in range(iters):
+        xt = Tensor(x)
+        logits = nets.forward_point(spec, params, xt)
+        ad.softmax_cross_entropy(logits, ad.onehot(y, spec.classes)).backward()
+        x = np.clip(x + step * np.sign(xt.grad), x0 - eps, x0 + eps)
+        x = np.clip(x, 0.0, 1.0)
+    return x
+
+
+def _inputs_on_box_faces(rng, shape):
+    x = rng.uniform(size=shape)
+    face = rng.uniform(size=shape)
+    x[face < 0.2] = 0.0
+    x[face > 0.8] = 1.0
+    return x
+
+
+def test_one_clip_projection_is_bitwise_the_two_clip_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        x = _inputs_on_box_faces(rng, (20, 3))
+        eps = 10.0 ** rng.uniform(-300, 0.3)
+        step = eps * rng.uniform(0.25, 3.0)
+        sign = rng.choice([-1.0, 0.0, 1.0], size=x.shape, p=[0.45, 0.1, 0.45])
+        y = x + step * sign
+        two = np.clip(np.clip(y, x - eps, x + eps), 0.0, 1.0)
+        one = np.clip(y, np.maximum(x - eps, 0.0), np.minimum(x + eps, 1.0))
+        assert np.array_equal(one, two)
+
+
+@pytest.mark.parametrize("random_start", [False, True])
+def test_pgd_is_bitwise_the_two_clip_reference(random_start):
+    rng = np.random.default_rng(13)
+    spec = nets.NetworkSpec((3,), nets.mlp_layers([5], 3), classes=3)
+    for seed in range(20):
+        params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+        x = _inputs_on_box_faces(rng, (9, 3))
+        y = rng.integers(0, 3, size=9)
+        eps = float(rng.choice([1e-9, 0.05, 0.4, 2.0]))
+        step = eps * float(rng.uniform(0.25, 3.0))  # overshoots both sides
+        cfg = ev.AttackConfig(eps=eps, step=step, iters=4,
+                              random_start=random_start, seed=seed)
+        start = (np.random.default_rng(seed).uniform(-eps, eps, size=x.shape)
+                 if random_start else 0.0)
+        want = pgd_two_clip_reference(spec, params, x, y, eps, step, 4, start)
+        assert np.array_equal(ev.pgd(spec, params, x, y, cfg), want)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+def test_pgd_refuses_inputs_outside_the_unit_box(bad):
+    # An input at 1.5 used to come back at L-inf distance 0.5 from itself.
+    spec = identity_head_spec()
+    x = np.full((3, 2), 0.5)
+    x[1, 0] = bad
+    with pytest.raises(ValueError, match=r"inputs must lie in \[0, 1\]"):
+        ev.pgd(spec, identity_params(spec), x, np.array([0, 1, 0]),
+               ev.AttackConfig(eps=0.1, iters=2))
+
+
+def test_pgd_refuses_a_label_count_that_differs_from_the_batch():
+    spec = identity_head_spec()
+    with pytest.raises(ValueError, match="labels shape"):
+        ev.pgd(spec, identity_params(spec), np.full((3, 2), 0.5),
+               np.array([0, 1]), ev.AttackConfig(eps=0.1, iters=2))
+
+
+@pytest.mark.parametrize("kind", ["fgsm", "pgd"])
+def test_pgd_on_an_empty_batch_returns_an_empty_array(kind):
+    spec = identity_head_spec()
+    adv = ev.pgd(spec, identity_params(spec), np.zeros((0, 2)),
+                 np.zeros(0, dtype=int), ev.AttackConfig(kind=kind, eps=0.1))
+    assert adv.shape == (0, 2)
 
 
 def test_pgd_random_start_is_seeded():

@@ -209,8 +209,8 @@ def attacks():
     for net in (_mlp_net, _conv_net):
         spec, params, x, y = net()
         for eps in (0.03, 0.2):
-            arrays.append(ev.attack(spec, params, x, y,
-                                    ev.AttackConfig(kind="fgsm", eps=eps)))
+            arrays.append(ev.pgd(spec, params, x, y,
+                                 ev.AttackConfig(kind="fgsm", eps=eps)))
             arrays.append(ev.pgd(spec, params, x, y,
                                  ev.AttackConfig(eps=eps, iters=4, seed=9)))
             arrays.append(ev.pgd(spec, params, x, y,

@@ -187,6 +187,32 @@ def test_empty_validation_set_is_refused_before_training():
     training.train_task(h, spec, 0, data, quick_cfg(steps=2), val_data=empty)
 
 
+@pytest.mark.parametrize("fault", ["label", "shape"])
+def test_bad_validation_split_is_refused_before_any_step(fault):
+    # Used to fail only at step val_every, after Adam had moved the generator.
+    data = make_blobs(2, 40, [[0.3, 0.3], [0.7, 0.7]])
+    val = make_blobs(3, 20, [[0.3, 0.3], [0.7, 0.7]])
+    if fault == "label":
+        val.labels = val.labels.copy()
+        val.labels[5] = 2  # two classes
+        match = "label out of range"
+    else:
+        val.inputs = np.concatenate([val.inputs, val.inputs[:, :1]], axis=1)
+        match = r"validation inputs shaped \(3,\)"
+    spec, h = small_setup(task_count=2)
+    embeddings = h.embeddings.copy()
+    weights = [(w.copy(), b.copy()) for w, b in h.weights]
+    with pytest.raises(ValueError, match=match):
+        training.train_task(h, spec, 0, data,
+                            quick_cfg(steps=120, val_every=100,
+                                      model_selection=True),
+                            val_data=val)
+    assert np.array_equal(h.embeddings, embeddings)
+    for (w, b), (w0, b0) in zip(h.weights, weights):
+        assert np.array_equal(w, w0) and np.array_equal(b, b0)
+    assert h.trained_tasks == 0
+
+
 def test_first_task_log_shape_and_schedule():
     data = make_blobs(2, 60, [[0.25, 0.3], [0.7, 0.75]])
     spec, h = small_setup()
