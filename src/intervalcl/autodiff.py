@@ -400,7 +400,9 @@ def check_labels(labels, batch: int, classes: int) -> np.ndarray:
     if labels.shape != (batch,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError("label out of range for logit width")
+        bad = labels[(labels < 0) | (labels >= classes)][0]
+        raise ValueError(f"label out of range for logit width: label {bad} "
+                         f"outside [0, {classes})")
     return labels
 
 

@@ -227,17 +227,21 @@ class SoundnessReport:
         return self.violations == 0
 
 
+# Escape, relative to max(1, |bound|), above which a sample violates.
+ORACLE_TOLERANCE = 1e-9
+
+
 def soundness_oracle(net_spec, params, input_box: IntervalTensor,
-                     samples: int, seed: int, tol: float = 1e-9) -> SoundnessReport:
+                     samples: int, seed: int) -> SoundnessReport:
     """Sample points from the input box and check containment at every layer.
 
-    Batchnorm layers normalize with the moments of the box midpoints, taken
-    by one point pass, so the bounds and the sampled points go through the
-    same network. For each box in the batch, ``samples`` uniform points are
-    drawn, pushed through the plain point forward pass, and every
-    intermediate and final activation is compared with the propagated
-    bounds. Violations are measured relative to ``max(1, |bound|)``; a
-    sample counts as violating if it escapes anywhere by more than ``tol``.
+    For each box in the batch, ``samples`` uniform points are drawn and
+    pushed through one point forward pass, which records every intermediate
+    and final activation. Batchnorm layers there take the moments of the
+    sampled points, and the interval pass over the boxes is handed those
+    moments, so bounds and points go through the same network. A sample
+    counts as violating if it escapes its bounds anywhere by more than
+    ``ORACLE_TOLERANCE`` relative to ``max(1, |bound|)``.
     """
     from intervalcl import nets
 
@@ -247,21 +251,16 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
         raise ValueError(f"samples must be at least 1, got {samples}")
     lo = np.asarray(ad.payload(input_box.lower), dtype=np.float64)
     hi = np.asarray(ad.payload(input_box.upper), dtype=np.float64)
-    rng = np.random.default_rng(seed)
     batch = lo.shape[0]
 
-    bn_stats: list = []
-    nets.forward_point(net_spec, params, (lo + hi) * 0.5, bn_capture=bn_stats)
-    bound_trace: list = []
-    nets.forward_interval(net_spec, params, input_box, record=bound_trace,
-                          bn_stats=bn_stats)
-
     # One point forward over all boxes and draws at once: (B*S, features).
-    draw = rng.uniform(0.0, 1.0, size=(samples,) + lo.shape)
+    draw = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples,) + lo.shape)
     points = lo[None] + draw * (hi - lo)[None]
     flat = points.swapaxes(0, 1).reshape((batch * samples,) + lo.shape[1:])
-    act_trace: list = []
-    nets.forward_point(net_spec, params, flat, record=act_trace, bn_stats=bn_stats)
+    act_trace, bn_stats, bound_trace = [], [], []
+    nets.forward_point(net_spec, params, flat, record=act_trace, bn_capture=bn_stats)
+    nets.forward_interval(net_spec, params, input_box, record=bound_trace,
+                          bn_stats=bn_stats)
 
     worst_per_sample = np.zeros((batch, samples))
     for box, act in zip(bound_trace, act_trace):
@@ -273,6 +272,6 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
         if reduce_axes:
             escape = escape.max(axis=reduce_axes)
         worst_per_sample = np.maximum(worst_per_sample, escape)
-    return SoundnessReport(samples=batch * samples,
-                           max_violation=float(worst_per_sample.max()),
-                           violations=int((worst_per_sample > tol).sum()))
+    return SoundnessReport(
+        samples=batch * samples, max_violation=float(worst_per_sample.max()),
+        violations=int((worst_per_sample > ORACLE_TOLERANCE).sum()))

@@ -279,7 +279,10 @@ def train_task(h: Hypernetwork, spec: NetworkSpec, task: int, train_data,
             raise ValueError("empty validation set: model selection has "
                              "nothing to score")
         # Refused here, not at step val_every after the generator has moved.
-        ad.check_labels(val_data.labels, len(val_data.inputs), spec.classes)
+        try:
+            ad.check_labels(val_data.labels, len(val_data.inputs), spec.classes)
+        except ValueError as err:
+            raise ValueError(f"validation split: {err}") from None
         if np.shape(val_data.inputs)[1:] != spec.input_shape:
             raise ValueError(
                 f"validation inputs shaped {np.shape(val_data.inputs)[1:]} per "

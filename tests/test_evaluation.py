@@ -404,6 +404,14 @@ def test_verified_accuracy_monotone_in_eps(trained_blobs_model):
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     clean = ev.clean_accuracy(spec, params, data.inputs, data.labels)
     assert all(v <= clean + 1e-12 for v in vals)
+    # Per sample: every certificate at a grid radius is classified correctly
+    # by the point pass, so dropping the clean pass would change nothing here.
+    correct = np.argmax(nets.forward_point(spec, params, data.inputs), axis=1) \
+        == data.labels
+    for e in grid:
+        certified = ev.certify(spec, params, data.inputs, data.labels, e)
+        assert certified.any()
+        assert not (certified & ~correct).any(), f"eps {e}"
 
 
 def test_certified_samples_survive_pgd(trained_blobs_model):

@@ -5,14 +5,21 @@ step of the interval pass is a single IEEE operation (no BLAS reduction);
 the second is dense -> relu -> dense on three features. ``fractions.Fraction``
 gives the exact box of each layer over the float input box for comparison.
 A certificate is sound only if the exact box certifies too.
+
+A third network, dense -> relu -> dense on one feature, checks certificates
+against the point pass at the ball's centre. Average pooling and sigmoid,
+the two interval rules that round outside the affine rule, are checked
+against an exact window mean and a 60-digit ``decimal`` sigmoid.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from intervalcl import evaluation, nets
+from intervalcl import intervals as iv
 from intervalcl.intervals import IntervalTensor
 
 SPEC = nets.NetworkSpec((1,), [nets.dense(2)], 2)
@@ -129,6 +136,54 @@ def test_certify_never_outruns_the_exact_reference_at_near_ties():
     assert wrong == []
 
 
+# ---- a certified ball whose centre is misclassified ----------------------
+
+CENTRE = nets.NetworkSpec((1,), nets.mlp_layers([1], 2), 2)
+
+
+def _dead_centre_cases(seed: int, count: int):
+    """Balls around x whose one hidden unit is dead at x and alive at the
+    ball's edge (weight 1, bias -x - eps*k), read out by weights (+c0, -c1)
+    and biases (b, nextafter(b, inf)): the centre's logits are exactly
+    ``[b, nextafter(b)]``, so it predicts class 1, and class 0 can only be
+    certified through rounding."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        x = rng.uniform(0.2, 0.8)
+        eps = rng.uniform(0.01, 0.1)
+        k = rng.uniform(0.05, 0.95)
+        c = rng.uniform(0.1, 10.0, size=2)
+        b = rng.uniform(-50.0, 50.0)
+        flat = np.array([1.0, -x - eps * k, c[0], -c[1], b, np.nextafter(b, np.inf)])
+        cases.append((np.array([[x]]), eps, nets.ParamSet(CENTRE, flat)))
+    return cases
+
+
+def test_dead_centre_cases_predict_the_rival_at_their_centre():
+    for x, eps, params in _dead_centre_cases(seed=1, count=1000):
+        point: list = []
+        logits = nets.forward_point(CENTRE, params, x, record=point)[0]
+        b = params.flat[-2]
+        assert logits.tolist() == [b, np.nextafter(b, np.inf)]
+        assert point[1][0, 0] < 0
+        box: list = []
+        nets.forward_interval(CENTRE, params, x, eps=eps, record=box)
+        assert box[1].upper[0, 0] > 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: certify rounds each logit bound to nearest, so it "
+    "certifies class 0 at 2 of these 1000 balls (draws 748 and 920) whose "
+    "centre forward_point calls class 1"))
+def test_certified_ball_classifies_its_centre_correctly():
+    wrong = [i for i, (x, eps, params) in
+             enumerate(_dead_centre_cases(seed=1, count=1000))
+             if evaluation.certify(CENTRE, params, x, np.array([0]), eps)[0]
+             and np.argmax(nets.forward_point(CENTRE, params, x)[0]) != 0]
+    assert wrong == []
+
+
 # ---- two layers: dense -> relu -> dense ----------------------------------
 
 TWO = nets.NetworkSpec((3,), nets.mlp_layers([3], 2), 2)
@@ -231,3 +286,52 @@ def test_two_layer_certify_never_outruns_the_exact_reference_at_near_ties():
              if _two_certified(x, eps, *net, 0)
              and exact_two_layer_margin(x, eps, *net, 0) <= 0]
     assert wrong == []
+
+
+# ---- rounding sites outside the affine rule ------------------------------
+
+
+def _avg_pool_lower_and_exact_means():
+    """Lower bounds of 2x2 average pooling over 800 uniform windows, with
+    the exact ``Fraction`` mean of each window's lower corner."""
+    lower = np.random.default_rng(0).uniform(size=(200, 4, 4, 1))
+    pooled = iv.interval_pool(IntervalTensor(lower, lower + 0.1), "avg", 2).lower
+    windows = lower.reshape(200, 2, 2, 2, 2).swapaxes(2, 3).reshape(-1, 4)
+    exact = [sum(Fraction(float(v)) for v in w) / 4 for w in windows]
+    return [Fraction(float(v)) for v in pooled.ravel()], exact
+
+
+def _sigmoid_upper_and_exact():
+    """Upper bounds of the sigmoid rule at 2000 draws of N(0, 3^2), with the
+    sigmoid of each draw to 60 digits."""
+    x = np.random.default_rng(0).normal(0.0, 3.0, size=2000)
+    upper = iv.interval_activation(IntervalTensor(x, x), "sigmoid").upper
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = [1 / (1 + (-Decimal(float(v))).exp()) for v in x]
+    return [Decimal(float(u)) for u in upper], exact
+
+
+def test_rounding_site_references_agree_within_two_ulps():
+    got, exact = _avg_pool_lower_and_exact_means()
+    assert all(abs(g - e) <= 2 * Fraction(np.spacing(float(e)))
+               for g, e in zip(got, exact))
+    got, exact = _sigmoid_upper_and_exact()
+    assert all(abs(g - e) <= 2 * Decimal(np.spacing(float(e)))
+               for g, e in zip(got, exact))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: average pooling rounds its window sum to nearest; "
+    "284 of these 800 lower bounds lie above the exact window mean"))
+def test_avg_pool_lower_bound_never_exceeds_the_exact_mean():
+    got, exact = _avg_pool_lower_and_exact_means()
+    assert [i for i, (g, e) in enumerate(zip(got, exact)) if g > e] == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: ad.sigmoid rounds 1 / (1 + exp(-x)) to nearest; 953 "
+    "of these 2000 upper bounds lie below the exact sigmoid"))
+def test_sigmoid_upper_bound_never_falls_below_the_exact_sigmoid():
+    got, exact = _sigmoid_upper_and_exact()
+    assert [i for i, (g, e) in enumerate(zip(got, exact)) if g < e] == []

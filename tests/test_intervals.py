@@ -451,3 +451,61 @@ def test_soundness_oracle_refuses_bad_sample_counts(samples, match):
     box = IntervalTensor.from_ball(np.zeros((1, 4)), 0.1)
     with pytest.raises(ValueError, match=match):
         iv.soundness_oracle(spec, params, box, samples=samples, seed=0)
+
+
+def _counting_passes(monkeypatch):
+    """Wrap both forward passes on ``nets``; returns the per-pass call log
+    and the ``bn_stats`` each interval pass was handed."""
+    calls = {"forward_point": 0, "forward_interval": 0}
+    handed = []
+    for name in calls:
+        inner = getattr(nets, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            if _name == "forward_interval":
+                handed.append(kwargs.get("bn_stats"))
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(nets, name, counted)
+    return calls, handed
+
+
+@pytest.mark.parametrize("layers", [
+    nets.mlp_layers([6], 2),
+    [nets.dense(6), nets.batchnorm(), nets.act("relu"), nets.dense(2)],
+])
+def test_soundness_oracle_runs_one_point_and_one_interval_pass(monkeypatch, layers):
+    spec = nets.NetworkSpec((4,), layers, classes=2)
+    rng = np.random.default_rng(15)
+    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    box = IntervalTensor.from_ball(rng.uniform(size=(3, 4)), 0.1)
+    calls, _ = _counting_passes(monkeypatch)
+    assert iv.soundness_oracle(spec, params, box, samples=200, seed=5).sound
+    assert calls == {"forward_point": 1, "forward_interval": 1}
+    with pytest.raises(TypeError, match="tol"):
+        iv.soundness_oracle(spec, params, box, samples=200, seed=5, tol=1e-9)
+
+
+def test_soundness_oracle_takes_batchnorm_moments_from_its_samples(monkeypatch):
+    # A1's seed-1004 draw: one box through dense -> flat batchnorm. The box
+    # midpoint alone has variance exactly 0; the sampled points do not.
+    spec = nets.NetworkSpec((6,), [nets.dense(8), nets.batchnorm(),
+                                   nets.act("relu"), nets.dense(3)], classes=3)
+    rng = np.random.default_rng(1004)
+    params = nets.ParamSet(spec, rng.normal(scale=0.6, size=spec.total_params))
+    center = rng.uniform(0.2, 0.8, size=(1, 6))
+    radius = rng.uniform(0.0, 0.15, size=(1, 6))
+    box = IntervalTensor.from_ball(center, radius)
+    _, handed = _counting_passes(monkeypatch)
+    assert iv.soundness_oracle(spec, params, box, samples=10_000, seed=2004).sound
+    (stats,) = handed
+    (mean, var), = stats
+    assert np.all(var > 0)
+
+    # The moments are those of the oracle's own sampled points.
+    draw = np.random.default_rng(2004).uniform(size=(10_000, 1, 6))
+    points = (box.lower + draw * (box.upper - box.lower)).reshape(10_000, 6)
+    record = []
+    nets.forward_point(spec, params, points, record=record)
+    want_mean, want_var = iv.batch_moments(record[1], (0,))
+    assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)

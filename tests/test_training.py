@@ -195,7 +195,7 @@ def test_bad_validation_split_is_refused_before_any_step(fault):
     if fault == "label":
         val.labels = val.labels.copy()
         val.labels[5] = 2  # two classes
-        match = "label out of range"
+        match = r"^validation split: .*label 2 outside \[0, 2\)"
     else:
         val.inputs = np.concatenate([val.inputs, val.inputs[:, :1]], axis=1)
         match = r"validation inputs shaped \(3,\)"
