@@ -208,12 +208,12 @@ class Tensor:
                      lambda g: np.broadcast_to(
                          np.expand_dims(g, axis) if expand else g, shape).copy())
 
-    def max(self, axis, keepdims=False):
-        """Max along one axis; ties route gradient to the first maximum."""
+    def max(self, axis):
+        """Max along one axis (dropped); ties route gradient to the first maximum."""
         idx = np.expand_dims(np.argmax(self.value, axis=axis), axis)
         out = np.take_along_axis(self.value, idx, axis)
         shape = self.value.shape
-        return _node(out if keepdims else np.squeeze(out, axis), (self,),
+        return _node(np.squeeze(out, axis), (self,),
                      lambda g: _put_into_zeros(shape, idx, g.reshape(idx.shape), axis))
 
     # ---- shape ops -------------------------------------------------------
@@ -385,10 +385,10 @@ def sliding_windows(x, kh, kw, sh, sw):
                  lambda g: _scatter_windows(g.reshape(gathered.shape), val.shape, sh, sw))
 
 
-def softmax(x: np.ndarray, axis=-1) -> np.ndarray:
-    """Softmax of an ndarray along ``axis``; it has no tape node."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of an ndarray along its last axis; it has no tape node."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def check_labels(labels, batch: int, classes: int) -> np.ndarray:

@@ -188,8 +188,7 @@ def _check_bn_stats(path: str, spec: NetworkSpec, hypernet: Hypernetwork) -> Non
     """Each trained task needs one usable (mean, var) pair per batchnorm
     layer; without it the forward passes refuse the call, the point pass
     normalizes with each batch's own moments, or every logit turns NaN."""
-    layers = [index for index, layer in enumerate(spec.layers)
-              if layer.kind == "batchnorm"]
+    layers = spec.batchnorm_layers
     if not layers:
         return
     for task in range(hypernet.trained_tasks):

@@ -329,8 +329,8 @@ def ring_task_means(task_count: int, *, classes: int = 3,
                      center + radius * np.sin(angles)], axis=-1)
 
 
-def _draw_separated_means(rng, classes, dims, separation, attempts=1000):
-    for _ in range(attempts):
+def _draw_separated_means(rng, classes, dims, separation):
+    for _ in range(1000):  # draws before giving up
         means = rng.uniform(0.15, 0.85, size=(classes, dims))
         gaps = np.linalg.norm(means[:, None] - means[None, :], axis=-1)
         gaps[np.diag_indices(classes)] = np.inf

@@ -239,9 +239,10 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
     pushed through one point forward pass, which records every intermediate
     and final activation. Batchnorm layers there take the moments of the
     sampled points, and the interval pass over the boxes is handed those
-    moments, so bounds and points go through the same network. A sample
-    counts as violating if it escapes its bounds anywhere by more than
-    ``ORACLE_TOLERANCE`` relative to ``max(1, |bound|)``.
+    moments, so bounds and points go through the same network (a lone point
+    has variance 0, so it needs two or more). A sample counts as violating
+    if it escapes its bounds anywhere by more than ``ORACLE_TOLERANCE``
+    relative to ``max(1, |bound|)``.
     """
     from intervalcl import nets
 
@@ -252,6 +253,8 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
     lo = np.asarray(ad.payload(input_box.lower), dtype=np.float64)
     hi = np.asarray(ad.payload(input_box.upper), dtype=np.float64)
     batch = lo.shape[0]
+    if net_spec.batchnorm_layers and batch * samples < 2:
+        raise ValueError(f"batchnorm moments need 2 or more sampled points, got {batch * samples}")
 
     # One point forward over all boxes and draws at once: (B*S, features).
     draw = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples,) + lo.shape)

@@ -128,6 +128,9 @@ class NetworkSpec:
                 self._slots[(index, name)] = (offset, pshape)
                 offset += int(np.prod(pshape))
         self.total_params = offset
+        # The layers that ``bn_stats`` entries belong to, in order.
+        self.batchnorm_layers = tuple(index for index, layer in enumerate(self.layers)
+                                      if layer.kind == "batchnorm")
 
     @property
     def slots(self) -> list[tuple[int, str, tuple[int, ...], int, int]]:
@@ -248,11 +251,10 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
     if tuple(shape[1:]) != spec.input_shape:
         raise ValueError(f"input shape {tuple(shape[1:])} does not match spec "
                          f"{spec.input_shape}")
-    if bn_stats is not None:
-        layers = sum(layer.kind == "batchnorm" for layer in spec.layers)
-        if len(bn_stats) != layers:
-            raise ValueError(f"bn_stats holds {len(bn_stats)} batchnorm moment "
-                             f"pairs, network has {layers} batchnorm layers")
+    if bn_stats is not None and len(bn_stats) != len(spec.batchnorm_layers):
+        raise ValueError(f"bn_stats holds {len(bn_stats)} batchnorm moment "
+                         f"pairs, network has {len(spec.batchnorm_layers)} "
+                         "batchnorm layers")
     if record is not None:
         record.append(x)
     bn_index = 0

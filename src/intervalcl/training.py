@@ -34,8 +34,10 @@ class NumericalDivergenceError(RuntimeError):
 class Adam:
     """Adam with bias-corrected first and second moment estimates.
 
-    Moment state is kept per parameter name; updates happen in place so
-    aliased views (task embedding rows) stay live.
+    Only the learning rate is set. ``b1``, ``b2`` and ``eps`` below are the
+    class constants ``BETA1``, ``BETA2`` and ``EPS``, the defaults of Kingma
+    & Ba (arXiv:1412.6980). Moment state is kept per parameter name; updates
+    happen in place so aliased views (task embedding rows) stay live.
 
     The moments and two scratch buffers per parameter are allocated once
     and every step runs in place, allocating nothing. The in-place sequence
@@ -49,13 +51,12 @@ class Adam:
     so each step is bitwise identical to evaluating them with temporaries.
     """
 
-    def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr=0.001):
         if not 0.0 < lr < np.inf:  # NaN fails too
             raise ValueError(f"learning rate must be finite and positive, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         # name -> [m, v, scratch, scratch, step count]
         self.state: dict[str, list] = {}
 
@@ -67,18 +68,18 @@ class Adam:
         m, v, num, den, t = state
         t += 1
         state[4] = t
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=num)
+        m *= self.BETA1
+        np.multiply(grad, 1.0 - self.BETA1, out=num)
         m += num
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=num)
+        v *= self.BETA2
+        np.multiply(grad, 1.0 - self.BETA2, out=num)
         num *= grad
         v += num
-        np.divide(m, 1.0 - self.beta1 ** t, out=num)
+        np.divide(m, 1.0 - self.BETA1 ** t, out=num)
         num *= self.lr
-        np.divide(v, 1.0 - self.beta2 ** t, out=den)
+        np.divide(v, 1.0 - self.BETA2 ** t, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += self.EPS
         num /= den
         param -= num
 
@@ -149,25 +150,10 @@ class LogRow:
     val_loss: float | None = None
 
 
-def _validation_criterion(h, spec, task, val_data, cfg, snapshots) -> float:
-    """Selection score: half-blend loss at the target radius, plus the
-    regularizer, all in plain numpy."""
-    params = nets.generate_params(h, spec, task)
-    stats: list = []
-    logits = nets.forward_point(spec, params, val_data.inputs, bn_capture=stats)
-    bounds = nets.forward_interval(spec, params, val_data.inputs,
-                                   eps=cfg.loss.eps, bn_stats=stats)
-    score = float(L.ibp_loss(bounds, logits, val_data.labels, 0.5))
-    if task > 0 and cfg.loss.beta > 0.0:
-        current = [h.generate_flat(j) for j in range(task)]
-        score += cfg.loss.beta * float(L.output_reg_loss(snapshots, current))
-    return score
-
-
 def _freeze_batch_stats(h, spec, task, inputs):
     """One point pass over the training split fixes the batchnorm moments
     this task will use at evaluation time."""
-    if not any(layer.kind == "batchnorm" for layer in spec.layers):
+    if not spec.batchnorm_layers:
         return
     capture: list = []
     nets.forward_point(spec, nets.generate_params(h, spec, task), inputs,
@@ -183,7 +169,9 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
     radius)``: the input box is ``x`` widened by ``radius`` (scalar or
     per-sample column), and ``lam`` (scalar or per sample) mixes the two
     labels, or is ``None`` for the plain IBP loss on ``labels_a``. The
-    batchnorm moments are fixed from ``fit_inputs`` at the end.
+    batchnorm moments are fixed from ``fit_inputs`` at the end. Model
+    selection scores the step's objective over ``val_data`` at ``kappa =
+    0.5``, radius ``cfg.loss.eps`` and no mixing.
     """
     if task != h.trained_tasks:
         raise ValueError(
@@ -192,6 +180,20 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
     size = h.layout.target_size
     snapshots = np.array([h.generate_flat(j) for j in range(task)])
     frozen_before = h.embeddings[:task].copy()
+    regularized = task > 0 and cfg.loss.beta > 0.0
+
+    def objective(params, earlier, kappa, x, labels_a, labels_b, lam, radius):
+        """``(total, task loss, regularizer)``, on the tape or on arrays;
+        ``earlier`` (the earlier tasks' rows) is read only if regularized."""
+        stats: list = []
+        logits = nets.forward_point(spec, params, x, bn_capture=stats)
+        bounds = nets.forward_interval(spec, params, x, eps=radius, bn_stats=stats)
+        task_loss = (L.ibp_loss(bounds, logits, labels_a, kappa) if lam is None else
+                     L.interval_mixup_loss(bounds, logits, labels_a, labels_b, lam, kappa))
+        if not regularized:  # the task loss itself: no extra tape node
+            return task_loss, task_loss, 0.0
+        reg = L.output_reg_loss(snapshots, earlier)
+        return task_loss + cfg.loss.beta * reg, task_loss, reg
 
     leaves: dict = {}
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
@@ -203,22 +205,10 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
         x, labels_a, labels_b, lam, radius = batch(eps_step)
 
         block, _ = h.tape_generate(task, leaves=leaves)
-        params = ParamSet(spec, ad.slot(block, task * size, (size,)))
-        stats: list = []
-        logits = nets.forward_point(spec, params, x, bn_capture=stats)
-        bounds = nets.forward_interval(spec, params, x, eps=radius, bn_stats=stats)
-        if lam is None:
-            task_loss = L.ibp_loss(bounds, logits, labels_a, kappa)
-        else:
-            task_loss = L.interval_mixup_loss(bounds, logits, labels_a,
-                                              labels_b, lam, kappa)
-
-        total, reg_value = task_loss, 0.0
-        if task > 0 and cfg.loss.beta > 0.0:
-            reg = L.output_reg_loss(snapshots, ad.slot(block, 0, (task, size)))
-            total = task_loss + cfg.loss.beta * reg
-            reg_value = float(reg.value)
-
+        total, task_loss, reg = objective(
+            ParamSet(spec, ad.slot(block, task * size, (size,))),
+            ad.slot(block, 0, (task, size)) if regularized else None,
+            kappa, x, labels_a, labels_b, lam, radius)
         if not np.isfinite(total.value):
             raise NumericalDivergenceError(
                 f"non-finite loss at task {task} step {step}")
@@ -230,15 +220,17 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
                 optimizer.update(name, leaf.value, leaf.grad)
 
         row = LogRow(step=step, task=task, loss_total=float(total.value),
-                     loss_task=float(task_loss.value), loss_reg=reg_value,
+                     loss_task=float(task_loss.value), loss_reg=float(ad.payload(reg)),
                      kappa=kappa, eps=eps_step,
                      eps_virtual=float(np.mean(radius)),
                      lam=None if lam is None else float(np.mean(lam)))
 
         if (cfg.model_selection and val_data is not None
                 and (step % cfg.val_every == 0 or step == cfg.steps)):
-            score = _validation_criterion(h, spec, task, val_data, cfg, snapshots)
-            row.val_loss = score
+            earlier = [h.generate_flat(j) for j in range(task)] if regularized else None
+            score = row.val_loss = float(objective(
+                nets.generate_params(h, spec, task), earlier, 0.5,
+                val_data.inputs, val_data.labels, None, None, cfg.loss.eps)[0])
             if best is None or score < best[0]:
                 best = (score, h.embeddings[task].copy(),
                         [(w.copy(), b.copy()) for w, b in h.weights])

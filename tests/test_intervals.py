@@ -509,3 +509,16 @@ def test_soundness_oracle_takes_batchnorm_moments_from_its_samples(monkeypatch):
     nets.forward_point(spec, params, points, record=record)
     want_mean, want_var = iv.batch_moments(record[1], (0,))
     assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
+
+
+def test_soundness_oracle_refuses_one_point_through_batchnorm():
+    # One sampled point is its own batch: variance 0, so the checked network
+    # would scale the layer by gamma / sqrt(eps).
+    spec = nets.NetworkSpec((3,), [nets.dense(4), nets.batchnorm(), nets.dense(2)],
+                            classes=2)
+    rng = np.random.default_rng(21)
+    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    box = IntervalTensor.from_ball(rng.uniform(0.2, 0.8, size=(1, 3)), 0.05)
+    with pytest.raises(ValueError, match="2 or more sampled points, got 1"):
+        iv.soundness_oracle(spec, params, box, samples=1, seed=0)
+    assert iv.soundness_oracle(spec, params, box, samples=2, seed=0).samples == 2

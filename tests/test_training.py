@@ -260,6 +260,15 @@ def test_divergence_raises():
         training.train_task(h, spec, 0, data, quick_cfg())
 
 
+def ibp_selection_score(h, spec, task, val, eps):
+    """The IBP loss at kappa = 1/2 and radius eps over the validation split,
+    recomputed by hand from the generated weights."""
+    params = nets.generate_params(h, spec, task)
+    logits = nets.forward_point(spec, params, val.inputs)
+    bounds = nets.forward_interval(spec, params, val.inputs, eps=eps)
+    return float(L.ibp_loss(bounds, logits, val.labels, 0.5))
+
+
 def test_model_selection_restores_best_validation_score():
     train = make_blobs(4, 120, [[0.25, 0.25], [0.75, 0.75]])
     val = make_blobs(5, 40, [[0.25, 0.25], [0.75, 0.75]])
@@ -268,7 +277,27 @@ def test_model_selection_restores_best_validation_score():
     log = training.train_task(h, spec, 0, train, cfg, val_data=val)
     scores = [row.val_loss for row in log if row.val_loss is not None]
     assert scores
-    restored = training._validation_criterion(h, spec, 0, val, cfg, [])
+    restored = ibp_selection_score(h, spec, 0, val, cfg.loss.eps)
+    assert restored == pytest.approx(min(scores), abs=1e-9)
+
+
+def test_model_selection_scores_the_regularizer_on_later_tasks():
+    # Task 1's score adds beta times the drift of task 0's generated
+    # weights from their snapshot taken before task 1 started.
+    val = make_blobs(13, 40, [[0.2, 0.8], [0.8, 0.2]])
+    spec, h = small_setup(task_count=2)
+    cfg = quick_cfg(steps=60, val_every=10)
+    training.train_task(h, spec, 0, make_blobs(4, 120, [[0.2, 0.2], [0.8, 0.8]]), cfg)
+    snapshot = h.generate_flat(0)
+    cfg = quick_cfg(steps=60, model_selection=True, val_every=10,
+                    loss=L.LossConfig(eps=0.03, beta=0.5))
+    log = training.train_task(h, spec, 1, make_blobs(12, 120, [[0.2, 0.8], [0.8, 0.2]]),
+                              cfg, val_data=val)
+    scores = [row.val_loss for row in log if row.val_loss is not None]
+    assert len(scores) == 6
+    drift = float(L.output_reg_loss([snapshot], [h.generate_flat(0)]))
+    assert drift > 0.0
+    restored = ibp_selection_score(h, spec, 1, val, cfg.loss.eps) + 0.5 * drift
     assert restored == pytest.approx(min(scores), abs=1e-9)
 
 
