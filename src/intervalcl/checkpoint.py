@@ -185,12 +185,11 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def _check_bn_stats(path: str, spec: NetworkSpec, hypernet: Hypernetwork) -> None:
-    """Each trained task needs one usable (mean, var) pair per batchnorm
-    layer; without it the forward passes refuse the call, the point pass
-    normalizes with each batch's own moments, or every logit turns NaN."""
+    """Each trained task needs exactly one usable (mean, var) pair per
+    batchnorm layer, so none for a network without batchnorm; otherwise the
+    forward passes refuse the call, the point pass normalizes with each
+    batch's own moments, or every logit turns NaN."""
     layers = spec.batchnorm_layers
-    if not layers:
-        return
     for task in range(hypernet.trained_tasks):
         stats = hypernet.bn_stats.get(task, [])
         if len(stats) != len(layers):

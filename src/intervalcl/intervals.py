@@ -33,6 +33,10 @@ import numpy as np
 
 from intervalcl import autodiff as ad
 
+# Added to the variance before its square root in every batchnorm layer.
+BN_EPS = 1e-5
+
+
 @dataclass
 class IntervalTensor:
     """Elementwise box: ``lower[i] <= x[i] <= upper[i]``."""
@@ -173,7 +177,7 @@ def _bn_fold(x, gamma, shift, eps, stats):
 
 
 def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, stats,
-                       eps=1e-5) -> IntervalTensor:
+                       eps=BN_EPS) -> IntervalTensor:
     """Batch normalization over boxes, as the affine map ``weight * x + bias``.
 
     With ``weight = gamma / sqrt(var + eps)`` and ``bias = shift - weight *
@@ -186,7 +190,7 @@ def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, stats,
     return _affine_box(iv.lower, iv.upper, operator.mul, weight, bias)
 
 
-def point_batchnorm(x, gamma, shift, *, eps=1e-5, stats=None, capture=None):
+def point_batchnorm(x, gamma, shift, *, eps=BN_EPS, stats=None, capture=None):
     """Batch normalization of a point batch: ``weight * x + bias`` with the
     folded map of :func:`interval_batchnorm`.
 

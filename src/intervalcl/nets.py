@@ -19,6 +19,7 @@ step makes one generator pass whatever the task index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +136,7 @@ class NetworkSpec:
     @property
     def slots(self) -> list[tuple[int, str, tuple[int, ...], int, int]]:
         """The layout: (layer index, name, shape, offset, size) per slot."""
-        return [(i, n, p, o, int(np.prod(p))) for (i, n), (o, p) in self._slots.items()]
+        return [(i, n, p, o, math.prod(p)) for (i, n), (o, p) in self._slots.items()]
 
     @staticmethod
     def _flow(index, layer, shape):

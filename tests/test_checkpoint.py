@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 import struct
 from types import SimpleNamespace
 
@@ -35,11 +36,15 @@ from intervalcl.training import TrainerConfig, train_task
 
 @pytest.fixture
 def model():
-    spec = NetworkSpec((3,), mlp_layers([5], 2), classes=2)
+    """Two of three tasks trained, each with the moments of its one
+    batchnorm layer."""
+    spec = NetworkSpec((3,), [dense(5), batchnorm(), act("relu"), dense(2)],
+                       classes=2)
     h = Hypernetwork(spec.total_params, 4, [6], task_count=3,
                      rng=np.random.default_rng(12))
-    h.bn_stats = {0: [(np.random.default_rng(1).normal(size=5),
-                       np.random.default_rng(2).uniform(0.1, 2.0, size=5))]}
+    h.bn_stats = {task: [(np.random.default_rng(1 + 2 * task).normal(size=5),
+                          np.random.default_rng(2 + 2 * task).uniform(0.1, 2.0, size=5))]
+                  for task in range(2)}
     h.trained_tasks = 2
     return h, spec
 
@@ -83,9 +88,9 @@ class TestRoundTrip:
             assert np.array_equal(b1, b2)
         assert loaded.hypernet.trained_tasks == 2
         assert loaded.seed == 99
-        assert set(loaded.hypernet.bn_stats) == {0}
-        for (m1, v1), (m2, v2) in zip(loaded.hypernet.bn_stats[0],
-                                      h.bn_stats[0]):
+        assert set(loaded.hypernet.bn_stats) == {0, 1}
+        for task in range(2):
+            [(m1, v1)], [(m2, v2)] = loaded.hypernet.bn_stats[task], h.bn_stats[task]
             assert np.array_equal(m1, m2)
             assert np.array_equal(v1, v2)
 
@@ -186,7 +191,8 @@ class TestStreamedWriter:
         w0[1] = -0.0
         w0[2] = 5e-324
         w0[-1] = np.nan
-        h.bn_stats = {0: [(np.array([0.5, np.nan]), np.array([1.0, 2.0]))],
+        # Moments of untrained tasks are stored as they are, unchecked.
+        h.bn_stats = {2: [(np.array([0.5, np.nan]), np.array([1.0, 2.0]))],
                       10: [(np.zeros(2), np.ones(2))]}
         h.trained_tasks = 2
         return h, spec
@@ -393,6 +399,21 @@ class TestBatchnormMoments:
         path = str(tmp_path / "model.json")
         save_checkpoint(path, h, spec)
         assert set(load_checkpoint(path).hypernet.bn_stats) == {0, 2}
+
+    def test_moments_for_a_network_without_batchnorm_refused(self, tmp_path):
+        # Such a file used to load; its first evaluation then failed inside
+        # the forward pass with a ValueError that named no file.
+        spec = NetworkSpec((3,), mlp_layers([5], 2), classes=2)
+        h = Hypernetwork(spec.total_params, 4, [6], task_count=2,
+                         rng=np.random.default_rng(12))
+        h.bn_stats = {0: [(np.zeros(5), np.ones(5))]}
+        h.trained_tasks = 1
+        path = str(tmp_path / "model.json")
+        save_checkpoint(path, h, spec)
+        with pytest.raises(CheckpointError, match=(
+                "^" + re.escape(path) + ": task 0 stores 1 batchnorm moment "
+                "pairs, network has 0 batchnorm layers$")):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("input_shape, layers, classes", [
         ((2,), [dense(4), batchnorm(), act("relu"), dense(3)], 3),

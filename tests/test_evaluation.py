@@ -1,5 +1,7 @@
 """Attacks, certification, metrics, and task inference."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from intervalcl import losses as L
 from intervalcl import nets
 from intervalcl import training
 from intervalcl.autodiff import Tensor
+from intervalcl.data import gen_digits
 
 
 def identity_head_spec():
@@ -389,6 +392,33 @@ def test_certificate_under_frozen_moments_ignores_batch_mates():
     assert certified > 0 and refused > 0
 
 
+def test_rounding_budget_covers_the_batch_of_one_difference():
+    # Alone, a sample's final dense layer is a one-row matmul that BLAS
+    # rounds differently from the same row inside a batch (up to 2.6e-15
+    # relative). Both results lie within the sample's rounding budget e of
+    # the exact bounds; here they differ by at most e, e itself is the same
+    # bits alone and in the batch, and so is the certificate.
+    certified = refused = 0
+    for seed in range(20):
+        spec, params, stats, x, y, _ = _conv_batchnorm_case(seed)
+        for eps in (0.005, 0.02, 0.05):
+            bounds = nets.forward_interval(spec, params, x, eps=eps, bn_stats=stats)
+            budget = ev.rounding_budget(spec, params, x, eps, bn_stats=stats)
+            flags = ev.certify(spec, params, x, y, eps, bn_stats=stats)
+            certified += int(flags.sum())
+            refused += int((~flags).sum())
+            for i in range(len(x)):
+                alone = nets.forward_interval(spec, params, x[i:i + 1], eps=eps,
+                                              bn_stats=stats)
+                assert ev.rounding_budget(spec, params, x[i:i + 1], eps,
+                                          bn_stats=stats).tobytes() == budget[i:i + 1].tobytes()
+                for got, want in ((alone.lower, bounds.lower), (alone.upper, bounds.upper)):
+                    assert np.abs(got[0] - want[i]).max() <= budget[i]
+                assert ev.certify(spec, params, x[i:i + 1], y[i:i + 1], eps,
+                                  bn_stats=stats)[0] == flags[i]
+    assert certified > 0 and refused > 0
+
+
 def test_verified_accuracy_zero_eps_equals_clean(trained_blobs_model):
     spec, params, data = trained_blobs_model
     clean = ev.clean_accuracy(spec, params, data.inputs, data.labels)
@@ -405,13 +435,89 @@ def test_verified_accuracy_monotone_in_eps(trained_blobs_model):
     clean = ev.clean_accuracy(spec, params, data.inputs, data.labels)
     assert all(v <= clean + 1e-12 for v in vals)
     # Per sample: every certificate at a grid radius is classified correctly
-    # by the point pass, so dropping the clean pass would change nothing here.
+    # by the point pass, which the rounding budget makes a theorem.
     correct = np.argmax(nets.forward_point(spec, params, data.inputs), axis=1) \
         == data.labels
     for e in grid:
         certified = ev.certify(spec, params, data.inputs, data.labels, e)
         assert certified.any()
         assert not (certified & ~correct).any(), f"eps {e}"
+
+
+@pytest.fixture(scope="module")
+def trained_conv_model():
+    """conv -> batchnorm -> relu -> maxpool -> dense on 8x8 digits, trained
+    briefly with its batchnorm moments frozen; returns the test split."""
+    digits = gen_digits(400, seed=11)
+    x = digits.inputs[..., None]
+    spec = nets.NetworkSpec((8, 8, 1), [
+        nets.conv(4, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
+        nets.flatten(), nets.dense(10)], classes=10)
+    h = nets.Hypernetwork(spec.total_params, 8, [32], 1, np.random.default_rng(3))
+    train = SimpleNamespace(inputs=x[:300], labels=digits.labels[:300])
+    cfg = training.TrainerConfig(steps=150, batch_size=32, seed=2,
+                                 loss=L.LossConfig(eps=0.03, alpha=0.1),
+                                 model_selection=False)
+    training.train_task(h, spec, 0, train, cfg)
+    test = SimpleNamespace(inputs=x[300:], labels=digits.labels[300:])
+    return spec, nets.generate_params(h, spec, 0), h.bn_stats[0], test
+
+
+def _bounds_and_point_verified_accuracy(spec, params, x, y, eps, bn_stats):
+    """The former rule: certified when the float logit bounds are strictly
+    separated, and counted when the point pass also classifies the centre
+    correctly."""
+    bounds = nets.forward_interval(spec, params, x, eps=eps, bn_stats=bn_stats)
+    rows = np.arange(len(y))
+    rivals = bounds.upper.copy()
+    rivals[rows, y] = -np.inf
+    separated = bounds.lower[rows, y] > rivals.max(axis=1)
+    correct = np.argmax(nets.forward_point(spec, params, x, bn_stats=bn_stats),
+                        axis=1) == y
+    return float(np.mean(separated & correct))
+
+
+@pytest.mark.parametrize("model, eps", [("trained_blobs_model", 0.1),
+                                        ("trained_conv_model", 0.03)],
+                         ids=["blobs", "conv"])
+def test_verified_accuracy_equals_the_bounds_and_point_pass_rule(request, model, eps):
+    # On trained networks the rounding budget is far below every margin, so
+    # dropping the point pass leaves each verified accuracy on a 0..2 eps
+    # grid exactly as the former rule scored it.
+    spec, params, *rest = request.getfixturevalue(model)
+    stats, split = rest if len(rest) == 2 else (None, rest[0])
+    x, y = split.inputs, split.labels
+    values = []
+    for radius in np.linspace(0.0, 2.0 * eps, 21):
+        value = ev.verified_accuracy(spec, params, x, y, radius, bn_stats=stats)
+        assert value == _bounds_and_point_verified_accuracy(spec, params, x, y,
+                                                            radius, stats)
+        values.append(value)
+    assert values[0] > 0.9 and values[-1] < values[0]
+
+
+def test_verified_accuracy_runs_one_interval_pass_and_no_point_pass(
+        trained_conv_model, monkeypatch):
+    # Counted through the module attributes, as the benchmark's tracer
+    # counts them.
+    spec, params, stats, split = trained_conv_model
+    calls = {"forward_point": 0, "forward_interval": 0}
+
+    def counting(name):
+        real = getattr(nets, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(nets, name, counting(name))
+    ev.verified_accuracy(spec, params, split.inputs, split.labels, 0.03,
+                         bn_stats=stats)
+    assert calls == {"forward_point": 0, "forward_interval": 1}
+    ev.clean_accuracy(spec, params, split.inputs, split.labels, bn_stats=stats)
+    assert calls == {"forward_point": 1, "forward_interval": 1}
 
 
 def test_certified_samples_survive_pgd(trained_blobs_model):

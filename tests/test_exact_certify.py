@@ -11,7 +11,11 @@ against the point pass at the ball's centre. Two more carry the exact box
 through a conv layer, and through batchnorm with frozen moments (as the
 folded doubles the point pass applies). Average pooling and sigmoid,
 the two interval rules that round outside the affine rule, are checked
-against an exact window mean and a 60-digit ``decimal`` sigmoid.
+against an exact window mean and a 60-digit ``decimal`` sigmoid, rule by
+rule and as the hidden layer of a network.
+
+``certify`` subtracts twice a per-sample rounding budget ``e`` from the
+float margin, so none of its certificates may fail in exact arithmetic.
 """
 
 from decimal import Decimal, localcontext
@@ -128,10 +132,6 @@ def test_near_tie_cases_include_boxes_the_reference_refuses():
     assert any(refused)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: _affine_box forms centre +- halfwidth with "
-    "round-to-nearest, so certify accepts near-tie boxes whose exact "
-    "logit box overlaps"))
 def test_certify_never_outruns_the_exact_reference_at_near_ties():
     wrong = [(x, eps) for x, eps, w, b in _near_tie_cases(seed=0, count=400)
              if _certified(x, eps, w, b, 0) and exact_margin(x, eps, w, b, 0) <= 0]
@@ -174,10 +174,6 @@ def test_dead_centre_cases_predict_the_rival_at_their_centre():
         assert box[1].upper[0, 0] > 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: certify rounds each logit bound to nearest, so it "
-    "certifies class 0 at 2 of these 1000 balls (draws 748 and 920) whose "
-    "centre forward_point calls class 1"))
 def test_certified_ball_classifies_its_centre_correctly():
     wrong = [i for i, (x, eps, params) in
              enumerate(_dead_centre_cases(seed=1, count=1000))
@@ -279,10 +275,6 @@ def test_two_layer_near_tie_cases_include_boxes_the_reference_refuses():
     assert any(refused)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: every dense layer's _affine_box rounds to nearest; "
-    "certify accepts 12 of these 400 two-layer near-tie boxes whose exact "
-    "logit box overlaps"))
 def test_two_layer_certify_never_outruns_the_exact_reference_at_near_ties():
     wrong = [(x, eps) for x, eps, *net in _two_layer_near_tie_cases(seed=0, count=400)
              if _two_certified(x, eps, *net, 0)
@@ -294,6 +286,8 @@ def test_two_layer_certify_never_outruns_the_exact_reference_at_near_ties():
 
 CONV = nets.NetworkSpec((2, 2, 1), [nets.conv(2, 2), nets.flatten(), nets.dense(2)], 2)
 NORM = nets.NetworkSpec((1,), [nets.dense(2), nets.batchnorm(), nets.dense(2)], 2)
+POOL = nets.NetworkSpec((4, 4, 1), [nets.avgpool(2), nets.flatten(), nets.dense(2)], 2)
+SIG = nets.NetworkSpec((1,), [nets.dense(2), nets.act("sigmoid"), nets.dense(2)], 2)
 
 
 def _float_box(x, eps):
@@ -327,9 +321,48 @@ def exact_norm_logits(x, eps, params, stats):
     return _exact_dense(normed, params.get(2, "weight"), params.get(2, "bias"))
 
 
+def exact_pool_logits(x, eps, params):
+    """Exact logit box of POOL: each 2x2 window's exact mean bounds, in the
+    (row, column) order flatten keeps, into the dense head."""
+    box = _float_box(x, eps)
+    at = lambda r, c: box[4 * r + c]  # noqa: E731
+    pooled = [tuple(sum(at(2 * i + a, 2 * j + b)[k] for a in (0, 1) for b in (0, 1)) / 4
+                    for k in (0, 1))
+              for i in (0, 1) for j in (0, 1)]
+    return _exact_dense(pooled, params.get(2, "weight"), params.get(2, "bias"))
+
+
+# Far above the 60-digit error of a sigmoid, far below any float margin.
+SIGMOID_SLACK = Fraction(1, 10**50)
+
+
+def exact_sigmoid_logits(x, eps, params):
+    """Logit box of SIG around the exact one: the hidden box is exact, its
+    sigmoid is taken to 60 digits and widened by ``SIGMOID_SLACK`` each way,
+    so it contains the exact image, and the head is exact on that."""
+    hidden = _exact_dense(_float_box(x, eps), params.get(0, "weight"),
+                          params.get(0, "bias"))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sig = [[Fraction(1 / (1 + (-Decimal(v.numerator) / v.denominator).exp()))
+                for v in unit] for unit in hidden]
+    widened = [(lo - SIGMOID_SLACK, hi + SIGMOID_SLACK) for lo, hi in sig]
+    return _exact_dense(widened, params.get(2, "weight"), params.get(2, "bias"))
+
+
 def _draw_conv(rng):
     x = rng.uniform(0.2, 0.8, size=(1, 2, 2, 1))
     return x, rng.uniform(0.001, 0.05), rng.normal(size=CONV.total_params), None
+
+
+def _draw_pool(rng):
+    x = rng.uniform(0.2, 0.8, size=(1, 4, 4, 1))
+    return x, rng.uniform(0.001, 0.05), rng.normal(size=POOL.total_params), None
+
+
+def _draw_sigmoid(rng):
+    x = rng.uniform(0.2, 0.8, size=(1, 1))
+    return x, rng.uniform(0.001, 0.05), rng.normal(size=SIG.total_params), None
 
 
 def _draw_norm(rng):
@@ -357,8 +390,9 @@ def _deep_near_tie_cases(spec, draw, seed: int, count: int):
 
 
 def _deep_exact_margin(spec, x, eps, params, stats, label: int) -> Fraction:
-    logits = (exact_conv_logits(x, eps, params) if spec is CONV
-              else exact_norm_logits(x, eps, params, stats))
+    logits = (exact_norm_logits(x, eps, params, stats) if spec is NORM else
+              {CONV: exact_conv_logits, POOL: exact_pool_logits,
+               SIG: exact_sigmoid_logits}[spec](x, eps, params))
     return logits[label][0] - logits[1 - label][1]
 
 
@@ -369,8 +403,7 @@ def _deep_wrong_certificates(spec, draw):
             and _deep_exact_margin(spec, x, eps, params, stats, 0) <= 0]
 
 
-@pytest.mark.parametrize("spec, draw", [(CONV, _draw_conv), (NORM, _draw_norm)])
-def test_conv_and_batchnorm_references_agree_with_certify(spec, draw):
+def _check_reference_agrees_with_certify(spec, draw):
     # Away from ties the exact margin's sign is the certificate; at the near
     # ties the reference refuses some boxes.
     rng = np.random.default_rng(10)
@@ -393,18 +426,42 @@ def test_conv_and_batchnorm_references_agree_with_certify(spec, draw):
                in _deep_near_tie_cases(spec, draw, seed=0, count=400))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: the conv layer's _affine_box rounds to nearest; certify "
-    "accepts 14 of these 400 conv near-tie boxes whose exact logit "
-    "box overlaps"))
+@pytest.mark.parametrize("spec, draw", [(CONV, _draw_conv), (NORM, _draw_norm)])
+def test_conv_and_batchnorm_references_agree_with_certify(spec, draw):
+    _check_reference_agrees_with_certify(spec, draw)
+
+
+@pytest.mark.parametrize("spec, draw", [(POOL, _draw_pool), (SIG, _draw_sigmoid)],
+                         ids=["avg_pool", "sigmoid"])
+def test_avg_pool_and_sigmoid_references_agree_with_certify(spec, draw):
+    _check_reference_agrees_with_certify(spec, draw)
+
+
+def _bounds_alone_certify(spec, params, x, eps) -> bool:
+    box = nets.forward_interval(spec, params, x, eps=eps)
+    return bool(box.lower[0, 0] > box.upper[0, 1])
+
+
+@pytest.mark.parametrize("spec, draw", [(POOL, _draw_pool), (SIG, _draw_sigmoid)],
+                         ids=["avg_pool", "sigmoid"])
+def test_avg_pool_and_sigmoid_certify_never_outruns_the_exact_reference(spec, draw):
+    # Both layers round outside the affine rule: their raw bounds can lie
+    # inside the exact image (the two strict xfails below). Comparing the
+    # logit bounds alone, the rule before the rounding budget, certifies
+    # some of these near ties that the reference refuses; certify, which
+    # takes 2e off the margin, certifies none.
+    raw = [i for i, (x, eps, params, stats)
+           in enumerate(_deep_near_tie_cases(spec, draw, seed=0, count=400))
+           if _bounds_alone_certify(spec, params, x, eps)
+           and _deep_exact_margin(spec, x, eps, params, stats, 0) <= 0]
+    assert raw
+    assert _deep_wrong_certificates(spec, draw) == []
+
+
 def test_conv_certify_never_outruns_the_exact_reference_at_near_ties():
     assert _deep_wrong_certificates(CONV, _draw_conv) == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: batchnorm's folded map goes through _affine_box with "
-    "round-to-nearest; certify accepts 20 of these 400 near-tie boxes "
-    "under frozen moments whose exact logit box overlaps"))
 def test_frozen_batchnorm_certify_never_outruns_the_exact_reference_at_near_ties():
     assert _deep_wrong_certificates(NORM, _draw_norm) == []
 
