@@ -8,17 +8,17 @@ inputs in the [0, 1] box and projects onto the eps-ball within that box;
 FGSM is its single full step of size eps from the clean input.
 
 A certificate holds in float64, not only in real arithmetic. Next to the
-logit bounds ``[lower, upper]`` of the interval pass, ``rounding_budget``
-gives each sample a bound ``e`` on float64 rounding: the exact image of
-the real eps-ball lies in ``[lower - e, upper + e]``, and so do the logits
-of the point pass at the ball's centre. ``certified_margin`` is ``own_lower
-- max rival_upper - 2e``, and ``certify`` asks it to be positive, so a
-certified sample is also classified correctly at its centre.
+logit bounds ``[lower, upper]`` of the interval pass, the last row of
+``intervals.rounding_budget`` gives each sample a bound ``e`` on float64
+rounding: the exact image of the real eps-ball lies in ``[lower - e, upper
++ e]``, and so do the logits of the point pass at the ball's centre.
+``certified_margin`` is ``own_lower - max rival_upper - 2e``, and
+``certify`` asks it to be positive, so a certified sample is also
+classified correctly at its centre.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,158 +122,20 @@ def attacked_accuracy(spec, params, inputs, labels, cfg: AttackConfig,
 
 # ---- certificates --------------------------------------------------------
 
-# Unit roundoff of float64.
-_U = 2.0 ** -53
-# Each budget update below is a chain of fewer than 30 roundings of
-# non-negative floats, each at most a factor (1 - u) low; scaling its result
-# by this keeps it an upper bound, since (1 - u)**30 * (1 + 2**-48) > 1.
-_ROUND_UP = 1.0 + 2.0 ** -48
-# Added at each layer that rounds. Below 2**-1022 a product can err by up to
-# 2**-1075 in absolute terms, which no relative bound covers; a layer with
-# fan-in and weight norm under 2**50 makes fewer than 2**54 such errors. It
-# also keeps ``e`` a normal number, on which arithmetic stays fast.
-_FLOOR = 2.0 ** -1021
-
-
-def _gamma(k: int) -> float:
-    """Higham's ``γ_k = k u / (1 - k u)``: the relative error bound of a
-    float sum of ``k`` rounded terms, in any order."""
-    return k * _U / (1.0 - k * _U)
-
-
-def _affine_norms(spec, params, magnitudes, index, layer, moments):
-    """``(‖W‖∞ rounded up, max |b|, n)`` of an affine layer: ``n`` terms per
-    output (1 for batchnorm, whose ``W`` is diagonal), and ``‖W‖∞`` the
-    largest sum of |W| over one output's terms. ``magnitudes`` maps each
-    (layer index, name) slot to the absolute values of its parameters."""
-    if layer.kind == "batchnorm":
-        if moments is None:
-            raise ValueError(f"layer {index}: batchnorm on boxes needs "
-                             "moments (bn_stats)")
-        weight, bias = iv._bn_fold(np.empty((0,) + spec.shapes[index]),
-                                   params.get(index, "gamma"),
-                                   params.get(index, "shift"), iv.BN_EPS, moments)
-        return float(np.abs(weight).max()), float(np.abs(bias).max()), 1
-    if layer.kind == "dense":
-        weight = magnitudes[index, "weight"]
-        n = weight.shape[1]
-        sums = weight.sum(axis=1)
-    else:
-        kernel = magnitudes[index, "kernel"]
-        n = math.prod(kernel.shape[:3])
-        sums = kernel.reshape(n, -1).sum(axis=0)
-    # The float sum is at most a factor (1 - γ_{n-1}) low.
-    return (float(sums.max()) * (1.0 + _gamma(n)),
-            float(magnitudes[index, "bias"].max()), n)
-
-
-def rounding_budget(spec, params, inputs, eps, bn_stats=None) -> np.ndarray:
-    """Per-sample float64 rounding budget ``e`` of the interval pass.
-
-    Let ``[lower, upper]`` be the logit bounds ``nets.forward_interval``
-    computes from these arguments (which it must accept). Each sample's
-    ``[lower - e, upper + e]`` then contains (a) the exact image of the real
-    ball ``|z - x| <= eps`` through the network in real arithmetic on its
-    float64 weights, with batchnorm the folded map ``weight * h + bias`` in
-    the doubles ``intervals._bn_fold`` gives, and (b) the logits that
-    ``nets.forward_point`` computes at ``x``, in a batch of any size.
-
-    Proof, after Higham (*Accuracy and Stability of Numerical Algorithms*,
-    §3.1) in the midpoint-radius setting of Rump (BIT 39, 1999). ``u =
-    2^-53``; a float sum of ``k`` rounded terms is within ``γ_k`` of the
-    exact sum, relative to the sum of their magnitudes, in any order and
-    with or without fused multiply-adds. The invariant after every layer,
-    for its float box ``[lo, hi]`` and point value ``p``: the exact image
-    and ``p`` lie in ``[lo - e, hi + e]``, and ``|lo|, |hi| <= big``.
-
-    - Input: ``lo, hi = fl(x -+ eps)`` and ``|fl(a) - a| <= u |fl(a)|``.
-      ``big`` is the float sum of ``|x_i| + eps`` over the sample's
-      features. A float sum of non-negative terms is at least its largest
-      term, so ``big >= fl(|x_i| + eps) >= |lo_i|, |hi_i|`` and ``e = u
-      big`` covers the real ball; ``p = x`` is in the box.
-    - Affine ``W h + b`` with ``n`` terms per output, ``N = ‖W‖∞``, ``β =
-      max |b|`` and ``T = N big + β``. The rule forms ``m = fl((lo + hi)
-      / 2)`` and ``r = fl((hi - lo) / 2)``, each within ``u big`` of exact,
-      then ``c = fl(W m + b)``, ``h = fl(|W| r)`` and ``fl(c -+ h)``. The
-      exact image of the widened box is ``W m* + b -+ |W| (r* + e)``. It
-      differs from ``c -+ h`` by ``N e`` plus ``γ_{n+1} (T + N big)`` from
-      ``c`` and ``h``, ``u N big`` from ``m``, and ``2u (1 + γ_{n+2}) T``
-      from the last rounding. The point pass adds ``γ_{n+1} (T + N e)``,
-      since ``|p| <= big + e``. The update ``e' = N e + γ_{n+2} (N e + 4T)
-      + 4u T`` covers the sum with ``γ_{n+2} T`` to spare for second-order
-      terms, and ``|fl(c -+ h)| <= (1 + γ_{n+3}) T <= T + e' = big'``.
-      Dense layers have ``n`` inputs, conv ``kh kw c_in``, and batchnorm
-      ``n = 1``, its ``W`` being diagonal.
-    - Average pooling over ``n`` entries as ``sum * (1 / n)``: each pass is
-      within ``γ_{n+1} max |v|`` of the exact mean, so ``e' = e + γ_{n+1}
-      (2 big + e)`` and ``big' = big + e'``.
-    - Sigmoid is 1/4-Lipschitz, and ``1 / (1 + exp(-x))`` in float is
-      within ``|δ_exp| / 4 + 2u`` of it, which is below ``8u`` for an
-      ``exp`` good to 10 ulps; so ``e' = e / 4 + 16u`` (one ``8u`` per
-      pass) and ``big' = 1``.
-    - ReLU, max pooling and flatten are exact and 1-Lipschitz: ``e`` and
-      ``big`` carry over.
-
-    Every update is rounded up (``_ROUND_UP``) and floored (``_FLOOR``).
-    Each is affine in ``(e, big)`` with non-negative coefficients, so ``e``
-    and ``big`` stay affine in the input's ``big``. The loop carries their
-    slopes and intercepts as floats, from the weight norms of this call
-    (applying each update with ``one = 0`` to the slopes and ``one = 1`` to
-    the intercepts), and one multiply-add over the batch gives ``e``: no
-    reduction over any layer's bounds.
-    """
-    x = np.asarray(inputs, dtype=np.float64)
-    flat = np.abs(params.flat)
-    magnitudes = {(index, name): flat[offset:offset + size].reshape(shape)
-                  for index, name, shape, offset, size in spec.slots}
-    moments = iter(bn_stats if bn_stats is not None else ())
-    slope, intercept = (_U, 1.0), (0.0, 0.0)  # of (e, big)
-    for index, layer in enumerate(spec.layers):
-        kind = layer.kind
-        if kind in ("dense", "conv", "batchnorm"):
-            stats = next(moments, None) if kind == "batchnorm" else None
-            norm, shift, n = _affine_norms(spec, params, magnitudes, index,
-                                           layer, stats)
-            g = _gamma(n + 2)
-
-            def update(e, big, one):
-                total = norm * big + shift * one
-                e = _ROUND_UP * (norm * e + g * (norm * e + 4.0 * total)
-                                 + 4.0 * _U * total) + _FLOOR * one
-                return e, _ROUND_UP * (total + e)
-        elif kind == "pool" and layer.pool == "avg":
-            g = _gamma(layer.window ** 2 + 1)
-
-            def update(e, big, one):
-                e = _ROUND_UP * (e + g * (2.0 * big + e)) + _FLOOR * one
-                return e, _ROUND_UP * (big + e)
-        elif kind == "activation" and layer.activation == "sigmoid":
-            def update(e, big, one):
-                return _ROUND_UP * (0.25 * e + 16.0 * _U * one), one
-        else:
-            continue
-        slope, intercept = update(*slope, 0.0), update(*intercept, 1.0)
-    # numpy sums each row on its own, so a sample's ``e`` is the same bits
-    # whatever its batch-mates; a BLAS product would not promise that.
-    big = (np.abs(x) + eps).reshape(len(x), math.prod(x.shape[1:])).sum(axis=1)
-    return (_ROUND_UP * slope[0]) * big + _ROUND_UP * intercept[0]
-
-
 def certified_margin(spec, params, inputs, labels, eps, bn_stats=None) -> np.ndarray:
     """Per-sample margin ``own_lower - max rival_upper - 2e`` at radius ``eps``.
 
     ``lower`` and ``upper`` are the logit bounds of ``nets.forward_interval``
-    and ``e`` is :func:`rounding_budget`. A positive margin is a proof, in
-    float64 as in real arithmetic: the true class's logit exceeds every
-    rival's at every point of the real ball of radius ``eps``, and
-    ``nets.forward_point`` classifies the centre as its label. ``2e`` is
-    taken a little larger, so that a positive float margin implies a
-    positive exact one.
+    over the ball and ``e`` the last row of ``intervals.rounding_budget``
+    for it. A positive margin is a proof, in float64 as in real arithmetic:
+    the true class's logit exceeds every rival's at every point of the real
+    ball of radius ``eps``, and ``nets.forward_point`` classifies the centre
+    as its label. ``2e`` is taken a little larger (by ``1 + 2^-48``), so
+    that a positive float margin implies a positive exact one.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    bounds = nets.forward_interval(spec, params, inputs, eps=eps, bn_stats=bn_stats)
-    lower = np.asarray(bounds.lower)
-    upper = np.asarray(bounds.upper)
+    box = iv.IntervalTensor.from_ball(np.asarray(inputs, dtype=np.float64), eps)
+    bounds = nets.forward_interval(spec, params, box, bn_stats=bn_stats)
+    lower, upper = bounds.lower, bounds.upper
     batch = lower.shape[0]
     labels = ad.check_labels(labels, batch, lower.shape[1])
     rows = np.arange(batch)
@@ -281,8 +143,8 @@ def certified_margin(spec, params, inputs, labels, eps, bn_stats=None) -> np.nda
     # Class-major, so that the max over classes runs along contiguous rows.
     rivals = upper.T.copy()
     rivals[labels, rows] = -np.inf
-    budget = rounding_budget(spec, params, inputs, eps, bn_stats)
-    return own_lower - rivals.max(axis=0) - (2.0 * _ROUND_UP) * budget
+    budget = iv.rounding_budget(spec, params, box, bn_stats)[-1]
+    return own_lower - rivals.max(axis=0) - (2.0 + 2.0 ** -47) * budget
 
 
 def certify(spec, params, inputs, labels, eps, bn_stats=None) -> np.ndarray:

@@ -8,15 +8,16 @@ a kernel directly; the interval rule for the same layer wraps it.
 
 An ``IntervalTensor`` carries elementwise lower and upper bounds. Each rule
 maps an input box to an output box that contains every image of a point from
-the input box. Dense, conv and batchnorm share one affine rule that sends
-the midpoint through the map and the radius through it with absolute
-weights. Batch normalization is the per-feature affine map ``weight * x +
-bias`` with ``weight = gamma / sqrt(var + eps)`` and ``bias = shift -
-weight * mean``: a point batch applies it directly, a box goes through the
-affine rule unmodified. Only a point batch may take live moments from
-itself; a box is always normalized with moments given to it (frozen, or
-captured from the point pass over the same step), so its bounds hold for
-the one network the point pass ran.
+the input box, up to float64 rounding, which ``rounding_budget`` bounds per
+sample and layer for certificates and ``soundness_oracle`` alike. Dense,
+conv and batchnorm share one affine rule that sends the midpoint through the
+map and the radius through it with absolute weights. Batch normalization is
+the per-feature affine map ``weight * x + bias`` with ``weight = gamma /
+sqrt(var + eps)`` and ``bias = shift - weight * mean``: a point batch
+applies it directly, a box goes through the affine rule unmodified. Only a
+point batch may take live moments from itself; a box is always normalized
+with moments given to it (frozen, or captured from the point pass over the
+same step), so its bounds hold for the one network the point pass ran.
 Monotone activations and pooling apply the kernel to both bounds.
 
 Payloads may be ndarrays or autodiff Tensors; the kernels are written
@@ -26,6 +27,7 @@ identically in both modes.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -218,6 +220,147 @@ def interval_pool(iv: IntervalTensor, kind: str, window: int, stride=None) -> In
                           pool(iv.upper, kind, window, stride))
 
 
+# ---- float64 rounding budget and soundness oracle -------------------------
+
+# Unit roundoff of float64.
+_U = 2.0 ** -53
+# Each budget update below is a chain of fewer than 30 roundings of
+# non-negative floats, each at most a factor (1 - u) low; scaling its result
+# by this keeps it an upper bound, since (1 - u)**30 * (1 + 2**-48) > 1.
+_ROUND_UP = 1.0 + 2.0 ** -48
+# Added at each layer that rounds. Below 2**-1022 a product can err by up to
+# 2**-1075 in absolute terms, which no relative bound covers; a layer with
+# fan-in and weight norm under 2**50 makes fewer than 2**54 such errors. It
+# also keeps ``e`` a normal number, on which arithmetic stays fast.
+_FLOOR = 2.0 ** -1021
+
+
+def _gamma(k: int) -> float:
+    """Higham's ``γ_k = k u / (1 - k u)``: the relative error bound of a
+    float sum of ``k`` rounded terms, in any order."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _affine_norms(spec, params, magnitudes, index, layer, moments):
+    """``(‖W‖∞ rounded up, max |b|, n)`` of an affine layer: ``n`` terms per
+    output (1 for batchnorm, whose ``W`` is diagonal), and ``‖W‖∞`` the
+    largest sum of |W| over one output's terms. ``magnitudes`` maps each
+    (layer index, name) slot to the absolute values of its parameters."""
+    if layer.kind == "batchnorm":
+        weight, bias = _bn_fold(np.empty((0,) + spec.shapes[index]),
+                                params.get(index, "gamma"),
+                                params.get(index, "shift"), BN_EPS, moments)
+        return float(np.abs(weight).max()), float(np.abs(bias).max()), 1
+    if layer.kind == "dense":
+        weight = magnitudes[index, "weight"]
+        n = weight.shape[1]
+        sums = weight.sum(axis=1)
+    else:
+        kernel = magnitudes[index, "kernel"]
+        n = math.prod(kernel.shape[:3])
+        sums = kernel.reshape(n, -1).sum(axis=0)
+    # The float sum is at most a factor (1 - γ_{n-1}) low.
+    return (float(sums.max()) * (1.0 + _gamma(n)),
+            float(magnitudes[index, "bias"].max()), n)
+
+
+def rounding_budget(spec, params, box: IntervalTensor, bn_stats=None) -> np.ndarray:
+    """Per-sample float64 rounding budget of the interval pass, per layer.
+
+    Row ``k`` of the ``(len(spec.layers) + 1, B)`` result is ``e`` for the
+    ``k``-th box ``nets.forward_interval`` records from these arguments
+    (row 0 the input). Each sample's ``[lower - e, upper + e]`` contains
+    (a) the exact image of the float box, or of the real ball it rounds
+    (``from_ball``), in real arithmetic on the float64 weights, batchnorm
+    being ``weight * h + bias`` in the doubles ``_bn_fold`` gives, and (b)
+    the value ``nets.forward_point`` computes at any point of the float
+    box, in a batch of any size.
+
+    Proof, after Higham (*Accuracy and Stability of Numerical Algorithms*,
+    §3.1) in the midpoint-radius setting of Rump (BIT 39, 1999). ``u =
+    2^-53``; a float sum of ``k`` rounded terms is within ``γ_k`` of the
+    exact sum, relative to the sum of their magnitudes, in any order and
+    with or without fused multiply-adds. The invariant after every layer,
+    for its float box ``[lo, hi]`` and point value ``p``: the exact image
+    and ``p`` lie in ``[lo - e, hi + e]``, and ``|lo|, |hi| <= big``.
+
+    - Input: ``big``, the float sum of ``max(-lo_i, hi_i) = max(|lo_i|,
+      |hi_i|)`` over the features, is at least each term. A rounded ball
+      ``lo, hi = fl(x -+ eps)`` is within ``u big`` of the real one, so
+      ``e = u big`` covers it, a float box, and any point ``p`` of the box.
+    - Affine ``W h + b`` with ``n`` terms per output, ``N = ‖W‖∞``, ``β =
+      max |b|`` and ``T = N big + β``. The rule forms ``m = fl((lo + hi)
+      / 2)`` and ``r = fl((hi - lo) / 2)``, each within ``u big`` of exact,
+      then ``c = fl(W m + b)``, ``h = fl(|W| r)`` and ``fl(c -+ h)``. The
+      exact image of the widened box is ``W m* + b -+ |W| (r* + e)``. It
+      differs from ``c -+ h`` by ``N e`` plus ``γ_{n+1} (T + N big)`` from
+      ``c`` and ``h``, ``u N big`` from ``m``, and ``2u (1 + γ_{n+2}) T``
+      from the last rounding. The point pass at any ``p`` in ``[lo - e,
+      hi + e]`` adds ``γ_{n+1} (T + N e)``, as ``|p| <= big + e``. The
+      update ``e' = N e + γ_{n+2} (N e + 4T) + 4u T`` covers the sum with
+      ``γ_{n+2} T`` to spare for second-order terms, and ``|fl(c -+ h)| <=
+      (1 + γ_{n+3}) T <= T + e' = big'``. Dense layers have ``n`` inputs,
+      conv ``kh kw c_in``, and batchnorm ``n = 1``, its ``W`` being diagonal.
+    - Average pooling over ``n`` entries as ``sum * (1 / n)``: each pass is
+      within ``γ_{n+1} max |v|`` of the exact mean, so ``e' = e + γ_{n+1}
+      (2 big + e)`` and ``big' = big + e'``.
+    - Sigmoid is 1/4-Lipschitz, and ``1 / (1 + exp(-x))`` in float is
+      within ``|δ_exp| / 4 + 2u`` of it, which is below ``8u`` for an
+      ``exp`` good to 10 ulps; so ``e' = e / 4 + 16u`` (one ``8u`` per
+      pass) and ``big' = 1``.
+    - ReLU, max pooling and flatten are exact and 1-Lipschitz: ``e`` and
+      ``big`` carry over.
+
+    Every update is rounded up (``_ROUND_UP``) and floored (``_FLOOR``).
+    Each is affine in ``(e, big)`` with non-negative coefficients, so ``e``
+    and ``big`` stay affine in the input's ``big``. The loop carries their
+    slopes and intercepts as floats, from the weight norms of this call
+    (applying each update with ``one = 0`` to the slopes and ``one = 1`` to
+    the intercepts), and one outer product over the batch gives the rows:
+    no reduction over any layer's bounds.
+    """
+    spec.check_bn_stats(bn_stats, boxed=True)
+    flat = np.abs(params.flat)
+    magnitudes = {(index, name): flat[offset:offset + size].reshape(shape)
+                  for index, name, shape, offset, size in spec.slots}
+    moments = iter(bn_stats or ())
+    slope, intercept = (_U, 1.0), (0.0, 0.0)  # of (e, big)
+    rows = [(slope[0], intercept[0])]
+    for index, layer in enumerate(spec.layers):
+        kind = layer.kind
+        update = None
+        if kind in ("dense", "conv", "batchnorm"):
+            stats = next(moments) if kind == "batchnorm" else None
+            norm, shift, n = _affine_norms(spec, params, magnitudes, index,
+                                           layer, stats)
+            g = _gamma(n + 2)
+
+            def update(e, big, one):
+                total = norm * big + shift * one
+                e = _ROUND_UP * (norm * e + g * (norm * e + 4.0 * total)
+                                 + 4.0 * _U * total) + _FLOOR * one
+                return e, _ROUND_UP * (total + e)
+        elif kind == "pool" and layer.pool == "avg":
+            g = _gamma(layer.window ** 2 + 1)
+
+            def update(e, big, one):
+                e = _ROUND_UP * (e + g * (2.0 * big + e)) + _FLOOR * one
+                return e, _ROUND_UP * (big + e)
+        elif kind == "activation" and layer.activation == "sigmoid":
+            def update(e, big, one):
+                return _ROUND_UP * (0.25 * e + 16.0 * _U * one), one
+        if update is not None:
+            slope, intercept = update(*slope, 0.0), update(*intercept, 1.0)
+        rows.append((slope[0], intercept[0]))
+    rows = _ROUND_UP * np.array(rows)
+    # numpy sums each row on its own, so a sample's ``e`` is the same bits
+    # whatever its batch-mates; a BLAS product would not promise that.
+    big = np.negative(box.lower)
+    np.maximum(big, box.upper, out=big)
+    big = big.reshape(len(big), math.prod(big.shape[1:])).sum(axis=1)
+    return np.multiply.outer(rows[:, 0], big) + rows[:, 1:]
+
+
 @dataclass
 class SoundnessReport:
     """Outcome of Monte Carlo containment checking."""
@@ -231,10 +374,6 @@ class SoundnessReport:
         return self.violations == 0
 
 
-# Escape, relative to max(1, |bound|), above which a sample violates.
-ORACLE_TOLERANCE = 1e-9
-
-
 def soundness_oracle(net_spec, params, input_box: IntervalTensor,
                      samples: int, seed: int) -> SoundnessReport:
     """Sample points from the input box and check containment at every layer.
@@ -244,9 +383,10 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
     and final activation. Batchnorm layers there take the moments of the
     sampled points, and the interval pass over the boxes is handed those
     moments, so bounds and points go through the same network (a lone point
-    has variance 0, so it needs two or more). A sample counts as violating
-    if it escapes its bounds anywhere by more than ``ORACLE_TOLERANCE``
-    relative to ``max(1, |bound|)``.
+    has variance 0, so it needs two or more). A sample violates if at some
+    layer ``k`` it escapes ``[lower - e_k, upper + e_k]``, ``e_k`` being the
+    box's :func:`rounding_budget`; ``max_violation`` is the largest absolute
+    escape from ``[lower, upper]`` itself.
     """
     from intervalcl import nets
 
@@ -268,17 +408,15 @@ def soundness_oracle(net_spec, params, input_box: IntervalTensor,
     nets.forward_point(net_spec, params, flat, record=act_trace, bn_capture=bn_stats)
     nets.forward_interval(net_spec, params, input_box, record=bound_trace,
                           bn_stats=bn_stats)
+    budget = rounding_budget(net_spec, params, input_box, bn_stats)
 
-    worst_per_sample = np.zeros((batch, samples))
-    for box, act in zip(bound_trace, act_trace):
-        bl, bu = ad.payload(box.lower), ad.payload(box.upper)
-        a = ad.payload(act).reshape((batch, samples) + bl.shape[1:])
-        scale = np.maximum(1.0, np.maximum(np.abs(bl), np.abs(bu)))
-        escape = np.maximum(bl[:, None] - a, a - bu[:, None]) / scale[:, None]
-        reduce_axes = tuple(range(2, escape.ndim))
-        if reduce_axes:
-            escape = escape.max(axis=reduce_axes)
-        worst_per_sample = np.maximum(worst_per_sample, escape)
-    return SoundnessReport(
-        samples=batch * samples, max_violation=float(worst_per_sample.max()),
-        violations=int((worst_per_sample > ORACLE_TOLERANCE).sum()))
+    worst = np.zeros((batch, samples))
+    violating = np.zeros((batch, samples), dtype=bool)
+    for bounds, act, e in zip(bound_trace, act_trace, budget):
+        bl, bu = (ad.payload(b).reshape(batch, 1, -1) for b in (bounds.lower, bounds.upper))
+        a = ad.payload(act).reshape(batch, samples, -1)
+        escape = np.maximum(bl - a, a - bu).max(axis=2)
+        worst = np.maximum(worst, escape)
+        violating |= escape > e[:, None]
+    return SoundnessReport(samples=batch * samples, max_violation=float(worst.max()),
+                           violations=int(violating.sum()))

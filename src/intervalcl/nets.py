@@ -88,6 +88,11 @@ def mlp_layers(hidden: list[int], classes: int, activation: str = "relu") -> lis
 # ---- network architecture ------------------------------------------------
 
 
+# The descriptor sizes each layer kind reads.
+_SIZES = {"dense": ("units",), "conv": ("channels", "kernel", "stride"),
+          "pool": ("window", "stride")}
+
+
 class NetworkSpec:
     """Architecture plus the flat parameter layout derived from it.
 
@@ -133,6 +138,19 @@ class NetworkSpec:
         self.batchnorm_layers = tuple(index for index, layer in enumerate(self.layers)
                                       if layer.kind == "batchnorm")
 
+    def check_bn_stats(self, bn_stats, boxed: bool) -> None:
+        """Refuse ``bn_stats`` unless it holds one (mean, var) pair per
+        batchnorm layer; only a point batch may take moments from itself,
+        for all layers (``None``) or one (a ``None`` entry)."""
+        layers = self.batchnorm_layers
+        if bn_stats is not None and len(bn_stats) != len(layers):
+            raise ValueError(f"bn_stats holds {len(bn_stats)} batchnorm moment "
+                             f"pairs, network has {len(layers)} batchnorm layers")
+        for index, stats in zip(layers, bn_stats or [None] * len(layers)):
+            if boxed and stats is None:
+                raise ValueError(f"layer {index}: batchnorm on boxes needs "
+                                 "moments (bn_stats)")
+
     @property
     def slots(self) -> list[tuple[int, str, tuple[int, ...], int, int]]:
         """The layout: (layer index, name, shape, offset, size) per slot."""
@@ -141,6 +159,11 @@ class NetworkSpec:
     @staticmethod
     def _flow(index, layer, shape):
         kind = layer.kind
+        for name in _SIZES.get(kind, ()):
+            value = getattr(layer, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"layer {index}: {kind} {name} must be an "
+                                 f"integer, got {value!r}")
         if kind == "dense":
             if len(shape) != 1:
                 raise ValueError(
@@ -169,6 +192,8 @@ class NetworkSpec:
             feat = shape[-1]
             return shape, [("gamma", (feat,)), ("shift", (feat,))]
         if kind == "pool":
+            if layer.pool not in ("avg", "max"):
+                raise ValueError(f"layer {index}: unknown pooling kind {layer.pool!r}")
             if len(shape) != 3:
                 raise ValueError(f"layer {index}: pool needs (H, W, C) input, got {shape}")
             h, w, c = shape
@@ -252,10 +277,7 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
     if tuple(shape[1:]) != spec.input_shape:
         raise ValueError(f"input shape {tuple(shape[1:])} does not match spec "
                          f"{spec.input_shape}")
-    if bn_stats is not None and len(bn_stats) != len(spec.batchnorm_layers):
-        raise ValueError(f"bn_stats holds {len(bn_stats)} batchnorm moment "
-                         f"pairs, network has {len(spec.batchnorm_layers)} "
-                         "batchnorm layers")
+    spec.check_bn_stats(bn_stats, boxed)
     if record is not None:
         record.append(x)
     bn_index = 0
@@ -278,9 +300,6 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
         elif kind == "batchnorm":
             stats = bn_stats[bn_index] if bn_stats is not None else None
             bn_index += 1
-            if boxed and stats is None:
-                raise ValueError(f"layer {index}: batchnorm on boxes needs "
-                                 "moments (bn_stats)")
             gamma, shift = params.get(index, "gamma"), params.get(index, "shift")
             out = (iv.interval_batchnorm(out, gamma, shift, stats=stats) if boxed
                    else iv.point_batchnorm(out, gamma, shift, stats=stats,

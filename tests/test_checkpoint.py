@@ -29,6 +29,7 @@ from intervalcl.nets import (
     forward_interval,
     forward_point,
     generate_params,
+    maxpool,
     mlp_layers,
 )
 from intervalcl.training import TrainerConfig, train_task
@@ -74,6 +75,28 @@ class TestSpecCodec:
     def test_malformed_spec(self):
         with pytest.raises(CheckpointError, match="malformed network"):
             spec_from_json({"input_shape": [3], "classes": 2})
+
+
+    @pytest.mark.parametrize("layer, key, value, message", [
+        (0, "channels", 2.0, "layer 0: conv channels must be an integer, got 2.0"),
+        (1, "pool", "min", "layer 1: unknown pooling kind 'min'"),
+        (1, "window", 2.0, "layer 1: pool window must be an integer, got 2.0"),
+        (3, "units", 2.0, "layer 3: dense units must be an integer, got 2.0"),
+    ])
+    def test_layers_it_cannot_run_are_refused(self, tmp_path, layer, key, value,
+                                              message):
+        spec = NetworkSpec((4, 4, 1), [conv(2, 3), maxpool(2), flatten(), dense(2)],
+                           classes=2)
+        h = Hypernetwork(spec.total_params, 4, [6], task_count=1,
+                         rng=np.random.default_rng(3))
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), h, spec)
+        payload = json.loads(path.read_text())
+        payload["spec"]["layers"][layer][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError,
+                           match="malformed network description: " + re.escape(message)):
+            load_checkpoint(str(path))
 
 
 class TestRoundTrip:

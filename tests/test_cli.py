@@ -200,6 +200,19 @@ class TestEval:
                  "--set", f"output.dir={tmp_path}/evalc", *BLOBS_ARGS)
         assert rc == 3
 
+    @pytest.mark.parametrize("units", [8.0, True])
+    def test_layer_size_that_is_not_an_integer_is_data_error(
+            self, trained_run, tmp_path, capsys, units):
+        payload = json.loads((trained_run / "checkpoint.json").read_text())
+        payload["spec"]["layers"][0]["units"] = units
+        bad = tmp_path / "float_units.json"
+        bad.write_text(json.dumps(payload))
+        rc = run("eval", "--checkpoint", str(bad),
+                 "--set", f"output.dir={tmp_path}/evalu", *BLOBS_ARGS)
+        assert rc == 3
+        assert (f"layer 0: dense units must be an integer, got {units!r}"
+                in capsys.readouterr().err)
+
     def test_format_1_checkpoint_is_data_error(self, trained_run, tmp_path,
                                               capsys):
         payload = _as_format_1(

@@ -7,11 +7,13 @@ import pytest
 
 from intervalcl import autodiff as ad
 from intervalcl import evaluation as ev
+from intervalcl import intervals as iv
 from intervalcl import losses as L
 from intervalcl import nets
 from intervalcl import training
 from intervalcl.autodiff import Tensor
 from intervalcl.data import gen_digits
+from intervalcl.intervals import IntervalTensor
 
 
 def identity_head_spec():
@@ -403,15 +405,17 @@ def test_rounding_budget_covers_the_batch_of_one_difference():
         spec, params, stats, x, y, _ = _conv_batchnorm_case(seed)
         for eps in (0.005, 0.02, 0.05):
             bounds = nets.forward_interval(spec, params, x, eps=eps, bn_stats=stats)
-            budget = ev.rounding_budget(spec, params, x, eps, bn_stats=stats)
+            budget = iv.rounding_budget(spec, params, IntervalTensor.from_ball(x, eps),
+                                        bn_stats=stats)[-1]
             flags = ev.certify(spec, params, x, y, eps, bn_stats=stats)
             certified += int(flags.sum())
             refused += int((~flags).sum())
             for i in range(len(x)):
                 alone = nets.forward_interval(spec, params, x[i:i + 1], eps=eps,
                                               bn_stats=stats)
-                assert ev.rounding_budget(spec, params, x[i:i + 1], eps,
-                                          bn_stats=stats).tobytes() == budget[i:i + 1].tobytes()
+                assert iv.rounding_budget(
+                    spec, params, IntervalTensor.from_ball(x[i:i + 1], eps),
+                    bn_stats=stats)[-1].tobytes() == budget[i:i + 1].tobytes()
                 for got, want in ((alone.lower, bounds.lower), (alone.upper, bounds.upper)):
                     assert np.abs(got[0] - want[i]).max() <= budget[i]
                 assert ev.certify(spec, params, x[i:i + 1], y[i:i + 1], eps,

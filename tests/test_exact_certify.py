@@ -507,9 +507,33 @@ def test_avg_pool_lower_bound_never_exceeds_the_exact_mean():
     assert [i for i, (g, e) in enumerate(zip(got, exact)) if g > e] == []
 
 
+def test_avg_pool_lower_bound_less_its_budget_never_exceeds_the_exact_mean():
+    # The same windows through POOL, whose layer 1 is the pooling: its row
+    # of the rounding budget covers what the raw rule rounds away.
+    lower = np.random.default_rng(0).uniform(size=(200, 4, 4, 1))
+    budget = iv.rounding_budget(POOL, nets.ParamSet(POOL, np.zeros(POOL.total_params)),
+                                IntervalTensor(lower, lower + 0.1))[1]
+    got, exact = _avg_pool_lower_and_exact_means()
+    assert len(got) == 4 * len(budget)
+    assert [i for i, (g, e) in enumerate(zip(got, exact))
+            if g - Fraction(float(budget[i // 4])) > e] == []
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 1: ad.sigmoid rounds 1 / (1 + exp(-x)) to nearest; 953 "
     "of these 2000 upper bounds lie below the exact sigmoid"))
 def test_sigmoid_upper_bound_never_falls_below_the_exact_sigmoid():
     got, exact = _sigmoid_upper_and_exact()
     assert [i for i, (g, e) in enumerate(zip(got, exact)) if g < e] == []
+
+
+def test_sigmoid_upper_bound_plus_its_budget_never_falls_below_the_exact_sigmoid():
+    # The same draws through a sigmoid layer and a dense head: layer 1's
+    # row of the rounding budget covers what the raw rule rounds away.
+    spec = nets.NetworkSpec((1,), [nets.act("sigmoid"), nets.dense(2)], 2)
+    x = np.random.default_rng(0).normal(0.0, 3.0, size=(2000, 1))
+    budget = iv.rounding_budget(spec, nets.ParamSet(spec, np.zeros(spec.total_params)),
+                                IntervalTensor(x, x))[1]
+    got, exact = _sigmoid_upper_and_exact()
+    assert [i for i, (g, e) in enumerate(zip(got, exact))
+            if Fraction(g) + Fraction(float(budget[i])) < Fraction(e)] == []

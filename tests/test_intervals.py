@@ -511,6 +511,79 @@ def test_soundness_oracle_takes_batchnorm_moments_from_its_samples(monkeypatch):
     assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
 
 
+def test_soundness_oracle_catches_a_bias_below_a_relative_tolerance(monkeypatch):
+    # A dense rule that lifts both bounds by 1e-12 of max(1, |upper|) leaves
+    # every zero-radius box below its exact image. The escape is far under a
+    # 1e-9 relative tolerance and far over the rounding budget.
+    spec = nets.NetworkSpec((4,), nets.mlp_layers([6], 2), classes=2)
+    rng = np.random.default_rng(14)
+    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    x = rng.uniform(size=(2, 4))
+    exact_rule = iv.interval_affine
+
+    def biased_rule(box, weight, bias):
+        out = exact_rule(box, weight, bias)
+        lift = 1e-12 * np.maximum(1.0, np.abs(out.upper))
+        return IntervalTensor(out.lower + lift, out.upper + lift)
+    monkeypatch.setattr(iv, "interval_affine", biased_rule)
+    report = iv.soundness_oracle(spec, params, IntervalTensor(x, x),
+                                 samples=2000, seed=4)
+    assert report.violations == report.samples == 4000
+    assert 0.0 < report.max_violation < 1e-9
+
+
+def _mixed_spec_and_box(seed):
+    spec = nets.NetworkSpec(
+        (6, 6, 1),
+        [nets.conv(3, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
+         nets.flatten(), nets.dense(5), nets.act("sigmoid"), nets.dense(3)],
+        classes=3)
+    rng = np.random.default_rng(seed)
+    params = nets.ParamSet(spec, rng.normal(scale=0.6, size=spec.total_params))
+    x = rng.uniform(size=(5, 6, 6, 1))
+    stats: list = []
+    nets.forward_point(spec, params, x, bn_capture=stats)
+    return spec, params, x, stats
+
+
+def test_rounding_budget_has_one_row_per_recorded_box():
+    spec, params, x, stats = _mixed_spec_and_box(22)
+    box = IntervalTensor.from_ball(x, 0.03)
+    record = []
+    nets.forward_interval(spec, params, box, record=record, bn_stats=stats)
+    budget = iv.rounding_budget(spec, params, box, stats)
+    assert budget.shape == (len(record), len(x)) == (len(spec.layers) + 1, 5)
+    # The input row is u |x| + eps summed per sample, rounded up once.
+    big = (np.abs(x) + 0.03).reshape(5, -1).sum(axis=1)
+    assert budget[0].tobytes() == ((2.0 ** -53 * (1 + 2.0 ** -48)) * big).tobytes()
+    # Relu, max pooling and flatten round nothing: their rows carry over.
+    for k, layer in enumerate(spec.layers, start=1):
+        if layer.kind in ("flatten", "pool") or layer.activation == "relu":
+            assert np.array_equal(budget[k], budget[k - 1])
+        else:
+            assert np.all(budget[k] != budget[k - 1])
+
+
+def test_rounding_budget_refuses_moments_that_do_not_fit_the_network():
+    # As forward_interval does: a stray pair for an MLP, two pairs for one
+    # batchnorm layer, and none at all for a box through batchnorm.
+    mlp = nets.NetworkSpec((4,), nets.mlp_layers([6], 2), classes=2)
+    rng = np.random.default_rng(23)
+    box = IntervalTensor.from_ball(rng.uniform(size=(3, 4)), 0.1)
+    pair = (np.zeros((1, 6)), np.ones((1, 6)))
+    spec = nets.NetworkSpec((4,), [nets.dense(6), nets.batchnorm(), nets.act("relu"),
+                                   nets.dense(2)], classes=2)
+    for net, stats, match in (
+            (mlp, [pair], "bn_stats holds 1 batchnorm moment pairs, network has 0 "),
+            (spec, [pair, pair], "bn_stats holds 2 batchnorm moment pairs, network has 1 "),
+            (spec, None, "layer 1: batchnorm on boxes needs moments")):
+        params = nets.ParamSet(net, rng.normal(size=net.total_params))
+        with pytest.raises(ValueError, match=match):
+            nets.forward_interval(net, params, box, bn_stats=stats)
+        with pytest.raises(ValueError, match=match):
+            iv.rounding_budget(net, params, box, stats)
+
+
 def test_soundness_oracle_refuses_one_point_through_batchnorm():
     # One sampled point is its own batch: variance 0, so the checked network
     # would scale the layer by gamma / sqrt(eps).

@@ -72,6 +72,27 @@ def test_spec_rejects_bad_architectures():
         nets.NetworkSpec((4,), [], classes=2)
 
 
+@pytest.mark.parametrize("layer, match", [
+    (nets.LayerDescriptor("pool", pool="min", window=2, stride=2),
+     "layer 0: unknown pooling kind 'min'"),
+    (nets.LayerDescriptor("dense", units=2.0), "layer 0: dense units must be an integer, got 2.0"),
+    (nets.LayerDescriptor("dense", units=True), "layer 0: dense units must be an integer, got True"),
+    (nets.LayerDescriptor("conv", channels=2, kernel=2.0), "conv kernel must be an integer"),
+    (nets.LayerDescriptor("conv", channels=2, kernel=2, stride=1.0), "conv stride must be"),
+    (nets.LayerDescriptor("conv", channels="2", kernel=2), "conv channels must be"),
+    (nets.LayerDescriptor("pool", pool="max", window=2, stride=False), "pool stride must be"),
+    (nets.LayerDescriptor("pool", pool="avg", window=2.0, stride=2), "pool window must be"),
+    # A checkpoint could not store it.
+    (nets.LayerDescriptor("dense", units=np.int64(2)), "layer 0: dense units must be"),
+])
+def test_spec_refuses_layers_it_cannot_run(layer, match):
+    # Each of these used to pass the spec and fail in the first forward pass.
+    flat = layer.kind == "dense"
+    tail = [nets.dense(2)] if flat else [nets.flatten(), nets.dense(2)]
+    with pytest.raises(ValueError, match=match):
+        nets.NetworkSpec((4,) if flat else (4, 4, 1), [layer] + tail, classes=2)
+
+
 def test_param_set_size_check():
     spec = small_mlp_spec()
     with pytest.raises(ValueError):
