@@ -16,6 +16,7 @@ of a task bitwise unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from intervalcl.nets import Hypernetwork, NetworkSpec, ParamSet
 
 
 class NumericalDivergenceError(RuntimeError):
-    """Loss or parameters stopped being finite."""
+    """Loss, validation score or test logits stopped being finite."""
 
 
 class Adam:
@@ -36,52 +37,84 @@ class Adam:
 
     Only the learning rate is set. ``b1``, ``b2`` and ``eps`` below are the
     class constants ``BETA1``, ``BETA2`` and ``EPS``, the defaults of Kingma
-    & Ba (arXiv:1412.6980). Moment state is kept per parameter name; updates
-    happen in place so aliased views (task embedding rows) stay live.
+    & Ba (arXiv:1412.6980). Moment state is kept per parameter name as two
+    flat arrays; updates happen in place so aliased views (task embedding
+    rows) stay live.
 
-    The moments and two scratch buffers per parameter are allocated once
-    and every step runs in place, allocating nothing. The in-place sequence
-    performs exactly the operations, in exactly the order, of the textbook
-    expressions
+    Each step is the folded form from the end of the paper's §2, which puts
+    both bias corrections into the step size and epsilon:
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + ((1 - b2) * g) * g
-        param -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
+        param -= (m / (sqrt(v) + eps_t)) * lr_t
 
-    so each step is bitwise identical to evaluating them with temporaries.
+    with ``lr_t = lr * sqrt(1 - b2**t) / (1 - b1**t)`` and ``eps_t = eps *
+    sqrt(1 - b2**t)`` computed once per call as Python floats. It equals
+    the textbook step in real arithmetic; in float64 only the rounding
+    differs (within 1e-11 relative after 12 steps).
+
+    The step sweeps the flattened parameter in chunks of ``CHUNK`` elements,
+    so each chunk's six operands (``m``, ``v``, ``param``, ``g`` and two
+    scratch buffers: 6 x 128 KiB at ``1 << 14`` float64) stay in a 2 MiB
+    per-core L2 cache across the twelve passes. On the digits_mlp leaves
+    (the 3610 x 64 generator output layer among them), chunks of 8k to 64k
+    elements measured within about 15% of each other on a 2-core x86-64
+    host, and one unchunked sweep was about 40% slower. The scratch pair is
+    one chunk-sized buffer owned by the optimizer, so after a name's first
+    update (which allocates its moments) a step with a C-contiguous
+    gradient allocates nothing.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    CHUNK = 1 << 14
 
     def __init__(self, lr=0.001):
         if not 0.0 < lr < np.inf:  # NaN fails too
             raise ValueError(f"learning rate must be finite and positive, got {lr}")
         self.lr = lr
-        # name -> [m, v, scratch, scratch, step count]
+        # name -> [m, v, step count], the moments flat
         self.state: dict[str, list] = {}
+        self._scratch = np.empty((2, self.CHUNK))
 
     def update(self, name: str, param: np.ndarray, grad: np.ndarray):
+        # reshape(-1) of a non-contiguous array is a copy: the update
+        # would land in it and be lost.
+        if not param.flags.c_contiguous:
+            raise ValueError(f"parameter {name!r} is not C-contiguous")
+        if grad.shape != param.shape:
+            raise ValueError(f"gradient shaped {grad.shape} for parameter "
+                             f"{name!r} shaped {param.shape}")
+        flat, g = param.reshape(-1), grad.reshape(-1)
+        size = flat.size
         state = self.state.get(name)
         if state is None:
-            state = [np.zeros(param.shape) for _ in range(4)] + [0]
-            self.state[name] = state
-        m, v, num, den, t = state
-        t += 1
-        state[4] = t
-        m *= self.BETA1
-        np.multiply(grad, 1.0 - self.BETA1, out=num)
-        m += num
-        v *= self.BETA2
-        np.multiply(grad, 1.0 - self.BETA2, out=num)
-        num *= grad
-        v += num
-        np.divide(m, 1.0 - self.BETA1 ** t, out=num)
-        num *= self.lr
-        np.divide(v, 1.0 - self.BETA2 ** t, out=den)
-        np.sqrt(den, out=den)
-        den += self.EPS
-        num /= den
-        param -= num
+            state = self.state[name] = [np.zeros(size), np.zeros(size), 0]
+        m, v, t = state
+        if m.size != size:
+            raise ValueError(f"parameter {name!r} has {size} elements, "
+                             f"its moments {m.size}")
+        t = state[2] = t + 1
+        b1, b2 = self.BETA1, self.BETA2
+        root = math.sqrt(1.0 - b2 ** t)
+        lr_t = self.lr * root / (1.0 - b1 ** t)
+        eps_t = self.EPS * root
+        scratch_a, scratch_b = self._scratch
+        for lo in range(0, size, self.CHUNK):
+            hi = min(lo + self.CHUNK, size)
+            mc, vc, gc = m[lo:hi], v[lo:hi], g[lo:hi]
+            a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=a)
+            mc += a
+            vc *= b2
+            np.multiply(gc, 1.0 - b2, out=a)
+            a *= gc
+            vc += a
+            np.sqrt(vc, out=b)
+            b += eps_t
+            np.divide(mc, b, out=a)
+            a *= lr_t
+            flat[lo:hi] -= a
 
 
 class SGD:
@@ -231,6 +264,10 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
             score = row.val_loss = float(objective(
                 nets.generate_params(h, spec, task), earlier, 0.5,
                 val_data.inputs, val_data.labels, None, None, cfg.loss.eps)[0])
+            # A NaN first score would become ``best`` and never be beaten.
+            if not np.isfinite(score):
+                raise NumericalDivergenceError(
+                    f"non-finite validation loss at task {task} step {step}")
             if best is None or score < best[0]:
                 best = (score, h.embeddings[task].copy(),
                         [(w.copy(), b.copy()) for w, b in h.weights])
@@ -351,11 +388,15 @@ def train_sequence(h: Hypernetwork, spec: NetworkSpec, tasks,
         logs.append(train_task(h, spec, t, task_data.train, cfg, val_data=val))
         for s in range(t + 1):
             params = nets.generate_params(h, spec, s)
-            acc = evaluation.clean_accuracy(spec, params,
-                                            tasks[s].test.inputs,
-                                            tasks[s].test.labels,
-                                            bn_stats=h.bn_stats.get(s))
-            result.record(t, s, acc)
+            test, stats = tasks[s].test, h.bn_stats.get(s)
+            # A diverged last step leaves finite loss but inf/NaN logits,
+            # whose argmax would read as an accuracy.
+            if s == t and not np.isfinite(nets.forward_point(
+                    spec, params, test.inputs, bn_stats=stats)).all():
+                raise NumericalDivergenceError(
+                    f"non-finite test logits after training task {t}")
+            result.record(t, s, evaluation.clean_accuracy(
+                spec, params, test.inputs, test.labels, bn_stats=stats))
         if after_task is not None:
             after_task(t, result, logs[-1])
     return result, logs

@@ -504,6 +504,20 @@ class TestExitCodes:
                  "--set", "train.optimizer=sgd", "--set", "train.lr=1e12")
         assert rc == 4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("selection", ["false", "true"])
+    def test_diverged_last_step_exit_code(self, tmp_path, capsys, selection):
+        # The one step's loss is finite; the weights it leaves are not usable.
+        rc = run("train", "--set", f"output.dir={tmp_path}/x",
+                 "--set", "data.tasks=1", "--set", "train.steps=1",
+                 "--set", "train.optimizer=sgd", "--set", "train.lr=1e300",
+                 "--set", f"train.model_selection={selection}",
+                 "--set", "data.train_size=40", "--set", "data.val_size=10",
+                 "--set", "data.test_size=10")
+        assert rc == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "results.csv").exists()
+
     def test_corrupt_checkpoint_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

@@ -140,13 +140,13 @@ def virtual_only():
 
 GOLDEN = {
     "mixup_with_selection":
-        "a1b10bc675fba901fe8053098e7f6e55c9120c6a57bc262bfd709483da62d9ce",
+        "85381e997b812cb93d39e6f843e5002527c489ca2483b63ecc3570985783d878",
     "plain_ibp":
-        "e01f3b159adeb9aed485758712d35b93787f37fab8e987194586517238f1b313",
+        "badd49bcd1d2a7d438e8bb187d5f4c02e61925a3a4bae7bc6cffdbd3790ecfbc",
     "conv_batchnorm":
-        "a8c685c9c0d6bad88ca0dc4ba5d55cd2ea7f447ed0efdaa099dc96ce42e75269",
+        "790f25b1fbd67549a4e5885e509848ce9e3bb5db9de2bbeccef0453c32977098",
     "virtual_only":
-        "d834c550c8373add049f86982ddb68c4a147d6ab324f29e845aa6fc31c2ad7a2",
+        "3d0fa0e83d53149dd3377741b520b99ed653749115fc04d9327a0ada11ffa1c7",
 }
 
 

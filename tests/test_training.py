@@ -1,5 +1,7 @@
 """Optimizer oracle, the training loop's contracts, and task sequencing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,29 +39,75 @@ def small_setup(task_count=1, seed=7):
 # ---- optimizers ----------------------------------------------------------
 
 
-def test_adam_matches_hand_stepped_reference():
-    # Bitwise against the textbook expressions, on 2-d parameters fed
-    # transposed (non-contiguous) gradients, two names interleaved.
-    rng = np.random.default_rng(3)
-    params = {"a": rng.normal(size=(3, 5)), "b": rng.normal(size=(4, 2))}
+CHUNK = training.Adam.CHUNK
+# 2-d shapes whose sizes straddle the chunk edges: 1, CHUNK - 1, CHUNK,
+# CHUNK + 1 and 2 * CHUNK + 3 (a prime) elements.
+CHUNK_SHAPES = [(1, 1), (127, 129), (128, 128), (113, 145), (1, 2 * CHUNK + 3)]
+
+
+def adam_steps(shape, steps, seed=3):
+    """Two parameters, one ``shape``d and one small, stepped by ``Adam(lr=0.1)``
+    with interleaved names and non-contiguous gradients: every other
+    element of a transposed array, so a ``(1, n)`` parameter gets one too.
+
+    Returns the starting values, the stepped parameters and every gradient fed.
+    """
+    rng = np.random.default_rng(seed)
+    params = {"a": rng.normal(size=shape), "b": rng.normal(size=(3, 5))}
+    start = {name: p.copy() for name, p in params.items()}
     opt = training.Adam(lr=0.1)
-    ref = {name: p.copy() for name, p in params.items()}
-    moments = {name: (np.zeros(p.shape), np.zeros(p.shape))
-               for name, p in params.items()}
-    for t in range(1, 13):
-        for name in ("a", "b"):
-            g = rng.normal(size=params[name].shape[::-1]).T
-            assert not g.flags.c_contiguous
-            opt.update(name, params[name], g)
-            m, v = moments[name]
+    grads = []
+    for _ in range(steps):
+        for name, p in params.items():
+            g = rng.normal(size=p.shape[::-1] + (2,))[..., 0].T
+            assert p.size == 1 or not g.flags.c_contiguous
+            opt.update(name, p, g)
+            grads.append((name, g))
+    return start, params, grads
+
+
+def test_adam_matches_hand_stepped_reference():
+    # Bitwise against the folded expressions with temporaries, in the order
+    # of the chunked in-place sweep.
+    b1, b2, lr, eps = 0.9, 0.999, 0.1, 1e-8
+    for shape in CHUNK_SHAPES:
+        start, params, grads = adam_steps(shape, 12)
+        ref = {name: p.copy() for name, p in start.items()}
+        moments = {name: (np.zeros(p.shape), np.zeros(p.shape), 0)
+                   for name, p in start.items()}
+        for name, g in grads:
+            m, v, t = moments[name]
+            t += 1
+            m = b1 * m + g * (1.0 - b1)
+            v = b2 * v + g * (1.0 - b2) * g
+            moments[name] = (m, v, t)
+            root = np.sqrt(1.0 - b2 ** t)
+            ref[name] -= m / (np.sqrt(v) + eps * root) * (lr * root / (1.0 - b1 ** t))
+        for name in params:
+            assert np.array_equal(params[name], ref[name]), (shape, name)
+
+
+def test_adam_is_close_to_the_textbook_form():
+    # Folding the bias corrections moves rounding only: within 1e-11 of
+    # the textbook step after 12 steps, relative to the largest parameter.
+    for shape in CHUNK_SHAPES:
+        start, params, grads = adam_steps(shape, 12)
+        ref = {name: p.copy() for name, p in start.items()}
+        moments = {name: (np.zeros(p.shape), np.zeros(p.shape), 0)
+                   for name, p in start.items()}
+        for name, g in grads:
+            m, v, t = moments[name]
+            t += 1
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
-            moments[name] = (m, v)
+            moments[name] = (m, v, t)
             m_hat = m / (1.0 - 0.9 ** t)
             v_hat = v / (1.0 - 0.999 ** t)
             ref[name] -= 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
-    for name in params:
-        assert np.array_equal(params[name], ref[name])
+        for name in params:
+            error = np.max(np.abs(params[name] - ref[name]))
+            assert error <= 1e-11 * np.max(np.abs(ref[name])), (shape, name)
+            assert not np.array_equal(params[name], start[name])
 
 
 def test_adam_first_step_has_unit_scale():
@@ -75,6 +123,49 @@ def test_adam_updates_views_in_place():
     training.Adam(lr=0.5).update("row", row, np.ones(4))
     assert np.all(base[1] != 0.0)
     assert np.all(base[0] == 0.0)
+
+
+def test_adam_refuses_a_strided_parameter_and_a_resized_name():
+    opt = training.Adam(lr=0.1)
+    column = np.zeros((4, 3))[:, 1]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        opt.update("col", column, np.ones(4))
+    opt.update("p", np.zeros(6), np.ones(6))
+    with pytest.raises(ValueError, match="6"):
+        opt.update("p", np.zeros(7), np.ones(7))
+    with pytest.raises(ValueError, match="gradient shaped"):
+        opt.update("p", np.zeros(6), np.ones((2, 3)))
+
+
+def test_adam_allocates_only_its_moments():
+    # After a name's first update, which allocates its two moment arrays,
+    # a step allocates no array; the optimizer's scratch is one chunk pair
+    # whatever the parameter size.
+    sizes = (5, CHUNK - 1, 3 * CHUNK + 7)
+    params = [np.zeros(n) for n in sizes]
+    grads = [np.ones(n) for n in sizes]
+    slack = 16 * 1024  # far below one chunk of float64 (128 KiB)
+    tracemalloc.start()
+    try:
+        opt = training.Adam(lr=0.1)
+        built = tracemalloc.get_traced_memory()[0]
+        assert built <= 2 * CHUNK * 8 + slack
+        for i, (p, g) in enumerate(zip(params, grads)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            opt.update(str(i), p, g)
+            current, peak = tracemalloc.get_traced_memory()
+            assert peak - before <= 2 * p.nbytes + slack
+            assert current - before >= 2 * p.nbytes
+        for _ in range(3):
+            for i, (p, g) in enumerate(zip(params, grads)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                opt.update(str(i), p, g)
+                assert tracemalloc.get_traced_memory()[1] - before <= slack
+    finally:
+        tracemalloc.stop()
+    assert all(np.all(p < 0.0) for p in params)
 
 
 def test_sgd_update():
@@ -258,6 +349,24 @@ def test_divergence_raises():
     spec, h = small_setup()
     with pytest.raises(training.NumericalDivergenceError):
         training.train_task(h, spec, 0, data, quick_cfg())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("selection, message", [(False, "test logits"),
+                                                (True, "validation loss")])
+def test_diverged_last_step_raises(selection, message):
+    # One SGD step at lr 1e300 is taken from a finite loss, and leaves
+    # weights whose logits overflow to inf and NaN. Without model selection
+    # only the test pass sees them; with it, a NaN first score would
+    # become the best one, since no later score compares below NaN.
+    spec, h = small_setup()
+    task = make_blobs(14, 90, [[0.25, 0.25], [0.75, 0.75]])
+    task.train = Data(task.inputs[:60], task.labels[:60])
+    task.val = Data(task.inputs[60:75], task.labels[60:75])
+    task.test = Data(task.inputs[75:], task.labels[75:])
+    cfg = quick_cfg(steps=1, optimizer="sgd", lr=1e300, model_selection=selection)
+    with pytest.raises(training.NumericalDivergenceError, match=message):
+        training.train_sequence(h, spec, [task], cfg)
 
 
 def ibp_selection_score(h, spec, task, val, eps):
