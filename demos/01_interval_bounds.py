@@ -12,10 +12,11 @@ turn into a robustness certificate.
 import numpy as np
 
 from intervalcl import IntervalTensor, soundness_oracle
+from intervalcl.autodiff import onehot
 from intervalcl.evaluation import certified_margin, certify
+from intervalcl.losses import worst_case_logits
 from intervalcl.nets import (
     NetworkSpec, ParamSet, forward_interval, forward_point, mlp_layers,
-    worst_case_logits,
 )
 
 rng = np.random.default_rng(0)
@@ -54,7 +55,7 @@ print(f"\nMonte Carlo check: {report.samples} samples, "
 # float64 arithmetic: no point in the ball can flip the label.
 logits = forward_point(spec, params, center)
 label = np.array([int(np.argmax(logits))])
-worst = worst_case_logits(bounds, label)
+worst = worst_case_logits(bounds, onehot(label, spec.classes))
 print(f"\npredicted class {label[0]}, worst-case logits "
       f"{np.round(np.asarray(worst)[0], 4).tolist()}")
 certified = certify(spec, params, center, label, 0.08)

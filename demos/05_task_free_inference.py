@@ -12,9 +12,9 @@ circle, rotated 40 degrees further per task.
 
 import numpy as np
 
-from intervalcl import gen_blobs_tasks, ring_task_means
+from intervalcl import LabeledData, gen_blobs_tasks, ring_task_means
 from intervalcl.evaluation import (
-    AttackConfig, cil_evaluate, cil_infer, prediction_entropy,
+    AttackConfig, cil_evaluate, cil_infer, pgd, prediction_entropy,
 )
 from intervalcl.losses import LossConfig
 from intervalcl.nets import (
@@ -60,11 +60,14 @@ for row in outcome["per_task"]:
     print(f"  task {row['task']}: inferred {row['task_inference_accuracy']:.3f}, "
           f"classified {row['accuracy']:.3f}")
 
-# The same pipeline under attack: inputs are perturbed first, and task
-# inference runs on the perturbed inputs.
-attacked = cil_evaluate(h, spec, [t.test for t in tasks],
-                        attack_cfg=AttackConfig(kind="pgd", eps=0.02,
-                                                iters=40, seed=3))
+# The same pipeline under attack: PGD first perturbs each test set against
+# its own task's network, and task inference runs on the perturbed inputs.
+attack = AttackConfig(kind="pgd", eps=0.02, iters=40, seed=3)
+attacked = cil_evaluate(h, spec, [
+    LabeledData(pgd(spec, generate_params(h, spec, t), task.test.inputs,
+                    task.test.labels, attack, bn_stats=h.bn_stats.get(t)),
+                task.test.labels)
+    for t, task in enumerate(tasks)])
 print(f"\nwith a pgd attack at eps=0.02: task inference "
       f"{attacked['task_inference_accuracy']:.3f}, accuracy "
       f"{attacked['accuracy']:.3f}")

@@ -219,8 +219,10 @@ def cmd_train(cfg, source_text: str | None = None) -> Path:
         save_checkpoint(str(out_dir / f"checkpoint_task{t}.json"), hypernet,
                         spec, seed=seed, results=result)
 
-    result, logs = train_sequence(hypernet, spec, tasks, trainer_cfg,
-                                  after_task=after_task)
+    # Divergence exits 4 with one message; numpy's warnings would bury it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result, logs = train_sequence(hypernet, spec, tasks, trainer_cfg,
+                                      after_task=after_task)
     save_checkpoint(str(out_dir / "checkpoint.json"), hypernet, spec,
                     seed=seed, results=result)
 
@@ -340,7 +342,8 @@ def cmd_toy2d(cfg, source_text: str | None = None) -> Path:
         spec, hypernet = build_model(cfg, 2, 2, task_count=1)
         trainer_cfg = make_trainer_config(cfg)
         axis = np.linspace(0.0, 1.0, cfg["output"]["grid_resolution"])
-    train_virtual(hypernet, spec, 0, x, labels_a, labels_b, lam, trainer_cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_virtual(hypernet, spec, 0, x, labels_a, labels_b, lam, trainer_cfg)
     save_checkpoint(str(out_dir / "checkpoint.json"), hypernet, spec,
                     seed=cfg["train"]["seed"])
 

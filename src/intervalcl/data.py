@@ -340,10 +340,13 @@ def _draw_separated_means(rng, classes, dims, separation):
         f"could not place {classes} means {separation} apart in {dims} dims")
 
 
-def gen_toy2d(points_per_class: int, seed: int, *,
-              centers=((0.3, 0.3), (0.7, 0.7)), spread: float = 0.08,
+_TOY2D_CENTERS = np.array([[0.3, 0.3], [0.7, 0.7]])
+
+
+def gen_toy2d(points_per_class: int, seed: int, *, spread: float = 0.08,
               pair_count: int | None = None):
-    """Two 2-d clusters plus greedily matched cross-class pairs.
+    """Two 2-d clusters around ``_TOY2D_CENTERS`` plus greedily matched
+    cross-class pairs.
 
     Pairs are chosen by repeatedly taking the closest still-unused
     cross-class pair, nearest first.
@@ -357,9 +360,8 @@ def gen_toy2d(points_per_class: int, seed: int, *,
     if pair_count is not None and pair_count < 1:
         raise ValueError(f"pair_count must be at least 1 (None for all), got {pair_count}")
     rng = np.random.default_rng(seed)
-    centers = np.asarray(centers, dtype=np.float64)
     labels = np.repeat(np.arange(2), points_per_class)
-    points = np.clip(centers[labels] + spread * rng.normal(size=(2 * points_per_class, 2)),
+    points = np.clip(_TOY2D_CENTERS[labels] + spread * rng.normal(size=(2 * points_per_class, 2)),
                      0.0, 1.0)
     data = LabeledData(points, labels)
 

@@ -35,8 +35,7 @@ class AttackConfig:
     """Gradient attack settings.
 
     kind: "fgsm" or "pgd"; ``pgd`` runs "fgsm" as one step of size eps from
-        the clean input, ignoring step, iters and random_start. To run no
-        attack, pass no config (``None``) where one is optional.
+        the clean input, ignoring step, iters and random_start.
     eps: attack radius in the input box.
     step: PGD ascent step; defaults to eps / 4 when unset.
     iters: PGD iteration count.
@@ -76,10 +75,15 @@ def _share(hits) -> float:
     return float(np.mean(hits))
 
 
-def clean_accuracy(spec, params, inputs, labels, bn_stats=None) -> float:
-    logits = nets.forward_point(spec, params, inputs, bn_stats=bn_stats)
+def _logit_accuracy(logits, labels) -> float:
+    """Fraction of rows of ``logits`` whose argmax is the label."""
     labels = ad.check_labels(labels, logits.shape[0], logits.shape[1])
     return _share(np.argmax(logits, axis=1) == labels)
+
+
+def clean_accuracy(spec, params, inputs, labels, bn_stats=None) -> float:
+    return _logit_accuracy(
+        nets.forward_point(spec, params, inputs, bn_stats=bn_stats), labels)
 
 
 def pgd(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.ndarray:
@@ -261,13 +265,11 @@ def cil_infer(h, spec, inputs):
     return task_pred, class_pred
 
 
-def cil_evaluate(h, spec, test_sets, attack_cfg: AttackConfig | None = None) -> dict:
+def cil_evaluate(h, spec, test_sets) -> dict:
     """Class-incremental accuracy over one test set per trained task.
 
     A sample counts as correct only when both the inferred task and the
-    predicted class are right. With an attack configured, ``pgd`` first
-    perturbs the inputs (which must lie in [0, 1]) against the true task's
-    network, then task inference runs on the perturbed inputs.
+    predicted class are right.
     """
     if len(test_sets) != h.trained_tasks:
         raise ValueError(
@@ -277,13 +279,8 @@ def cil_evaluate(h, spec, test_sets, attack_cfg: AttackConfig | None = None) -> 
     total = 0
     per_task = []
     for t, data in enumerate(test_sets):
-        inputs = np.asarray(data.inputs, dtype=np.float64)
         labels = np.asarray(data.labels)
-        if attack_cfg is not None:
-            params = nets.generate_params(h, spec, t)
-            inputs = pgd(spec, params, inputs, labels, attack_cfg,
-                         bn_stats=h.bn_stats.get(t))
-        task_pred, class_pred = cil_infer(h, spec, inputs)
+        task_pred, class_pred = cil_infer(h, spec, data.inputs)
         right_task = task_pred == t
         right_full = right_task & (class_pred == labels)
         task_hits += int(right_task.sum())

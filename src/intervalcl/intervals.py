@@ -13,7 +13,7 @@ sample and layer for certificates and ``soundness_oracle`` alike. Dense,
 conv and batchnorm share one affine rule that sends the midpoint through the
 map and the radius through it with absolute weights. Batch normalization is
 the per-feature affine map ``weight * x + bias`` with ``weight = gamma /
-sqrt(var + eps)`` and ``bias = shift - weight * mean``: a point batch
+sqrt(var + BN_EPS)`` and ``bias = shift - weight * mean``: a point batch
 applies it directly, a box goes through the affine rule unmodified. Only a
 point batch may take live moments from itself; a box is always normalized
 with moments given to it (frozen, or captured from the point pass over the
@@ -164,7 +164,7 @@ def _bn_axes(shape) -> tuple:
     raise ValueError(f"batchnorm expects (B, F) or NHWC input, got {shape}")
 
 
-def _bn_fold(x, gamma, shift, eps, stats):
+def _bn_fold(x, gamma, shift, stats):
     """``(weight, bias)`` of batchnorm over inputs shaped like ``x`` with
     moments ``stats = (mean, var)``, as the map ``x -> weight * x + bias``."""
     shape = np.shape(x)
@@ -174,25 +174,24 @@ def _bn_fold(x, gamma, shift, eps, stats):
         raise ValueError(f"gamma/shift must have shape ({feat},), got "
                          f"{np.shape(gamma)} and {np.shape(shift)}")
     mean, var = stats
-    weight = gamma / ad.sqrt(var + eps)
+    weight = gamma / ad.sqrt(var + BN_EPS)
     return weight, shift - weight * mean
 
 
-def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, stats,
-                       eps=BN_EPS) -> IntervalTensor:
+def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, stats) -> IntervalTensor:
     """Batch normalization over boxes, as the affine map ``weight * x + bias``.
 
-    With ``weight = gamma / sqrt(var + eps)`` and ``bias = shift - weight *
+    With ``weight = gamma / sqrt(var + BN_EPS)`` and ``bias = shift - weight *
     mean`` for the given moments ``stats = (mean, var)``, the box goes
     through the shared affine rule unmodified. A negative ``gamma`` makes
     ``weight`` negative, which flips which bound is which; the
     centre/half-width form keeps the output ordered.
     """
-    weight, bias = _bn_fold(iv.lower, gamma, shift, eps, stats)
+    weight, bias = _bn_fold(iv.lower, gamma, shift, stats)
     return _affine_box(iv.lower, iv.upper, operator.mul, weight, bias)
 
 
-def point_batchnorm(x, gamma, shift, *, eps=BN_EPS, stats=None, capture=None):
+def point_batchnorm(x, gamma, shift, *, stats=None, capture=None):
     """Batch normalization of a point batch: ``weight * x + bias`` with the
     folded map of :func:`interval_batchnorm`.
 
@@ -204,7 +203,7 @@ def point_batchnorm(x, gamma, shift, *, eps=BN_EPS, stats=None, capture=None):
         stats = batch_moments(x, _bn_axes(np.shape(x)))
     if capture is not None:
         capture.append(stats)
-    weight, bias = _bn_fold(x, gamma, shift, eps, stats)
+    weight, bias = _bn_fold(x, gamma, shift, stats)
     return x * weight + bias
 
 
@@ -249,7 +248,7 @@ def _affine_norms(spec, params, magnitudes, index, layer, moments):
     if layer.kind == "batchnorm":
         weight, bias = _bn_fold(np.empty((0,) + spec.shapes[index]),
                                 params.get(index, "gamma"),
-                                params.get(index, "shift"), BN_EPS, moments)
+                                params.get(index, "shift"), moments)
         return float(np.abs(weight).max()), float(np.abs(bias).max()), 1
     if layer.kind == "dense":
         weight = magnitudes[index, "weight"]

@@ -4,8 +4,8 @@ All losses return scalars and run on the tape or on plain arrays. Each one
 is a sum of batch-mean cross-entropies against target rows: one-hot rows
 for hard labels, and for MixUp the rows ``lam * onehot(a)`` and
 ``(1 - lam) * onehot(b)``, with ``lam`` a scalar or one value per sample.
-The fence-sitting constant ``kappa`` blends the clean cross-entropy with
-the worst-case (bound-based) cross-entropy.
+IBP and Interval MixUp share one head: the fence-sitting constant ``kappa``
+blends the clean cross-entropy with the worst-case (bound-based) one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from intervalcl import autodiff as ad
 from intervalcl.intervals import IntervalTensor
-from intervalcl.nets import worst_case_logits
 
 DECAY_KINDS = ("linear", "quadratic", "log", "cos")
 
@@ -48,9 +47,25 @@ class LossConfig:
             raise ValueError(f"decay must be one of {DECAY_KINDS}, got {self.decay!r}")
 
 
-def _check_kappa(kappa):
+def worst_case_logits(bounds: IntervalTensor, mask):
+    """Adversarial logit vector: the lower bound where the one-hot rows
+    ``mask`` hold 1 (the own class), the upper bound elsewhere."""
+    if np.shape(mask) != bounds.shape:
+        raise ValueError(f"mask shaped {np.shape(mask)} for bounds shaped {bounds.shape}")
+    return mask * bounds.lower + (1.0 - mask) * bounds.upper
+
+
+def _worst_case_head(bounds: IntervalTensor, logits, masks, targets, kappa):
+    """``kappa * CE(logits, sum(targets)) + (1 - kappa) * sum over i of
+    CE(worst_case_logits(bounds, masks[i]), targets[i])``: each label set's
+    one-hot rows are its mask, and its target is those rows, scaled by
+    ``lam`` or ``1 - lam`` for MixUp."""
     if not 0.0 <= float(kappa) <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
+    clean = ad.softmax_cross_entropy(logits, sum(targets[1:], targets[0]))
+    worst = [ad.softmax_cross_entropy(worst_case_logits(bounds, mask), rows)
+             for mask, rows in zip(masks, targets)]
+    return kappa * clean + (1.0 - kappa) * sum(worst[1:], worst[0])
 
 
 def ibp_loss(bounds: IntervalTensor, logits, labels, kappa):
@@ -59,11 +74,8 @@ def ibp_loss(bounds: IntervalTensor, logits, labels, kappa):
     ``kappa`` weights the loss on the actual logits, ``1 - kappa`` the loss
     on the adversarial logit vector read off the bounds.
     """
-    _check_kappa(kappa)
     rows = ad.onehot(labels, bounds.shape[-1])
-    clean = ad.softmax_cross_entropy(logits, rows)
-    worst = ad.softmax_cross_entropy(worst_case_logits(bounds, labels), rows)
-    return kappa * clean + (1.0 - kappa) * worst
+    return _worst_case_head(bounds, logits, [rows], [rows], kappa)
 
 
 def output_reg_loss(snapshots, current):
@@ -142,7 +154,8 @@ def scaled_radius(lam, eps, kind: str = "linear"):
 
 
 def _mixed_targets(labels_a, labels_b, lam, classes):
-    """Target rows ``lam * onehot(a)`` and ``(1 - lam) * onehot(b)``."""
+    """One-hot rows ``(onehot(a), onehot(b))`` and the target rows ``(lam *
+    onehot(a), (1 - lam) * onehot(b))``."""
     lam = _mixing_coefficient(lam)
     rows_a, rows_b = ad.onehot(labels_a, classes), ad.onehot(labels_b, classes)
     if rows_a.shape != rows_b.shape:
@@ -152,14 +165,14 @@ def _mixed_targets(labels_a, labels_b, lam, classes):
             raise ValueError(f"mixing coefficients shaped {lam.shape} for "
                              f"labels shaped {np.shape(labels_a)}")
         lam = lam[:, None]
-    return lam * rows_a, (1.0 - lam) * rows_b
+    return (rows_a, rows_b), (lam * rows_a, (1.0 - lam) * rows_b)
 
 
 def mixup_loss(logits, labels_a, labels_b, lam):
     """Cross-entropy of virtual samples against the mixed label
     ``lam * a + (1 - lam) * b``, with ``lam`` a scalar or one per sample."""
-    rows_a, rows_b = _mixed_targets(labels_a, labels_b, lam,
-                                    ad.payload(logits).shape[-1])
+    _, (rows_a, rows_b) = _mixed_targets(labels_a, labels_b, lam,
+                                         ad.payload(logits).shape[-1])
     return ad.softmax_cross_entropy(logits, rows_a + rows_b)
 
 
@@ -171,12 +184,8 @@ def interval_mixup_loss(bounds: IntervalTensor, logits, labels_a, labels_b,
     the mixed label; the worst-case part scores the adversarial logit
     vector taken under each label against that label's weighted row.
     """
-    _check_kappa(kappa)
-    rows_a, rows_b = _mixed_targets(labels_a, labels_b, lam, bounds.shape[-1])
-    clean = ad.softmax_cross_entropy(logits, rows_a + rows_b)
-    worst = (ad.softmax_cross_entropy(worst_case_logits(bounds, labels_a), rows_a)
-             + ad.softmax_cross_entropy(worst_case_logits(bounds, labels_b), rows_b))
-    return kappa * clean + (1.0 - kappa) * worst
+    masks, targets = _mixed_targets(labels_a, labels_b, lam, bounds.shape[-1])
+    return _worst_case_head(bounds, logits, masks, targets, kappa)
 
 
 # ---- schedules -----------------------------------------------------------

@@ -317,17 +317,6 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
     return out
 
 
-def worst_case_logits(bounds: IntervalTensor, labels):
-    """Adversarial logit vector: own-class lower bound, other-class uppers.
-
-    Differentiable in the bounds; ``labels`` is a (B,) integer array.
-    """
-    onehot = ad.onehot(labels, bounds.shape[-1])
-    if len(onehot) != bounds.shape[0]:
-        raise ValueError(f"labels shape {np.shape(labels)} does not match batch {bounds.shape[0]}")
-    return onehot * bounds.lower + (1.0 - onehot) * bounds.upper
-
-
 # ---- hypernetwork --------------------------------------------------------
 
 

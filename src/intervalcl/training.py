@@ -387,16 +387,15 @@ def train_sequence(h: Hypernetwork, spec: NetworkSpec, tasks,
         val = getattr(task_data, "val", None)
         logs.append(train_task(h, spec, t, task_data.train, cfg, val_data=val))
         for s in range(t + 1):
-            params = nets.generate_params(h, spec, s)
-            test, stats = tasks[s].test, h.bn_stats.get(s)
+            test = tasks[s].test
+            logits = nets.forward_point(spec, nets.generate_params(h, spec, s),
+                                        test.inputs, bn_stats=h.bn_stats.get(s))
             # A diverged last step leaves finite loss but inf/NaN logits,
             # whose argmax would read as an accuracy.
-            if s == t and not np.isfinite(nets.forward_point(
-                    spec, params, test.inputs, bn_stats=stats)).all():
+            if s == t and not np.isfinite(logits).all():
                 raise NumericalDivergenceError(
                     f"non-finite test logits after training task {t}")
-            result.record(t, s, evaluation.clean_accuracy(
-                spec, params, test.inputs, test.labels, bn_stats=stats))
+            result.record(t, s, evaluation._logit_accuracy(logits, test.labels))
         if after_task is not None:
             after_task(t, result, logs[-1])
     return result, logs

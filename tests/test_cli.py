@@ -498,13 +498,13 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="internal failure"):
             run("train", "--set", f"output.dir={tmp_path}/x")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         rc = run("train", "--set", f"output.dir={tmp_path}/x", *TINY_ARGS,
                  "--set", "train.optimizer=sgd", "--set", "train.lr=1e12")
         assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("selection", ["false", "true"])
     def test_diverged_last_step_exit_code(self, tmp_path, capsys, selection):
         # The one step's loss is finite; the weights it leaves are not usable.
@@ -515,7 +515,8 @@ class TestExitCodes:
                  "--set", "data.train_size=40", "--set", "data.val_size=10",
                  "--set", "data.test_size=10")
         assert rc == 4
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
         assert not (tmp_path / "x" / "results.csv").exists()
 
     def test_corrupt_checkpoint_is_data_error(self, tmp_path):

@@ -60,7 +60,7 @@ def test_attack_config_validation():
     with pytest.raises(ValueError):
         ev.AttackConfig(kind="jsma")
     with pytest.raises(ValueError, match="'none'"):
-        ev.AttackConfig(kind="none")  # no attack is attack_cfg=None
+        ev.AttackConfig(kind="none")
     with pytest.raises(ValueError):
         ev.AttackConfig(eps=-0.1)
     with pytest.raises(ValueError):
@@ -300,8 +300,8 @@ def test_labels_must_be_integers(labels):
     with pytest.raises(ValueError, match="must be integers"):
         ad.onehot(labels, 2)
     with pytest.raises(ValueError, match="must be integers"):
-        nets.worst_case_logits(nets.forward_interval(spec, params, x, eps=0.1),
-                               labels)
+        L.ibp_loss(nets.forward_interval(spec, params, x, eps=0.1),
+                   nets.forward_point(spec, params, x), labels, 0.5)
 
 
 @pytest.mark.parametrize("layers,input_shape", [

@@ -315,7 +315,7 @@ def exact_norm_logits(x, eps, params, stats):
     hidden = _exact_dense(_float_box(x, eps), params.get(0, "weight"),
                           params.get(0, "bias"))
     weight, bias = iv._bn_fold(np.zeros((1, 2)), params.get(1, "gamma"),
-                               params.get(1, "shift"), 1e-5, stats[0])
+                               params.get(1, "shift"), stats[0])
     normed = [_exact_dense([h], [[w]], [c])[0]
               for h, w, c in zip(hidden, weight.ravel(), bias.ravel())]
     return _exact_dense(normed, params.get(2, "weight"), params.get(2, "bias"))

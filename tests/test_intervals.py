@@ -192,22 +192,19 @@ def test_batch_moments_match_numpy():
 
 def test_batchnorm_frozen_example():
     # Two scalar-feature samples with bounds [0,2] and [2,4] under mean 2 and
-    # variance 2: with unit gamma and zero shift the outputs are
-    # [-sqrt(2), 0] and [0, sqrt(2)].
+    # variance 2: with unit gamma and zero shift the outputs are [-r, 0] and
+    # [0, r] for r = 2 / sqrt(2 + BN_EPS).
     box = IntervalTensor(np.array([[0.0], [2.0]]), np.array([[2.0], [4.0]]))
-    out = iv.interval_batchnorm(box, np.ones(1), np.zeros(1), eps=0.0,
-                                stats=_MOMENTS_2_2)
-    root2 = np.sqrt(2.0)
-    assert np.allclose(out.lower, [[-root2], [0.0]], atol=1e-12)
-    assert np.allclose(out.upper, [[0.0], [root2]], atol=1e-12)
+    out = iv.interval_batchnorm(box, np.ones(1), np.zeros(1), stats=_MOMENTS_2_2)
+    r = 2.0 / np.sqrt(2.0 + iv.BN_EPS)
+    assert np.allclose(out.lower, [[-r], [0.0]], atol=1e-12)
+    assert np.allclose(out.upper, [[0.0], [r]], atol=1e-12)
 
 
 def test_batchnorm_negative_gamma_swaps_roles():
     box = IntervalTensor(np.array([[0.0], [2.0]]), np.array([[2.0], [4.0]]))
-    pos = iv.interval_batchnorm(box, np.ones(1), np.zeros(1), eps=0.0,
-                                stats=_MOMENTS_2_2)
-    neg = iv.interval_batchnorm(box, -np.ones(1), np.zeros(1), eps=0.0,
-                                stats=_MOMENTS_2_2)
+    pos = iv.interval_batchnorm(box, np.ones(1), np.zeros(1), stats=_MOMENTS_2_2)
+    neg = iv.interval_batchnorm(box, -np.ones(1), np.zeros(1), stats=_MOMENTS_2_2)
     assert np.allclose(neg.lower, -pos.upper, atol=1e-12)
     assert np.allclose(neg.upper, -pos.lower, atol=1e-12)
     assert np.all(neg.lower <= neg.upper)
@@ -218,8 +215,8 @@ def test_batchnorm_point_batch_matches_plain_formula():
     x = rng.normal(size=(8, 5))
     gamma = rng.normal(size=5)
     shift = rng.normal(size=5)
-    got = iv.point_batchnorm(x, gamma, shift, eps=1e-5)
-    ref = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + 1e-5) * gamma + shift
+    got = iv.point_batchnorm(x, gamma, shift)
+    ref = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + iv.BN_EPS) * gamma + shift
     assert np.allclose(got, ref, atol=1e-12)
 
 
@@ -238,13 +235,14 @@ def test_batchnorm_zero_radius_box_is_bitwise_point_path():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_batchnorm_box_is_the_exact_corner_hull(sign):
-    # With dyadic gamma, shift and frozen mean, var = 1/4 and eps = 0, every
+    # With dyadic gamma, shift and frozen mean, and var + BN_EPS = 1/4, every
     # product and sum of the folded map is exact in binary floating point,
     # so the bounds must equal the min/max over the input-box corners bit
     # for bit, whichever way gamma's sign turns the box.
     rng = np.random.default_rng(8)
     feat = 4
-    var = np.full((1, feat), 0.25)
+    var = np.full((1, feat), 0.25 - iv.BN_EPS)
+    assert np.all(var + iv.BN_EPS == 0.25)
     for _ in range(20):
         gamma = sign * rng.integers(1, 25, size=feat) / 16.0
         shift = rng.integers(-16, 17, size=feat) / 16.0
@@ -252,10 +250,10 @@ def test_batchnorm_box_is_the_exact_corner_hull(sign):
         lower = rng.integers(0, 13, size=(1, feat)) / 16.0
         upper = lower + rng.integers(0, 4, size=(1, feat)) / 16.0
         out = iv.interval_batchnorm(IntervalTensor(lower, upper), gamma, shift,
-                                    eps=0.0, stats=(mean, var))
+                                    stats=(mean, var))
         images = np.array([
             (np.where(np.array(mask, dtype=bool), upper, lower) - mean)
-            / np.sqrt(var) * gamma + shift
+            / np.sqrt(var + iv.BN_EPS) * gamma + shift
             for mask in itertools.product((0, 1), repeat=feat)])
         assert np.array_equal(out.lower, images.min(axis=0))
         assert np.array_equal(out.upper, images.max(axis=0))
@@ -288,10 +286,12 @@ def test_interval_batchnorm_takes_no_moments_from_its_box():
 def test_batchnorm_nhwc_axes():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 3, 3, 4))
-    out = iv.point_batchnorm(x, np.ones(4), np.zeros(4), eps=0.0)
-    # Per-channel moments over batch and space.
+    out = iv.point_batchnorm(x, np.ones(4), np.zeros(4))
+    # Per-channel moments over batch and space; BN_EPS scales the variance
+    # to var / (var + BN_EPS).
+    var = x.var(axis=(0, 1, 2))
     assert np.allclose(out.mean(axis=(0, 1, 2)), 0.0, atol=1e-12)
-    assert np.allclose(out.var(axis=(0, 1, 2)), 1.0, atol=1e-10)
+    assert np.allclose(out.var(axis=(0, 1, 2)), var / (var + iv.BN_EPS), atol=1e-10)
 
 
 def test_batchnorm_param_shape_error():

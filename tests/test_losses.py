@@ -76,6 +76,66 @@ def test_ibp_loss_rejects_bad_kappa():
         losses.ibp_loss(box, np.zeros((1, 2)), np.array([0]), -0.1)
 
 
+# ---- worst-case logits ---------------------------------------------------
+
+
+def test_worst_case_logits_frozen_example():
+    bounds = IntervalTensor(np.array([[3.0, 2.0]]), np.array([[5.0, 4.0]]))
+    assert np.array_equal(losses.worst_case_logits(bounds, ad.onehot(np.array([0]), 2)),
+                          [[3.0, 4.0]])
+    assert np.array_equal(losses.worst_case_logits(bounds, ad.onehot(np.array([1]), 2)),
+                          [[5.0, 2.0]])
+
+
+def test_worst_case_logits_point_box_is_the_logits():
+    logits = np.array([[1.0, -2.0, 0.5]])
+    box = IntervalTensor(logits, logits)
+    assert np.array_equal(losses.worst_case_logits(box, ad.onehot(np.array([2]), 3)),
+                          logits)
+
+
+def test_worst_case_logits_rejects_bad_labels():
+    # A mask built for a label outside the logit width, or for another
+    # batch, does not fit the bounds.
+    box = IntervalTensor(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        losses.worst_case_logits(box, ad.onehot(np.array([0, 3]), 4))
+    with pytest.raises(ValueError):
+        losses.worst_case_logits(box, ad.onehot(np.array([0]), 3))
+
+
+def _count_onehot(monkeypatch):
+    calls = []
+    onehot = ad.onehot
+
+    def counted(labels, classes):
+        calls.append(classes)
+        return onehot(labels, classes)
+
+    monkeypatch.setattr(ad, "onehot", counted)
+    return calls
+
+
+def test_ibp_loss_builds_its_one_hot_rows_once(monkeypatch):
+    # The rows serve as the worst-case mask and as the target alike.
+    rng = np.random.default_rng(11)
+    lower = rng.normal(size=(5, 3))
+    box = IntervalTensor(lower, lower + 0.2)
+    calls = _count_onehot(monkeypatch)
+    losses.ibp_loss(box, lower + 0.1, rng.integers(0, 3, size=5), 0.5)
+    assert len(calls) == 1
+
+
+def test_interval_mixup_loss_builds_one_hot_rows_once_per_label_set(monkeypatch):
+    rng = np.random.default_rng(12)
+    lower = rng.normal(size=(5, 3))
+    box = IntervalTensor(lower, lower + 0.2)
+    calls = _count_onehot(monkeypatch)
+    losses.interval_mixup_loss(box, lower + 0.1, rng.integers(0, 3, size=5),
+                               rng.integers(0, 3, size=5), rng.uniform(size=5), 0.5)
+    assert len(calls) == 2
+
+
 # ---- output regularizer --------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from intervalcl import autodiff as ad
+from intervalcl import losses
 from intervalcl import nets
 from intervalcl.autodiff import Tensor
 from intervalcl.intervals import IntervalTensor
@@ -255,26 +256,6 @@ def test_interval_forward_record_aligns_with_point_record():
         assert np.asarray(lo).shape == np.asarray(a).shape
 
 
-def test_worst_case_logits_frozen_example():
-    bounds = IntervalTensor(np.array([[3.0, 2.0]]), np.array([[5.0, 4.0]]))
-    assert np.array_equal(nets.worst_case_logits(bounds, np.array([0])), [[3.0, 4.0]])
-    assert np.array_equal(nets.worst_case_logits(bounds, np.array([1])), [[5.0, 2.0]])
-
-
-def test_worst_case_logits_point_box_is_the_logits():
-    logits = np.array([[1.0, -2.0, 0.5]])
-    box = IntervalTensor(logits, logits)
-    assert np.array_equal(nets.worst_case_logits(box, np.array([2])), logits)
-
-
-def test_worst_case_logits_rejects_bad_labels():
-    box = IntervalTensor(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        nets.worst_case_logits(box, np.array([0, 3]))
-    with pytest.raises(ValueError):
-        nets.worst_case_logits(box, np.array([0]))
-
-
 # ---- hypernetwork --------------------------------------------------------
 
 
@@ -424,8 +405,8 @@ def test_end_to_end_gradient_through_generator_and_target():
             stats: list = []
             logits = nets.forward_point(spec, params, x, bn_capture=stats)
             bounds = nets.forward_interval(spec, params, x, eps=0.05, bn_stats=stats)
-            wc = nets.worst_case_logits(bounds, y)
             rows = ad.onehot(y, spec.classes)
+            wc = losses.worst_case_logits(bounds, rows)
             return (ad.softmax_cross_entropy(logits, rows)
                     + ad.softmax_cross_entropy(wc, rows))
 

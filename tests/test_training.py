@@ -788,3 +788,29 @@ def test_train_sequence_after_task_callback():
     assert [s[0] for s in seen] == [0, 1]
     assert not any(s[1] for s in seen)  # diagonal recorded before the call
     assert all(s[2] == 20 for s in seen)
+
+
+def test_train_sequence_scores_each_seen_test_split_from_one_point_pass(monkeypatch):
+    # After task t the t + 1 seen test splits each take one forward pass,
+    # which both checks the logits are finite and scores them: 1 + 2 + 3.
+    spec, h = small_setup(task_count=3)
+    tasks = []
+    for seed in (0, 1, 2):
+        train = make_blobs(seed, 40, [[0.3, 0.3], [0.7, 0.7]])
+        test = make_blobs(seed + 50, 20, [[0.3, 0.3], [0.7, 0.7]])
+        tasks.append(type("T", (), {"train": train, "val": None, "test": test})())
+    forward_point = nets.forward_point
+    passes = []
+
+    def counted(spec, params, x, **kwargs):
+        passes.extend(s for s, task in enumerate(tasks) if x is task.test.inputs)
+        return forward_point(spec, params, x, **kwargs)
+
+    monkeypatch.setattr(nets, "forward_point", counted)
+    result, _ = training.train_sequence(h, spec, tasks, quick_cfg(steps=10))
+    assert sorted(passes) == [0, 0, 0, 1, 1, 2]
+    monkeypatch.undo()
+    for s, task in enumerate(tasks):
+        assert result.values[2, s] == ev.clean_accuracy(
+            spec, nets.generate_params(h, spec, s), task.test.inputs,
+            task.test.labels, bn_stats=h.bn_stats.get(s))
