@@ -21,10 +21,12 @@ networks, their losses, and gradient-based attacks need, and nothing else:
 
 - arithmetic: ``+``, ``-``, ``*``, ``/``, ``@`` and the dense node ``linear``;
 - elementwise: ``absolute``, ``relu``, ``sigmoid``, ``sqrt``;
-- reductions: ``sum``, ``mean`` and a one-axis ``max``;
+- reductions: ``sum`` and ``mean``;
 - shape: ``reshape``, the parameter-slot read ``slot``, the row stack
-  ``append_row``, and the one sliding-window gather ``sliding_windows``
-  that convolution and pooling both read;
+  ``append_row``, and the sliding-window gather ``sliding_windows`` that
+  convolution and average pooling read;
+- pooling: ``window_max``, max pooling as one running maximum over
+  strided views, with first-tie routing in its backward;
 - loss: ``softmax_cross_entropy``, the batch mean against (B, K) target
   rows that ``onehot`` builds from labels (``softmax`` itself takes arrays
   only: no loss differentiates through it).
@@ -55,13 +57,6 @@ def _add_into_zeros(shape, key, grad) -> np.ndarray:
     C-order ravel."""
     gx = np.zeros(shape)
     gx.reshape(-1)[key] += grad
-    return gx
-
-
-def _put_into_zeros(shape, idx, grad, axis) -> np.ndarray:
-    """Zeros of ``shape`` with ``grad`` put at ``idx`` along ``axis``."""
-    gx = np.zeros(shape)
-    np.put_along_axis(gx, idx, grad, axis)
     return gx
 
 
@@ -208,14 +203,6 @@ class Tensor:
                      lambda g: np.broadcast_to(
                          np.expand_dims(g, axis) if expand else g, shape).copy())
 
-    def max(self, axis):
-        """Max along one axis (dropped); ties route gradient to the first maximum."""
-        idx = np.expand_dims(np.argmax(self.value, axis=axis), axis)
-        out = np.take_along_axis(self.value, idx, axis)
-        shape = self.value.shape
-        return _node(np.squeeze(out, axis), (self,),
-                     lambda g: _put_into_zeros(shape, idx, g.reshape(idx.shape), axis))
-
     # ---- shape ops -------------------------------------------------------
 
     def reshape(self, *shape):
@@ -342,20 +329,37 @@ def linear(x, w, b=None):
                  lambda g: g @ wv, lambda g: g.T @ xv, lambda g: g.sum(axis=0))
 
 
+def _window_grid(shape, kh, kw, sh, sw) -> tuple[int, int]:
+    """Output height and width of (kh, kw) windows at stride (sh, sw) over
+    an NHWC ``shape`` with valid padding; refuses what does not fit."""
+    if len(shape) != 4:
+        raise ValueError(f"expected NHWC input, got shape {shape}")
+    if kh < 1 or kw < 1 or sh < 1 or sw < 1:
+        raise ValueError(f"window {kh}x{kw} and stride {sh}x{sw} must be positive")
+    height, width = shape[1:3]
+    if kh > height or kw > width:
+        raise ValueError(
+            f"window {kh}x{kw} does not fit input {height}x{width}")
+    return (height - kh) // sh + 1, (width - kw) // sw + 1
+
+
 def _scatter_windows(grad, shape, sh, sw) -> np.ndarray:
     """Sum (B, OH, OW, kh, kw, C) window gradients onto an input of ``shape``.
 
-    One strided add per kernel position. Descending (i, j) adds each input
-    position's contributions in ascending window order, the order a
-    per-element scatter (np.add.at) sums them in.
+    One strided add per kernel position, batch-inner: the gradient is laid
+    out once as (kh, kw, OH, OW, C, B) and added into an (H, W, C, B)
+    buffer, so each add's inner loop runs over C * B contiguous entries.
+    Descending (i, j) adds each input position's contributions in ascending
+    window order, the order a per-element scatter (np.add.at) sums them in.
     """
     _, oh, ow, kh, kw, _ = grad.shape
-    gx = np.zeros(shape)
+    per_position = np.ascontiguousarray(grad.transpose(3, 4, 1, 2, 5, 0))
+    gx = np.zeros(shape[1:] + shape[:1])
     row_end, col_end = sh * (oh - 1) + 1, sw * (ow - 1) + 1
     for i in range(kh - 1, -1, -1):
         for j in range(kw - 1, -1, -1):
-            gx[:, i:i + row_end:sh, j:j + col_end:sw, :] += grad[:, :, :, i, j, :]
-    return gx
+            gx[i:i + row_end:sh, j:j + col_end:sw] += per_position[i, j]
+    return gx.transpose(3, 0, 1, 2)
 
 
 def sliding_windows(x, kh, kw, sh, sw):
@@ -368,21 +372,52 @@ def sliding_windows(x, kh, kw, sh, sw):
     summing where windows overlap.
     """
     val = payload(x)
-    if val.ndim != 4:
-        raise ValueError(f"expected NHWC input, got shape {val.shape}")
-    if kh < 1 or kw < 1 or sh < 1 or sw < 1:
-        raise ValueError(f"window {kh}x{kw} and stride {sh}x{sw} must be positive")
-    batch, height, width, channels = val.shape
-    if kh > height or kw > width:
-        raise ValueError(
-            f"window {kh}x{kw} does not fit input {height}x{width}")
-    oh = (height - kh) // sh + 1
-    ow = (width - kw) // sw + 1
+    oh, ow = _window_grid(np.shape(val), kh, kw, sh, sw)
+    batch, _, _, channels = val.shape
     rows = (np.arange(oh) * sh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
     cols = (np.arange(ow) * sw)[None, :, None, None] + np.arange(kw)[None, None, None, :]
     gathered = val[:, rows, cols, :]  # (B, OH, OW, kh, kw, C)
     return _node(gathered.reshape(batch, oh, ow, kh * kw, channels), (x,),
                  lambda g: _scatter_windows(g.reshape(gathered.shape), val.shape, sh, sw))
+
+
+def _route_window_max(grad, val, out, keys) -> np.ndarray:
+    """Input gradient of :func:`window_max`: each output's gradient goes to
+    the first kernel position, row-major, whose input equals the output (a
+    NaN output routes nowhere). The parts are added in the descending (i, j)
+    order of :func:`_scatter_windows`, so overlapping windows sum alike."""
+    unrouted = np.ones(out.shape, dtype=bool)
+    hits = []
+    for key in keys:
+        hit = val[key] == out
+        hit &= unrouted
+        unrouted ^= hit
+        hits.append(hit)
+    gx = np.zeros(val.shape)
+    for key, hit in zip(reversed(keys), reversed(hits)):
+        gx[key] += np.where(hit, grad, 0.0)
+    return gx
+
+
+def window_max(x, window: int, stride: int):
+    """Max over each (window, window) patch of an NHWC batch, per channel.
+
+    Input (B, H, W, C) becomes (B, OH, OW, C) with valid padding, refused
+    where ``sliding_windows`` refuses it. The value is a running maximum
+    over one strided view per kernel position, row-major, that keeps the
+    earlier entry on a tie; backward routes each gradient to that entry.
+    """
+    val = payload(x)
+    oh, ow = _window_grid(np.shape(val), window, window, stride, stride)
+    row_end, col_end = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    keys = [(slice(None), slice(i, i + row_end, stride), slice(j, j + col_end, stride))
+            for i in range(window) for j in range(window)]
+    views = [val[key] for key in keys]
+    # maximum(a, b) returns b when a == b: the earlier entry wins ties.
+    out = np.maximum(views[1], views[0]) if window > 1 else views[0].copy()
+    for view in views[2:]:
+        np.maximum(view, out, out=out)
+    return _node(out, (x,), lambda g: _route_window_max(g, val, out, keys))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

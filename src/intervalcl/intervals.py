@@ -98,11 +98,10 @@ def activation(x, kind: str):
 
 def pool(x, kind: str, window: int, stride: int):
     """Average or max over each (window, window) patch, per channel."""
-    windows = ad.sliding_windows(x, window, window, stride, stride)
     if kind == "avg":
-        return ad.mean(windows, axis=3)
+        return ad.mean(ad.sliding_windows(x, window, window, stride, stride), axis=3)
     if kind == "max":
-        return windows.max(axis=3)
+        return ad.window_max(x, window, stride)
     raise ValueError(f"unknown pooling kind {kind!r}")
 
 

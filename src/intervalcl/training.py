@@ -183,15 +183,21 @@ class LogRow:
     val_loss: float | None = None
 
 
-def _freeze_batch_stats(h, spec, task, inputs):
-    """One point pass over the training split fixes the batchnorm moments
-    this task will use at evaluation time."""
-    if not spec.batchnorm_layers:
-        return
+def _finish_task(h, spec, task, inputs):
+    """One point pass over the training split with the final weights.
+
+    It refuses weights whose logits are not finite (a diverged last step
+    can leave a finite loss) and fixes the batchnorm moments this task
+    will use at evaluation time.
+    """
     capture: list = []
-    nets.forward_point(spec, nets.generate_params(h, spec, task), inputs,
-                       bn_capture=capture)
-    h.bn_stats[task] = capture
+    logits = nets.forward_point(spec, nets.generate_params(h, spec, task), inputs,
+                                bn_capture=capture)
+    if not np.isfinite(logits).all():
+        raise NumericalDivergenceError(
+            f"non-finite training logits after task {task}")
+    if spec.batchnorm_layers:
+        h.bn_stats[task] = capture
 
 
 def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
@@ -201,10 +207,11 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
     ``batch(eps_step)`` gives one step's ``(x, labels_a, labels_b, lam,
     radius)``: the input box is ``x`` widened by ``radius`` (scalar or
     per-sample column), and ``lam`` (scalar or per sample) mixes the two
-    labels, or is ``None`` for the plain IBP loss on ``labels_a``. The
-    batchnorm moments are fixed from ``fit_inputs`` at the end. Model
-    selection scores the step's objective over ``val_data`` at ``kappa =
-    0.5``, radius ``cfg.loss.eps`` and no mixing.
+    labels, or is ``None`` for the plain IBP loss on ``labels_a``. At the
+    end one point pass over ``fit_inputs`` refuses non-finite logits and
+    fixes the batchnorm moments. Model selection scores the step's
+    objective over ``val_data`` at ``kappa = 0.5``, radius ``cfg.loss.eps``
+    and no mixing.
     """
     if task != h.trained_tasks:
         raise ValueError(
@@ -282,7 +289,7 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
     if task > 0 and not np.array_equal(h.embeddings[:task], frozen_before):
         raise AssertionError("frozen embeddings changed during training")
 
-    _freeze_batch_stats(h, spec, task, fit_inputs)
+    _finish_task(h, spec, task, fit_inputs)
     h.trained_tasks = task + 1
     return log
 

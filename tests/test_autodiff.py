@@ -1,5 +1,7 @@
 """Tape correctness against hand-derived gradients and finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -274,9 +276,10 @@ def test_matmul_rejects_non_2d():
 
 
 def test_max_reduction_routes_to_first_tie():
-    w = Tensor(np.array([[1.0, 3.0, 3.0]]))
-    w.max(axis=1).sum().backward()
-    assert np.array_equal(w.grad, [[0.0, 1.0, 0.0]])
+    # One 2x2 window whose maximum 3 sits at kernel positions 1 and 2.
+    w = Tensor(np.array([1.0, 3.0, 3.0, 0.0]).reshape(1, 2, 2, 1))
+    ad.window_max(w, 2, 2).sum().backward()
+    assert np.array_equal(w.grad.reshape(-1), [0.0, 1.0, 0.0, 0.0])
 
 
 def test_slot_gradient_matches_finite_differences():
@@ -422,16 +425,77 @@ def test_sliding_windows_rejects_bad_rank_and_sizes(shape, window):
 def test_pool_windows_shape_and_gradient():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 4, 4, 3))
-    grouped = ad.sliding_windows(x, 2, 2, 2, 2)
-    assert grouped.shape == (2, 2, 2, 4, 3)
-    assert np.array_equal(grouped[0, 0, 0, :, 1], x[0, 0:2, 0:2, 1].reshape(-1))
+    pooled = ad.window_max(x, 2, 2)
+    assert pooled.shape == (2, 2, 2, 3)
+    assert pooled[0, 0, 0, 1] == x[0, 0:2, 0:2, 1].max()
 
     t = Tensor(x)
 
     def build():
-        return ad.sliding_windows(t, 2, 2, 2, 2).max(axis=3).sum()
+        return ad.window_max(t, 2, 2).sum()
 
     assert ad.grad_check(build, [t], rng=rng, max_coords=24) <= 1e-8
+
+
+def _window_max_reference(x, window, stride):
+    """Max pooling as a window gather, ``np.argmax`` over the kernel axis
+    and ``take_along_axis``; backward puts the gradient at the argmax with
+    ``put_along_axis`` and scatters the windows back onto the input."""
+    windows = ad.sliding_windows(x, window, window, stride, stride)
+    val = windows.value
+    idx = np.expand_dims(np.argmax(val, axis=3), 3)
+
+    def form(g):
+        gw = np.zeros(val.shape)
+        np.put_along_axis(gw, idx, g[:, :, :, None, :], 3)
+        return gw
+
+    return ad._node(np.take_along_axis(val, idx, 3)[:, :, :, 0], (windows,), form)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (2, 1), (3, 1)])
+@pytest.mark.parametrize("ties", ["none", "relu", "constant"])
+def test_window_max_is_bitwise_the_gather_argmax(window, stride, channels, ties):
+    rng = np.random.default_rng(window * 10 + stride + channels)
+    x = rng.normal(size=(2, 7, 8, channels))
+    if ties == "relu":
+        x = np.maximum(x, 0.0)  # exact zeros tie across whole windows
+    elif ties == "constant":
+        x[:, :4, :5] = 0.25
+        x[1] = np.round(x[1])
+        # 0.0 and -0.0 tie; the value keeps the sign of the first one.
+        x[0, 3:, 4:] = rng.choice([0.0, -0.0], size=x[0, 3:, 4:].shape)
+    ref_in, new_in = Tensor(x), Tensor(x)
+    ref, got = _window_max_reference(ref_in, window, stride), ad.window_max(new_in, window, stride)
+    assert np.array_equal(got.value.view(np.int64), ref.value.view(np.int64))
+    upstream = rng.normal(size=got.shape) * 10.0 ** rng.uniform(-5, 5, got.shape)
+    upstream[0, 0, 0, 0] = np.inf  # only its own window's first maximum turns inf
+    with np.errstate(invalid="ignore"):
+        (ref * upstream).sum().backward()
+        (got * upstream).sum().backward()
+    assert np.array_equal(new_in.grad.view(np.int64), ref_in.grad.view(np.int64))
+
+
+def test_window_max_gradient_matches_finite_differences_where_windows_overlap():
+    rng = np.random.default_rng(12)
+    t = Tensor(rng.normal(size=(2, 7, 6, 2)))
+    weights = rng.normal(size=(2, 3, 2, 2))
+
+    def build():
+        return (ad.window_max(t, 3, 2) * weights).sum()
+
+    assert ad.grad_check(build, [t]) <= 1e-8
+
+
+@pytest.mark.parametrize("shape, window, stride", [
+    ((3, 3, 1), 2, 1), ((1, 3, 3, 1), 2, 0), ((1, 3, 3, 1), 0, 1),
+    ((1, 3, 3, 1), 4, 1), ((1, 5, 3, 1), 4, 1)])
+def test_window_max_rejects_what_sliding_windows_rejects(shape, window, stride):
+    with pytest.raises(ValueError) as gather:
+        ad.sliding_windows(np.zeros(shape), window, window, stride, stride)
+    with pytest.raises(ValueError, match=re.escape(str(gather.value))):
+        ad.window_max(np.zeros(shape), window, stride)
 
 
 def test_extract_patches_gradient_at_stride_two():

@@ -519,6 +519,21 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: non-finite"), err
         assert not (tmp_path / "x" / "results.csv").exists()
 
+    def test_toy2d_diverged_last_step_exit_code(self, tmp_path, capsys):
+        # toy2d trains on virtual samples alone and has no test split to
+        # score, so the check after the last step must catch this itself.
+        out = tmp_path / "x"
+        rc = run("toy2d", "--set", f"output.dir={out}",
+                 "--set", "data.points=4", "--set", "net.hidden=4",
+                 "--set", "hypernet.hidden=4", "--set", "hypernet.embedding=2",
+                 "--set", "train.steps=1", "--set", "train.optimizer=sgd",
+                 "--set", "train.lr=1e300")
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+        for name in ("checkpoint.json", "points.csv", "grid.csv"):
+            assert not (out / name).exists(), name
+
     def test_corrupt_checkpoint_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

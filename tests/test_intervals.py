@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from intervalcl import autodiff as ad
 from intervalcl import intervals as iv
 from intervalcl import nets
 from intervalcl.intervals import IntervalTensor
@@ -313,6 +314,25 @@ def test_pool_max_and_avg_windows():
     assert av.upper[0, 0, 0, 0] == pytest.approx(3.5)
     with pytest.raises(ValueError):
         iv.interval_pool(box, "median", 2)
+
+
+def test_max_pool_runs_no_window_gather_and_no_argmax(monkeypatch):
+    # Max pooling is one strided fold: its forward and backward neither
+    # gather windows nor take an argmax.
+    calls = {"sliding_windows": 0, "argmax": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ad, "sliding_windows", counted("sliding_windows", ad.sliding_windows))
+    monkeypatch.setattr(np, "argmax", counted("argmax", np.argmax))
+    x = ad.Tensor(np.random.default_rng(3).normal(size=(2, 6, 6, 2)))
+    iv.pool(x, "max", 2, 2).sum().backward()
+    assert x.grad is not None
+    assert calls == {"sliding_windows": 0, "argmax": 0}
 
 
 def test_max_pool_hull_contains_samples():

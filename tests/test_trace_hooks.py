@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from intervalcl import autodiff as ad
 from intervalcl import checkpoint, data, losses, nets, training
@@ -25,10 +26,12 @@ def load_spans():
     return module
 
 
-def test_forward_passes_record_layer_spans():
+@pytest.mark.parametrize("pool", [nets.avgpool, nets.maxpool],
+                         ids=["avgpool", "maxpool"])
+def test_forward_passes_record_layer_spans(pool):
     spec = nets.NetworkSpec(
         (6, 6, 1),
-        [nets.conv(3, 3), nets.batchnorm(), nets.act("relu"), nets.avgpool(2),
+        [nets.conv(3, 3), nets.batchnorm(), nets.act("relu"), pool(2),
          nets.flatten(), nets.dense(2)],
         classes=2)
     rng = np.random.default_rng(0)

@@ -352,13 +352,14 @@ def test_divergence_raises():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("selection, message", [(False, "test logits"),
+@pytest.mark.parametrize("selection, message", [(False, "training logits"),
                                                 (True, "validation loss")])
 def test_diverged_last_step_raises(selection, message):
     # One SGD step at lr 1e300 is taken from a finite loss, and leaves
     # weights whose logits overflow to inf and NaN. Without model selection
-    # only the test pass sees them; with it, a NaN first score would
-    # become the best one, since no later score compares below NaN.
+    # the point pass after the last step sees them first; with it, a NaN
+    # first score would become the best one, since no later score compares
+    # below NaN.
     spec, h = small_setup()
     task = make_blobs(14, 90, [[0.25, 0.25], [0.75, 0.75]])
     task.train = Data(task.inputs[:60], task.labels[:60])
@@ -367,6 +368,18 @@ def test_diverged_last_step_raises(selection, message):
     cfg = quick_cfg(steps=1, optimizer="sgd", lr=1e300, model_selection=selection)
     with pytest.raises(training.NumericalDivergenceError, match=message):
         training.train_sequence(h, spec, [task], cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_test_logits_raise_after_a_finite_training_pass():
+    # Weights that are finite on the training split can still give inf or
+    # NaN logits on a test split; the accuracy matrix must not score them.
+    spec, h = small_setup()
+    task = make_blobs(14, 90, [[0.25, 0.25], [0.75, 0.75]])
+    task.train = Data(task.inputs[:60], task.labels[:60])
+    task.test = Data(np.full((30, 2), np.inf), task.labels[60:])
+    with pytest.raises(training.NumericalDivergenceError, match="test logits"):
+        training.train_sequence(h, spec, [task], quick_cfg(steps=2))
 
 
 def ibp_selection_score(h, spec, task, val, eps):
@@ -673,7 +686,7 @@ def test_later_task_step_leaves_earlier_embeddings_off_the_tape(monkeypatch):
     ((2,), nets.mlp_layers([16], 3), 3, 8, [32], (52, 59, 59)),
     ((64,), nets.mlp_layers([48], 10), 10, 24, [64, 64], (56, 63, 63)),
     ((8, 8, 1), [nets.conv(8, 3), nets.batchnorm(), nets.act("relu"), nets.maxpool(2),
-                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (104, 111, 111)),
+                 nets.flatten(), nets.dense(10)], 10, 24, [64, 64], (101, 108, 108)),
 ], ids=["blobs_mlp", "digits_mlp", "digits_conv"])
 def test_training_backward_tape_size_is_pinned(monkeypatch, input_shape, layers,
                                                classes, embedding, hidden, pins):
