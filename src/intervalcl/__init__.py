@@ -46,7 +46,6 @@ from intervalcl.losses import (
     LossConfig,
     ibp_loss,
     interval_mixup_loss,
-    mixup_loss,
     output_reg_loss,
     scaled_radius,
     virtual_samples,
@@ -99,7 +98,6 @@ __all__ = [
     "load_checkpoint",
     "load_idx",
     "metrics",
-    "mixup_loss",
     "mlp_layers",
     "output_reg_loss",
     "ring_task_means",

@@ -159,10 +159,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         }
         hypernet.trained_tasks = int(stored["trained_tasks"])
         results_obj = payload["results"]
+        values = None if results_obj is None else _decode_array(results_obj)
         seed = int(payload["seed"])
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     except (TypeError, KeyError, ValueError) as exc:
-        if isinstance(exc, CheckpointError):
-            raise
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
     if hypernet.layout.target_size != spec.total_params:
         raise CheckpointError(
@@ -173,8 +174,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: {hypernet.trained_tasks} trained tasks out of range")
     _check_bn_stats(path, spec, hypernet)
     results = None
-    if results_obj is not None:
-        values = _decode_array(results_obj)
+    if values is not None:
         if values.shape != (hypernet.layout.task_count,) * 2:
             raise CheckpointError(
                 f"{path}: result table shape {values.shape} does not match "
@@ -185,28 +185,19 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def _check_bn_stats(path: str, spec: NetworkSpec, hypernet: Hypernetwork) -> None:
-    """Each trained task needs exactly one usable (mean, var) pair per
-    batchnorm layer, so none for a network without batchnorm; otherwise the
-    forward passes refuse the call, the point pass normalizes with each
-    batch's own moments, or every logit turns NaN."""
-    layers = spec.batchnorm_layers
+    """Each trained task needs the moments ``spec.check_bn_stats`` takes for
+    boxes, so none for a network without batchnorm, holding finite means
+    and finite, non-negative variances; otherwise the forward passes refuse
+    the call, the point pass normalizes with each batch's own moments, or
+    every logit turns NaN."""
     for task in range(hypernet.trained_tasks):
         stats = hypernet.bn_stats.get(task, [])
-        if len(stats) != len(layers):
-            raise CheckpointError(
-                f"{path}: task {task} stores {len(stats)} batchnorm moment "
-                f"pairs, network has {len(layers)} batchnorm layers")
-        for index, (mean, var) in zip(layers, stats):
+        try:
+            spec.check_bn_stats(stats, boxed=True)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: task {task}, {exc}") from None
+        for index, (mean, var) in zip(spec.batchnorm_layers, stats):
             where = f"{path}: task {task}, layer {index}"
-            shape = spec.shapes[index]
-            for name, value in (("mean", mean), ("var", var)):
-                # One value per feature on the last axis, broadcasting
-                # against the (batch,) + shape input without adding axes.
-                if (value.shape[-1:] != shape[-1:] or value.size != shape[-1]
-                        or value.ndim > len(shape) + 1):
-                    raise CheckpointError(
-                        f"{where}: batchnorm {name} shaped {value.shape} does "
-                        f"not fit input {shape}")
             if not np.isfinite(mean).all():
                 raise CheckpointError(f"{where}: batchnorm mean is not finite")
             # Written so that NaN fails the check.

@@ -163,10 +163,9 @@ def _bn_axes(shape) -> tuple:
     raise ValueError(f"batchnorm expects (B, F) or NHWC input, got {shape}")
 
 
-def _bn_fold(x, gamma, shift, stats):
-    """``(weight, bias)`` of batchnorm over inputs shaped like ``x`` with
-    moments ``stats = (mean, var)``, as the map ``x -> weight * x + bias``."""
-    shape = np.shape(x)
+def _bn_fold(shape, gamma, shift, stats):
+    """``(weight, bias)`` of batchnorm over inputs of ``shape`` with moments
+    ``stats = (mean, var)``, as the map ``x -> weight * x + bias``."""
     _bn_axes(shape)
     feat = shape[-1]
     if np.shape(gamma) != (feat,) or np.shape(shift) != (feat,):
@@ -186,7 +185,7 @@ def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, stats) -> IntervalTe
     ``weight`` negative, which flips which bound is which; the
     centre/half-width form keeps the output ordered.
     """
-    weight, bias = _bn_fold(iv.lower, gamma, shift, stats)
+    weight, bias = _bn_fold(iv.shape, gamma, shift, stats)
     return _affine_box(iv.lower, iv.upper, operator.mul, weight, bias)
 
 
@@ -202,7 +201,7 @@ def point_batchnorm(x, gamma, shift, *, stats=None, capture=None):
         stats = batch_moments(x, _bn_axes(np.shape(x)))
     if capture is not None:
         capture.append(stats)
-    weight, bias = _bn_fold(x, gamma, shift, stats)
+    weight, bias = _bn_fold(np.shape(x), gamma, shift, stats)
     return x * weight + bias
 
 
@@ -239,27 +238,27 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _affine_norms(spec, params, magnitudes, index, layer, moments):
+def _affine_norms(params, magnitudes, index, layer, moments):
     """``(‖W‖∞ rounded up, max |b|, n)`` of an affine layer: ``n`` terms per
     output (1 for batchnorm, whose ``W`` is diagonal), and ``‖W‖∞`` the
-    largest sum of |W| over one output's terms. ``magnitudes`` maps each
-    (layer index, name) slot to the absolute values of its parameters."""
+    largest sum of |W| over one output's terms. ``magnitudes`` is ``params``
+    with every parameter replaced by its absolute value."""
     if layer.kind == "batchnorm":
-        weight, bias = _bn_fold(np.empty((0,) + spec.shapes[index]),
+        weight, bias = _bn_fold((1,) + params.spec.shapes[index],
                                 params.get(index, "gamma"),
                                 params.get(index, "shift"), moments)
         return float(np.abs(weight).max()), float(np.abs(bias).max()), 1
     if layer.kind == "dense":
-        weight = magnitudes[index, "weight"]
+        weight = magnitudes.get(index, "weight")
         n = weight.shape[1]
         sums = weight.sum(axis=1)
     else:
-        kernel = magnitudes[index, "kernel"]
+        kernel = magnitudes.get(index, "kernel")
         n = math.prod(kernel.shape[:3])
         sums = kernel.reshape(n, -1).sum(axis=0)
     # The float sum is at most a factor (1 - γ_{n-1}) low.
     return (float(sums.max()) * (1.0 + _gamma(n)),
-            float(magnitudes[index, "bias"].max()), n)
+            float(magnitudes.get(index, "bias").max()), n)
 
 
 def rounding_budget(spec, params, box: IntervalTensor, bn_stats=None) -> np.ndarray:
@@ -317,10 +316,10 @@ def rounding_budget(spec, params, box: IntervalTensor, bn_stats=None) -> np.ndar
     the intercepts), and one outer product over the batch gives the rows:
     no reduction over any layer's bounds.
     """
+    from intervalcl.nets import ParamSet
+
     spec.check_bn_stats(bn_stats, boxed=True)
-    flat = np.abs(params.flat)
-    magnitudes = {(index, name): flat[offset:offset + size].reshape(shape)
-                  for index, name, shape, offset, size in spec.slots}
+    magnitudes = ParamSet(spec, np.abs(params.flat))
     moments = iter(bn_stats or ())
     slope, intercept = (_U, 1.0), (0.0, 0.0)  # of (e, big)
     rows = [(slope[0], intercept[0])]
@@ -329,8 +328,7 @@ def rounding_budget(spec, params, box: IntervalTensor, bn_stats=None) -> np.ndar
         update = None
         if kind in ("dense", "conv", "batchnorm"):
             stats = next(moments) if kind == "batchnorm" else None
-            norm, shift, n = _affine_norms(spec, params, magnitudes, index,
-                                           layer, stats)
+            norm, shift, n = _affine_norms(params, magnitudes, index, layer, stats)
             g = _gamma(n + 2)
 
             def update(e, big, one):

@@ -168,14 +168,6 @@ def _mixed_targets(labels_a, labels_b, lam, classes):
     return (rows_a, rows_b), (lam * rows_a, (1.0 - lam) * rows_b)
 
 
-def mixup_loss(logits, labels_a, labels_b, lam):
-    """Cross-entropy of virtual samples against the mixed label
-    ``lam * a + (1 - lam) * b``, with ``lam`` a scalar or one per sample."""
-    _, (rows_a, rows_b) = _mixed_targets(labels_a, labels_b, lam,
-                                         ad.payload(logits).shape[-1])
-    return ad.softmax_cross_entropy(logits, rows_a + rows_b)
-
-
 def interval_mixup_loss(bounds: IntervalTensor, logits, labels_a, labels_b,
                         lam, kappa):
     """MixUp loss fused with its worst-case counterpart.

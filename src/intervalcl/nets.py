@@ -128,7 +128,10 @@ class NetworkSpec:
         offset = 0
         shape = self.input_shape
         for index, layer in enumerate(self.layers):
-            shape, params = self._flow(index, layer, shape)
+            try:
+                shape, params = self._flow(layer, shape)
+            except ValueError as exc:
+                raise ValueError(f"layer {index}: {exc}") from None
             self.shapes.append(shape)
             for name, pshape in params:
                 self._slots[(index, name)] = (offset, pshape)
@@ -140,16 +143,32 @@ class NetworkSpec:
 
     def check_bn_stats(self, bn_stats, boxed: bool) -> None:
         """Refuse ``bn_stats`` unless it holds one (mean, var) pair per
-        batchnorm layer; only a point batch may take moments from itself,
-        for all layers (``None``) or one (a ``None`` entry)."""
+        batchnorm layer, each with one value per feature on its last axis
+        and at most one axis more than the layer's input, so it broadcasts
+        over the batch and adds no axis. Only a point batch may pass
+        ``None``, taking its moments from itself."""
         layers = self.batchnorm_layers
-        if bn_stats is not None and len(bn_stats) != len(layers):
+        if bn_stats is None:
+            if boxed and layers:
+                raise ValueError(f"layer {layers[0]}: batchnorm on boxes needs "
+                                 "moments (bn_stats)")
+            return
+        if len(bn_stats) != len(layers):
             raise ValueError(f"bn_stats holds {len(bn_stats)} batchnorm moment "
                              f"pairs, network has {len(layers)} batchnorm layers")
-        for index, stats in zip(layers, bn_stats or [None] * len(layers)):
-            if boxed and stats is None:
-                raise ValueError(f"layer {index}: batchnorm on boxes needs "
-                                 "moments (bn_stats)")
+        for index, pair in zip(layers, bn_stats):
+            shape = self.shapes[index]
+            try:
+                mean, var = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"layer {index}: batchnorm moments must be a "
+                                 f"(mean, var) pair, got {type(pair).__name__}") from None
+            for name, value in (("mean", mean), ("var", var)):
+                got = np.shape(value)
+                if (got[-1:] != shape[-1:] or math.prod(got) != shape[-1]
+                        or len(got) > len(shape) + 1):
+                    raise ValueError(f"layer {index}: batchnorm {name} shaped "
+                                     f"{got} does not fit input {shape}")
 
     @property
     def slots(self) -> list[tuple[int, str, tuple[int, ...], int, int]]:
@@ -157,55 +176,43 @@ class NetworkSpec:
         return [(i, n, p, o, math.prod(p)) for (i, n), (o, p) in self._slots.items()]
 
     @staticmethod
-    def _flow(index, layer, shape):
+    def _flow(layer, shape):
+        """Output shape and parameter slots of ``layer`` on inputs of
+        ``shape``; windows take their geometry from the kernels' own rule."""
         kind = layer.kind
         for name in _SIZES.get(kind, ()):
             value = getattr(layer, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"layer {index}: {kind} {name} must be an "
-                                 f"integer, got {value!r}")
+                raise ValueError(f"{kind} {name} must be an integer, got {value!r}")
         if kind == "dense":
             if len(shape) != 1:
-                raise ValueError(
-                    f"layer {index}: dense needs a flat input, got {shape} (add flatten)")
+                raise ValueError(f"dense needs a flat input, got {shape} (add flatten)")
             if layer.units < 1:
-                raise ValueError(f"layer {index}: dense units must be positive")
+                raise ValueError("dense units must be positive")
             return (layer.units,), [("weight", (layer.units, shape[0])),
                                     ("bias", (layer.units,))]
         if kind == "conv":
-            if len(shape) != 3:
-                raise ValueError(f"layer {index}: conv needs (H, W, C) input, got {shape}")
-            h, w, c = shape
-            k, s = layer.kernel, layer.stride
-            if k < 1 or s < 1 or layer.channels < 1:
-                raise ValueError(f"layer {index}: bad conv geometry")
-            if k > h or k > w:
-                raise ValueError(f"layer {index}: kernel {k} exceeds input {h}x{w}")
-            out = ((h - k) // s + 1, (w - k) // s + 1, layer.channels)
-            return out, [("kernel", (k, k, c, layer.channels)),
-                         ("bias", (layer.channels,))]
+            if layer.channels < 1:
+                raise ValueError("conv channels must be positive")
+            k, out = layer.kernel, layer.channels
+            grid = ad._window_grid((1,) + shape, k, k, layer.stride, layer.stride)
+            return grid + (out,), [("kernel", (k, k, shape[-1], out)), ("bias", (out,))]
         if kind == "activation":
             if layer.activation not in ("relu", "sigmoid"):
-                raise ValueError(f"layer {index}: unknown activation {layer.activation!r}")
+                raise ValueError(f"unknown activation {layer.activation!r}")
             return shape, []
         if kind == "batchnorm":
             feat = shape[-1]
             return shape, [("gamma", (feat,)), ("shift", (feat,))]
         if kind == "pool":
             if layer.pool not in ("avg", "max"):
-                raise ValueError(f"layer {index}: unknown pooling kind {layer.pool!r}")
-            if len(shape) != 3:
-                raise ValueError(f"layer {index}: pool needs (H, W, C) input, got {shape}")
-            h, w, c = shape
-            k, s = layer.window, layer.stride
-            if k < 1 or s < 1:
-                raise ValueError(f"layer {index}: bad pool geometry")
-            if k > h or k > w:
-                raise ValueError(f"layer {index}: window {k} exceeds input {h}x{w}")
-            return ((h - k) // s + 1, (w - k) // s + 1, c), []
+                raise ValueError(f"unknown pooling kind {layer.pool!r}")
+            k = layer.window
+            grid = ad._window_grid((1,) + shape, k, k, layer.stride, layer.stride)
+            return grid + shape[-1:], []
         if kind == "flatten":
             return (int(np.prod(shape)),), []
-        raise ValueError(f"layer {index}: unknown kind {kind!r}")
+        raise ValueError(f"unknown kind {kind!r}")
 
 
 class ParamSet:

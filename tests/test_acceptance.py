@@ -52,7 +52,6 @@ from intervalcl.losses import (
     ibp_loss,
     interval_mixup_loss,
     mixup_interpolate,
-    mixup_loss,
     output_reg_loss,
     scaled_radius,
     schedule_step,
@@ -284,7 +283,10 @@ def test_a2_gradient_correctness():
 
         def build_mixup():
             params = ParamSet(spec, flat)
-            return mixup_loss(forward_point(spec, params, x_mix), ya, yb, lam)
+            logits = forward_point(spec, params, x_mix)
+            # At kappa = 1 only the clean MixUp cross-entropy counts.
+            box = IntervalTensor.from_ball(logits, 0.1)
+            return interval_mixup_loss(box, logits, ya, yb, lam, 1.0)
 
         err = grad_check(build_mixup, [flat], rng=rng, max_coords=6)
         worst["mixup"] = max(worst["mixup"], err)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from intervalcl.cli import main
 from intervalcl.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -344,6 +345,59 @@ class TestValidation:
             load_checkpoint(str(path))
 
 
+def _json_array(payload):
+    return [payload]
+
+
+def _one_weight_layer_short(payload):
+    payload["hypernet"]["weights"].pop()
+    return payload
+
+
+def _no_trained_tasks(payload):
+    del payload["hypernet"]["trained_tasks"]
+    return payload
+
+
+def _wider_input(payload):
+    # A valid network whose parameter count the generator does not emit.
+    payload["spec"]["input_shape"] = [4]
+    return payload
+
+
+def _trained_tasks(count):
+    def tamper(payload):
+        payload["hypernet"]["trained_tasks"] = count
+        return payload
+    return tamper
+
+
+LOADER_DEFECTS = {
+    "json-array": (_json_array, "expected a JSON object"),
+    "weights-short": (_one_weight_layer_short, "1 weight layers stored, layout has 2"),
+    "no-trained-tasks": (_no_trained_tasks, "malformed checkpoint: 'trained_tasks'"),
+    "generator-size": (_wider_input, "hypernetwork emits 42 parameters, network needs 47"),
+    "trained-tasks-above": (_trained_tasks(4), "4 trained tasks out of range"),
+    "trained-tasks-negative": (_trained_tasks(-1), "-1 trained tasks out of range"),
+}
+
+
+@pytest.mark.parametrize("defect", list(LOADER_DEFECTS))
+def test_loader_refusal_names_the_file_and_eval_exits_3(tmp_path, model, capsys,
+                                                       defect):
+    tamper, message = LOADER_DEFECTS[defect]
+    h, spec = model
+    path = tmp_path / "model.json"
+    save_checkpoint(str(path), h, spec)
+    path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+    with pytest.raises(CheckpointError,
+                       match="^" + re.escape(f"{path}: {message}")):
+        load_checkpoint(str(path))
+    assert main(["eval", "--checkpoint", str(path),
+                 "--set", f"output.dir={tmp_path}/eval"]) == 3
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 def _bn_model():
     """``(2,) -> dense(4) -> batchnorm -> relu -> dense(3)``, three tasks
     trained, with moments shaped as training freezes them."""
@@ -368,11 +422,11 @@ def _replace_pair(task, mean=None, var=None):
 
 BN_DEFECTS = {
     "empty": (lambda stats: {**stats, 0: []},
-              r"task 0 stores 0 batchnorm moment pairs, network has 1"),
+              r"task 0, bn_stats holds 0 batchnorm moment pairs, network has 1"),
     "missing": (lambda stats: {},
-                r"task 0 stores 0 batchnorm moment pairs"),
+                r"task 0, bn_stats holds 0 batchnorm moment pairs"),
     "two-pairs": (lambda stats: {**stats, 1: stats[1] * 2},
-                  r"task 1 stores 2 batchnorm moment pairs"),
+                  r"task 1, bn_stats holds 2 batchnorm moment pairs"),
     "narrow": (lambda stats: {**stats, 1: [(np.zeros((1, 3)),
                                             np.ones((1, 3)))]},
                r"task 1, layer 1: batchnorm mean shaped \(1, 3\)"),
@@ -434,7 +488,7 @@ class TestBatchnormMoments:
         path = str(tmp_path / "model.json")
         save_checkpoint(path, h, spec)
         with pytest.raises(CheckpointError, match=(
-                "^" + re.escape(path) + ": task 0 stores 1 batchnorm moment "
+                "^" + re.escape(path) + ": task 0, bn_stats holds 1 batchnorm moment "
                 "pairs, network has 0 batchnorm layers$")):
             load_checkpoint(path)
 

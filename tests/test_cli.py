@@ -30,6 +30,14 @@ TINY_ARGS = [
 ]
 
 
+# Two tasks of 4x4 glyph images from a 120-image base.
+IMAGE_SETS = (
+    "data.tasks=2", "data.base_count=120", "data.downsample=2",
+    "data.train_size=30", "data.val_size=10", "data.test_size=10",
+    "net.hidden=8", "hypernet.hidden=8", "hypernet.embedding=4", "train.steps=4",
+)
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -473,6 +481,22 @@ class TestExitCodes:
         assert run("train", "--set", "data.kind=permuted",
                    "--set", "data.source=idx",
                    "--set", f"output.dir={tmp_path}/x") == 2
+
+    @pytest.mark.parametrize("kind, extra", [("permuted", ()),
+                                             ("rotated", ("data.angles=0,30",))])
+    def test_image_task_kinds_train(self, tmp_path, kind, extra):
+        sets = [arg for o in (f"data.kind={kind}", *extra, *IMAGE_SETS)
+                for arg in ("--set", o)]
+        assert run("train", *sets, "--set", f"output.dir={tmp_path}/x") == 0
+        rows = read_csv(tmp_path / "x" / "results.csv")
+        assert {row["eval_task"] for row in rows if row["kind"] == "accuracy"} == {"0", "1"}
+
+    def test_rotated_angle_count_other_than_tasks_is_config_error(self, tmp_path,
+                                                                 capsys):
+        sets = [arg for o in ("data.kind=rotated", "data.angles=0,30,60", *IMAGE_SETS)
+                for arg in ("--set", o)]
+        assert run("train", *sets, "--set", f"output.dir={tmp_path}/x") == 2
+        assert "data.angles lists 3 angles for 2 tasks" in capsys.readouterr().err
 
     def test_rotated_without_angles_is_config_error(self, tmp_path):
         assert run("train", "--set", "data.kind=rotated",

@@ -314,7 +314,7 @@ def exact_norm_logits(x, eps, params, stats):
     the map the point pass applies."""
     hidden = _exact_dense(_float_box(x, eps), params.get(0, "weight"),
                           params.get(0, "bias"))
-    weight, bias = iv._bn_fold(np.zeros((1, 2)), params.get(1, "gamma"),
+    weight, bias = iv._bn_fold((1, 2), params.get(1, "gamma"),
                                params.get(1, "shift"), stats[0])
     normed = [_exact_dense([h], [[w]], [c])[0]
               for h, w, c in zip(hidden, weight.ravel(), bias.ravel())]

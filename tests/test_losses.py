@@ -280,11 +280,17 @@ def test_non_finite_coefficients_and_radii_are_refused(call):
         call()
 
 
+def _mixup_at_kappa_one(logits, labels_a, labels_b, lam):
+    """Interval MixUp at kappa = 1, where only its clean MixUp part counts."""
+    box = IntervalTensor.from_ball(logits, 0.1)
+    return losses.interval_mixup_loss(box, logits, labels_a, labels_b, lam, 1.0)
+
+
 def test_mixup_loss_identical_labels_is_plain_ce():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(5, 3))
     labels = rng.integers(0, 3, size=5)
-    got = losses.mixup_loss(logits, labels, labels, 0.3)
+    got = _mixup_at_kappa_one(logits, labels, labels, 0.3)
     assert got == pytest.approx(ad.softmax_cross_entropy(logits, ad.onehot(labels, 3)),
                                 rel=1e-12)
 
@@ -294,16 +300,16 @@ def test_mixup_loss_endpoint_reduces_to_one_label():
     logits = rng.normal(size=(5, 3))
     ya = rng.integers(0, 3, size=5)
     yb = rng.integers(0, 3, size=5)
-    assert losses.mixup_loss(logits, ya, yb, 1.0) == pytest.approx(
+    assert _mixup_at_kappa_one(logits, ya, yb, 1.0) == pytest.approx(
         ad.softmax_cross_entropy(logits, ad.onehot(ya, 3)))
-    assert losses.mixup_loss(logits, ya, yb, 0.0) == pytest.approx(
+    assert _mixup_at_kappa_one(logits, ya, yb, 0.0) == pytest.approx(
         ad.softmax_cross_entropy(logits, ad.onehot(yb, 3)))
 
 
 def test_mixup_loss_uniform_logits():
     logits = np.zeros((4, 5))
-    got = losses.mixup_loss(logits, np.zeros(4, dtype=int),
-                            np.ones(4, dtype=int), 0.4)
+    got = _mixup_at_kappa_one(logits, np.zeros(4, dtype=int),
+                              np.ones(4, dtype=int), 0.4)
     assert got == pytest.approx(np.log(5.0))
 
 
@@ -317,7 +323,7 @@ def test_mixup_loss_per_sample_lambda_matches_manual():
     ce_a = lse - logits[np.arange(4), ya]
     ce_b = lse - logits[np.arange(4), yb]
     manual = np.mean(lam * ce_a + (1.0 - lam) * ce_b)
-    assert losses.mixup_loss(logits, ya, yb, lam) == pytest.approx(manual, rel=1e-12)
+    assert _mixup_at_kappa_one(logits, ya, yb, lam) == pytest.approx(manual, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [np.array([0.1, 0.9, 0.5]),
@@ -330,11 +336,9 @@ def test_mixup_losses_refuse_lambda_neither_scalar_nor_per_sample(lam):
     logits = rng.normal(size=(4, 3))
     ya, yb = np.array([0, 1, 2, 0]), np.array([1, 2, 0, 2])
     box = IntervalTensor.from_ball(logits, 0.1)
-    for call in (lambda: losses.mixup_loss(logits, ya, yb, lam),
-                 lambda: losses.interval_mixup_loss(box, logits, ya, yb, lam, 0.5)):
-        with pytest.raises(ValueError) as info:
-            call()
-        assert str(lam.shape) in str(info.value) and "(4,)" in str(info.value)
+    with pytest.raises(ValueError) as info:
+        losses.interval_mixup_loss(box, logits, ya, yb, lam, 0.5)
+    assert str(lam.shape) in str(info.value) and "(4,)" in str(info.value)
 
 
 def test_mixup_losses_refuse_label_vectors_of_different_lengths():
@@ -342,8 +346,6 @@ def test_mixup_losses_refuse_label_vectors_of_different_lengths():
     logits = np.zeros((4, 3))
     ya, yb = np.array([0, 1, 2, 0]), np.array([1])
     box = IntervalTensor.from_ball(logits, 0.1)
-    with pytest.raises(ValueError, match=r"\(4,\) and \(1,\)"):
-        losses.mixup_loss(logits, ya, yb, 0.5)
     with pytest.raises(ValueError, match=r"\(4,\) and \(1,\)"):
         losses.interval_mixup_loss(box, logits, ya, yb, 0.5, 0.5)
 
@@ -357,7 +359,7 @@ def test_interval_mixup_collapses_to_mixup_at_zero_radius():
     ya = rng.integers(0, 3, size=6)
     yb = rng.integers(0, 3, size=6)
     box = IntervalTensor(logits, logits)
-    plain = losses.mixup_loss(logits, ya, yb, 0.35)
+    plain = _mixup_at_kappa_one(logits, ya, yb, 0.35)
     for kappa in (0.0, 0.5, 1.0):
         got = losses.interval_mixup_loss(box, logits, ya, yb, 0.35, kappa)
         assert got == pytest.approx(plain, rel=1e-12)
@@ -370,7 +372,8 @@ def test_interval_mixup_kappa_one_is_exactly_mixup():
     yb = rng.integers(0, 3, size=4)
     box = IntervalTensor.from_ball(logits, 0.4)
     got = losses.interval_mixup_loss(box, logits, ya, yb, 0.7, 1.0)
-    assert got == losses.mixup_loss(logits, ya, yb, 0.7)
+    mixed = 0.7 * ad.onehot(ya, 3) + (1.0 - 0.7) * ad.onehot(yb, 3)
+    assert got == ad.softmax_cross_entropy(logits, mixed)
 
 
 def test_interval_mixup_endpoint_matches_ibp_loss():
@@ -407,8 +410,8 @@ def test_mixup_losses_bitwise_equal_on_arrays_and_tensors():
         yb = rng.integers(0, 4, size=60)
         lam = rng.uniform(size=60) if seed % 2 else float(rng.uniform())
         kappa = float(rng.uniform())
-        plain = losses.mixup_loss(logits, ya, yb, lam)
-        taped = losses.mixup_loss(Tensor(logits), ya, yb, lam)
+        plain = _mixup_at_kappa_one(logits, ya, yb, lam)
+        taped = _mixup_at_kappa_one(Tensor(logits), ya, yb, lam)
         assert taped.value.tobytes() == np.float64(plain).tobytes(), seed
         box = IntervalTensor(logits - radius, logits + radius)
         tape_box = IntervalTensor(Tensor(logits - radius),
@@ -428,7 +431,7 @@ def test_losses_are_finite_and_nonnegative_on_random_draws():
         lam = rng.uniform()
         kappa = rng.uniform()
         box = IntervalTensor.from_ball(logits, rng.uniform(0.0, 1.0))
-        for val in (losses.mixup_loss(logits, ya, yb, lam),
+        for val in (_mixup_at_kappa_one(logits, ya, yb, lam),
                     losses.ibp_loss(box, logits, ya, kappa),
                     losses.interval_mixup_loss(box, logits, ya, yb, lam, kappa)):
             assert np.isfinite(val)

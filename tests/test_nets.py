@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from intervalcl import autodiff as ad
+from intervalcl import evaluation as ev
+from intervalcl import intervals as iv
 from intervalcl import losses
 from intervalcl import nets
 from intervalcl.autodiff import Tensor
@@ -227,6 +229,76 @@ def test_bn_stats_must_hold_one_pair_per_batchnorm_layer(extra):
     mlp_params = nets.ParamSet(mlp, rng.normal(size=mlp.total_params))
     assert np.array_equal(nets.forward_point(mlp, mlp_params, x[:, :4], bn_stats=[]),
                           nets.forward_point(mlp, mlp_params, x[:, :4]))
+
+
+@pytest.mark.parametrize("pair, match", [
+    ((np.zeros(1), np.ones(1)), r"layer 1: batchnorm mean shaped \(1,\) does not fit input \(8,\)"),
+    # Per-sample moments would normalize each sample with its own pair.
+    ((np.zeros((5, 8)), np.ones((5, 8))), r"layer 1: batchnorm mean shaped \(5, 8\)"),
+    ((np.zeros((1, 8)), np.ones((8, 1))), r"layer 1: batchnorm var shaped \(8, 1\)"),
+    ((np.zeros((1, 8)),), r"layer 1: batchnorm moments must be a \(mean, var\) pair"),
+    (None, r"layer 1: batchnorm moments must be a \(mean, var\) pair, got NoneType"),
+], ids=["one-value", "per-sample", "column-var", "lone-mean", "none-entry"])
+def test_every_pass_refuses_misshapen_moments(pair, match):
+    # Each of these used to broadcast silently: certify then refused every
+    # sample, and the point passes ran some other network.
+    spec = nets.NetworkSpec(
+        (4,), [nets.dense(8), nets.batchnorm(), nets.act("relu"), nets.dense(3)],
+        classes=3)
+    rng = np.random.default_rng(17)
+    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    x = rng.uniform(size=(5, 4))
+    y = rng.integers(0, 3, size=5)
+    stats = [pair]
+    attack = ev.AttackConfig(eps=0.05, iters=2)
+    for call in (lambda: nets.forward_point(spec, params, x, bn_stats=stats),
+                 lambda: nets.forward_interval(spec, params, x, eps=0.05, bn_stats=stats),
+                 lambda: ev.certify(spec, params, x, y, 0.05, bn_stats=stats),
+                 lambda: ev.pgd(spec, params, x, y, attack, bn_stats=stats),
+                 lambda: iv.rounding_budget(spec, params,
+                                            IntervalTensor.from_ball(x, 0.05), stats)):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_captured_and_frozen_moment_shapes_pass_the_check():
+    # The shapes training captures and freezes, and per-feature vectors.
+    dense = nets.NetworkSpec((4,), [nets.dense(8), nets.batchnorm(), nets.dense(3)],
+                             classes=3)
+    conv = nets.NetworkSpec((5, 5, 1), [nets.conv(2, 3), nets.batchnorm(),
+                                        nets.flatten(), nets.dense(3)], classes=3)
+    for spec, shapes in ((dense, [(1, 8), (8,)]), (conv, [(1, 1, 1, 2), (1, 2), (2,)])):
+        for shape in shapes:
+            spec.check_bn_stats([(np.zeros(shape), np.ones(shape))], boxed=True)
+        params = nets.ParamSet(spec, np.random.default_rng(2).normal(size=spec.total_params))
+        captured: list = []
+        nets.forward_point(spec, params, np.zeros((3,) + spec.input_shape),
+                           bn_capture=captured)
+        spec.check_bn_stats(captured, boxed=True)
+        taped: list = []
+        nets.forward_point(spec, nets.ParamSet(spec, Tensor(params.flat)),
+                           np.zeros((3,) + spec.input_shape), bn_capture=taped)
+        assert isinstance(taped[0][0], Tensor)
+        spec.check_bn_stats(taped, boxed=True)
+
+
+@pytest.mark.parametrize("input_shape, layers, match", [
+    ((6, 6, 1), [nets.conv(2, 3), nets.conv(2, 2, stride=0)],
+     "layer 1: window 2x2 and stride 0x0 must be positive"),
+    ((6, 6, 1), [nets.conv(2, 3), nets.avgpool(2, stride=0)],
+     "layer 1: window 2x2 and stride 0x0 must be positive"),
+    ((4, 4, 1), [nets.flatten(), nets.conv(2, 2)],
+     r"layer 1: expected NHWC input, got shape \(1, 16\)"),
+    ((6, 6, 1), [nets.conv(2, 3), nets.maxpool(5)],
+     "layer 1: window 5x5 does not fit input 4x4"),
+    ((6, 6, 1), [nets.maxpool(2), nets.conv(2, 4)],
+     "layer 1: window 4x4 does not fit input 3x3"),
+    ((6, 6, 1), [nets.conv(0, 3)], "layer 0: conv channels must be positive"),
+], ids=["conv-stride-0", "pool-stride-0", "conv-after-flatten", "pool-too-large",
+        "conv-too-large", "no-channels"])
+def test_spec_refuses_window_geometry_naming_the_layer(input_shape, layers, match):
+    with pytest.raises(ValueError, match=match):
+        nets.NetworkSpec(input_shape, layers + [nets.flatten(), nets.dense(2)], classes=2)
 
 
 def test_interval_forward_nests_with_radius():
