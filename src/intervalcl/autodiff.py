@@ -24,7 +24,9 @@ networks, their losses, and gradient-based attacks need, and nothing else:
 - reductions: ``sum`` and ``mean``;
 - shape: ``reshape``, the parameter-slot read ``slot``, the row stack
   ``append_row``, and the sliding-window gather ``sliding_windows`` that
-  convolution and average pooling read;
+  average pooling reads;
+- convolution: ``conv2d``, one node over a C-contiguous window gather, a
+  patch matmul and an optional bias;
 - pooling: ``window_max``, max pooling as one running maximum over
   strided views, with first-tie routing in its backward;
 - loss: ``softmax_cross_entropy``, the batch mean against (B, K) target
@@ -34,6 +36,7 @@ networks, their losses, and gradient-based attacks need, and nothing else:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -323,9 +326,11 @@ def linear(x, w, b=None):
     shapes (B from 1 to 64, widths up to 128; OpenBLAS 0.3.31).
     """
     xv, wv = payload(x), payload(w)
+    out = xv @ wv.T
     if b is None:
-        return _node(xv @ wv.T, (x, w), lambda g: g @ wv, lambda g: g.T @ xv)
-    return _node(xv @ wv.T + payload(b), (x, w, b),
+        return _node(out, (x, w), lambda g: g @ wv, lambda g: g.T @ xv)
+    out += payload(b)
+    return _node(out, (x, w, b),
                  lambda g: g @ wv, lambda g: g.T @ xv, lambda g: g.sum(axis=0))
 
 
@@ -362,30 +367,89 @@ def _scatter_windows(grad, shape, sh, sw) -> np.ndarray:
     return gx.transpose(3, 0, 1, 2)
 
 
+@functools.lru_cache(maxsize=64)
+def _window_index(width, oh, ow, kh, kw, sh, sw) -> np.ndarray:
+    """Read-only (OH, OW, kh, kw) index of every window entry into an input
+    plane flattened row-major to H * W positions."""
+    rows = (np.arange(oh) * sh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
+    cols = (np.arange(ow) * sw)[None, :, None, None] + np.arange(kw)[None, None, None, :]
+    index = rows * width + cols
+    index.setflags(write=False)
+    return index
+
+
+def _gather_windows(val, kh, kw, sh, sw) -> np.ndarray:
+    """The (kh, kw) windows of an NHWC array at stride (sh, sw), valid padding,
+    as a C-contiguous (B, OH, OW, kh, kw, C) array.
+
+    One ``np.take`` over the flattened H * W axis: a fancy index on the H and
+    W axes gives the same values laid out batch-innermost, so folding them
+    into im2col rows would copy them all a second time.
+    """
+    oh, ow = _window_grid(np.shape(val), kh, kw, sh, sw)
+    batch, height, width, channels = val.shape
+    index = _window_index(width, oh, ow, kh, kw, sh, sw)
+    return np.take(val.reshape(batch, height * width, channels), index, axis=1)
+
+
 def sliding_windows(x, kh, kw, sh, sw):
     """Gather the (kh, kw) windows of an NHWC batch with valid padding.
 
     Input (B, H, W, C) becomes (B, OH, OW, kh*kw, C): axis 3 runs over the
-    kernel positions row-major, so folding the last two axes gives im2col
-    rows, kernel-position major and channel minor. On the tape, backward
-    scatters each window's gradient back onto the input positions it read,
-    summing where windows overlap.
+    kernel positions row-major. Average pooling reads it; convolution
+    gathers inside :func:`conv2d`. On the tape, backward scatters each
+    window's gradient back onto the input positions it read, summing where
+    windows overlap.
     """
     val = payload(x)
-    oh, ow = _window_grid(np.shape(val), kh, kw, sh, sw)
-    batch, _, _, channels = val.shape
-    rows = (np.arange(oh) * sh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
-    cols = (np.arange(ow) * sw)[None, :, None, None] + np.arange(kw)[None, None, None, :]
-    gathered = val[:, rows, cols, :]  # (B, OH, OW, kh, kw, C)
-    return _node(gathered.reshape(batch, oh, ow, kh * kw, channels), (x,),
-                 lambda g: _scatter_windows(g.reshape(gathered.shape), val.shape, sh, sw))
+    windows = _gather_windows(val, kh, kw, sh, sw)
+    batch, oh, ow, _, _, channels = windows.shape
+    return _node(windows.reshape(batch, oh, ow, kh * kw, channels), (x,),
+                 lambda g: _scatter_windows(g.reshape(windows.shape), val.shape, sh, sw))
 
 
-def _route_window_max(grad, val, out, keys) -> np.ndarray:
+def conv2d(x, kernel, stride: int, bias=None):
+    """Valid-padding NHWC convolution (plus ``bias``) as one patch matmul: one
+    tape node, or plain numpy on arrays.
+
+    ``x`` is (B, H, W, c_in), ``kernel`` (kh, kw, c_in, c_out), the optional
+    ``bias`` (c_out,). The gathered windows fold into im2col rows (kernel
+    position major, channel minor) without a copy. The gradients are those
+    of the gather -> reshape -> matmul -> reshape (-> add) chain, bitwise:
+    the input's is the window scatter of ``g @ Kᵀ``, the kernel's ``rowsᵀ @
+    g``, the bias's ``g`` summed over batch, height and width.
+    """
+    xv, kv = payload(x), payload(kernel)
+    kh, kw, c_in, c_out = np.shape(kv)
+    windows = _gather_windows(xv, kh, kw, stride, stride)
+    if windows.shape[-1] != c_in:
+        raise ValueError(f"input {xv.shape} does not match kernel channels {c_in}")
+    batch, oh, ow = windows.shape[:3]
+    rows = windows.reshape(batch * oh * ow, kh * kw * c_in)
+    kflat = kv.reshape(kh * kw * c_in, c_out)
+    out = (rows @ kflat).reshape(batch, oh, ow, c_out)
+
+    def input_form(g):
+        patches = g.reshape(len(rows), c_out) @ kflat.T
+        return _scatter_windows(patches.reshape(windows.shape), xv.shape, stride, stride)
+
+    def kernel_form(g):
+        return (rows.T @ g.reshape(len(rows), c_out)).reshape(kv.shape)
+
+    if bias is None:
+        return _node(out, (x, kernel), input_form, kernel_form)
+    out += payload(bias)
+    return _node(out, (x, kernel, bias), input_form, kernel_form,
+                 lambda g: g.sum(axis=(0, 1, 2)))
+
+
+def _route_window_max(grad, val, out, keys, disjoint) -> np.ndarray:
     """Input gradient of :func:`window_max`: each output's gradient goes to
     the first kernel position, row-major, whose input equals the output (a
-    NaN output routes nowhere). The parts are added in the descending (i, j)
-    order of :func:`_scatter_windows`, so overlapping windows sum alike."""
+    NaN output routes nowhere). Overlapping windows add their parts in the
+    descending (i, j) order of :func:`_scatter_windows`, so they sum alike;
+    ``disjoint`` windows (stride at least the window) write each part once
+    as ``part + 0.0``, the bits an add onto zeros gives (-0.0 turns +0.0)."""
     unrouted = np.ones(out.shape, dtype=bool)
     hits = []
     for key in keys:
@@ -394,6 +458,10 @@ def _route_window_max(grad, val, out, keys) -> np.ndarray:
         unrouted ^= hit
         hits.append(hit)
     gx = np.zeros(val.shape)
+    if disjoint:
+        for key, hit in zip(keys, hits):
+            np.add(np.where(hit, grad, 0.0), 0.0, out=gx[key])
+        return gx
     for key, hit in zip(reversed(keys), reversed(hits)):
         gx[key] += np.where(hit, grad, 0.0)
     return gx
@@ -417,7 +485,8 @@ def window_max(x, window: int, stride: int):
     out = np.maximum(views[1], views[0]) if window > 1 else views[0].copy()
     for view in views[2:]:
         np.maximum(view, out, out=out)
-    return _node(out, (x,), lambda g: _route_window_max(g, val, out, keys))
+    return _node(out, (x,),
+                 lambda g: _route_window_max(g, val, out, keys, stride >= window))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -470,7 +539,8 @@ def softmax_cross_entropy(logits, targets):
     # Written so that NaN fails the check.
     if not targets.min() >= 0.0:
         raise ValueError("cross-entropy targets must be non-negative")
-    top = val.max(axis=1, keepdims=True)
+    # The max over a class-major copy runs along contiguous rows.
+    top = np.ascontiguousarray(val.T).max(axis=0)[:, None]
     exp = np.exp(val - top)
     total = exp.sum(axis=1, keepdims=True)
     # einsum: a third of sum(axis=1)'s time on narrow rows. One-hot rows add exact zeros.

@@ -114,8 +114,19 @@ def pgd(spec, params, inputs, labels, cfg: AttackConfig, bn_stats=None) -> np.nd
         point = Tensor(x)
         logits = nets.forward_point(spec, params, point, bn_stats=bn_stats)
         ad.softmax_cross_entropy(logits, targets).backward()
-        x = np.clip(x + step * np.sign(point.grad), low, high)
+        x = _signed_step(x, point.grad, step, low, high)
     return x
+
+
+def _signed_step(x, grad, step, low, high) -> np.ndarray:
+    """``np.clip(x + step * np.sign(grad), low, high)`` bitwise, in one new
+    array: ``np.clip`` with array bounds costs about three times the
+    ``np.maximum``/``np.minimum`` pair."""
+    moved = np.sign(grad)
+    moved *= step
+    moved += x
+    np.maximum(moved, low, out=moved)
+    return np.minimum(moved, high, out=moved)
 
 
 def attacked_accuracy(spec, params, inputs, labels, cfg: AttackConfig,

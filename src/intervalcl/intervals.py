@@ -1,10 +1,11 @@
 """Layer kernels, interval tensors, and sound propagation rules.
 
 Each layer kind has one kernel that point batches and boxes share: dense
-layers use :func:`intervalcl.autodiff.linear` (``x @ W.T``), and this module
-holds ``conv2d`` (bias-free, valid padding), ``activation`` (the monotone
-nonlinearities) and ``pool`` (average or max). The point forward pass calls
-a kernel directly; the interval rule for the same layer wraps it.
+layers use :func:`intervalcl.autodiff.linear` (``x @ W.T``), conv layers
+:func:`intervalcl.autodiff.conv2d` (valid padding), and this module holds
+``activation`` (the monotone nonlinearities) and ``pool`` (average or max).
+The point forward pass calls a kernel directly; the interval rule for the
+same layer wraps it.
 
 An ``IntervalTensor`` carries elementwise lower and upper bounds. Each rule
 maps an input box to an output box that contains every image of a point from
@@ -28,7 +29,6 @@ identically in both modes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,19 +71,6 @@ class IntervalTensor:
 # ---- kernels shared by points and boxes ----------------------------------
 
 
-def conv2d(x, kernel, stride=1):
-    """Bias-free valid-padding NHWC convolution as one patch matmul.
-
-    ``kernel`` has shape (kh, kw, c_in, c_out).
-    """
-    kh, kw, c_in, c_out = np.shape(kernel)
-    windows = ad.sliding_windows(x, kh, kw, stride, stride)
-    batch, oh, ow = np.shape(windows)[:3]
-    flat = windows.reshape(batch * oh * ow, kh * kw * c_in)
-    kflat = kernel.reshape(kh * kw * c_in, c_out)
-    return (flat @ kflat).reshape(batch, oh, ow, c_out)
-
-
 _MONOTONE = {"relu": ad.relu, "sigmoid": ad.sigmoid}
 
 
@@ -108,14 +95,15 @@ def pool(x, kind: str, window: int, stride: int):
 # ---- interval rules ------------------------------------------------------
 
 
-def _affine_box(lower, upper, apply, weight, bias) -> IntervalTensor:
-    """Box image of ``x -> apply(x, weight) + bias`` for ``apply`` linear in x.
+def _affine_box(lower, upper, centre_of, radius_of) -> IntervalTensor:
+    """Box image of an affine map ``x -> W x + b``: ``centre_of(m)`` is ``W m
+    + b`` at the midpoint, ``radius_of(r)`` is ``|W| r`` at the radius.
 
     The centre is finished before the radius is formed, so an untaped pass
     holds one midpoint-sized temporary at a time.
     """
-    centre = apply((lower + upper) * 0.5, weight) + bias
-    halfwidth = apply((upper - lower) * 0.5, ad.absolute(weight))
+    centre = centre_of((lower + upper) * 0.5)
+    halfwidth = radius_of((upper - lower) * 0.5)
     return IntervalTensor(centre - halfwidth, centre + halfwidth)
 
 
@@ -126,7 +114,8 @@ def interval_affine(iv: IntervalTensor, weight, bias) -> IntervalTensor:
         raise ValueError(f"input width {iv.shape[-1]} does not match weight {w_shape}")
     if np.shape(bias) != (w_shape[0],):
         raise ValueError(f"bias shape {np.shape(bias)} does not match out width")
-    return _affine_box(iv.lower, iv.upper, ad.linear, weight, bias)
+    return _affine_box(iv.lower, iv.upper, lambda m: ad.linear(m, weight) + bias,
+                       lambda r: ad.linear(r, ad.absolute(weight)))
 
 
 def interval_conv2d(iv: IntervalTensor, kernel, bias, stride=1) -> IntervalTensor:
@@ -140,7 +129,8 @@ def interval_conv2d(iv: IntervalTensor, kernel, bias, stride=1) -> IntervalTenso
     if np.shape(bias) != (c_out,):
         raise ValueError(f"bias shape {np.shape(bias)} does not match {c_out} channels")
     return _affine_box(iv.lower, iv.upper,
-                       lambda x, k: conv2d(x, k, stride), kernel, bias)
+                       lambda m: ad.conv2d(m, kernel, stride, bias),
+                       lambda r: ad.conv2d(r, ad.absolute(kernel), stride))
 
 
 def interval_activation(iv: IntervalTensor, kind: str) -> IntervalTensor:
@@ -186,7 +176,8 @@ def interval_batchnorm(iv: IntervalTensor, gamma, shift, *, stats) -> IntervalTe
     centre/half-width form keeps the output ordered.
     """
     weight, bias = _bn_fold(iv.shape, gamma, shift, stats)
-    return _affine_box(iv.lower, iv.upper, operator.mul, weight, bias)
+    return _affine_box(iv.lower, iv.upper, lambda m: m * weight + bias,
+                       lambda r: r * ad.absolute(weight))
 
 
 def point_batchnorm(x, gamma, shift, *, stats=None, capture=None):

@@ -300,7 +300,7 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
             kernel = params.get(index, "kernel")
             bias = params.get(index, "bias")
             out = (iv.interval_conv2d(out, kernel, bias, layer.stride) if boxed
-                   else iv.conv2d(out, kernel, layer.stride) + bias)
+                   else ad.conv2d(out, kernel, layer.stride, bias))
         elif kind == "activation":
             out = (iv.interval_activation(out, layer.activation) if boxed
                    else iv.activation(out, layer.activation))

@@ -556,6 +556,146 @@ def test_pool_windows_backward_is_bitwise_the_scatter(window, stride, channels):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_gathered_windows_fold_into_im2col_rows_without_a_copy():
+    x = np.random.default_rng(20).normal(size=(3, 8, 7, 2))
+    windows = ad._gather_windows(x, 3, 2, 2, 1)
+    assert windows.shape == (3, 3, 6, 3, 2, 2) and windows.flags.c_contiguous
+    rows = windows.reshape(3 * 3 * 6, 3 * 2 * 2)
+    assert np.shares_memory(rows, windows)
+    # The gather index is made once per geometry and cannot be written.
+    index = ad._window_index(7, 3, 6, 3, 2, 2, 1)
+    assert ad._window_index(7, 3, 6, 3, 2, 2, 1) is index
+    assert not index.flags.writeable
+
+
+@pytest.mark.parametrize("kh, kw, stride", [(2, 3, 1), (3, 2, 2), (3, 3, 2)])
+def test_conv2d_reads_windows_in_im2col_order(kh, kw, stride):
+    # Dyadic inputs and weights make every product and sum exact, so the
+    # patch matmul must equal a direct loop over windows bit for bit,
+    # whatever order it sums in, unless it pairs a pixel with the wrong
+    # kernel position or channel.
+    rng = np.random.default_rng(kh * 10 + kw + stride)
+    x = rng.integers(-8, 9, size=(2, 7, 6, 3)) / 8.0
+    kernel = rng.integers(-8, 9, size=(kh, kw, 3, 4)) / 8.0
+    out = ad.conv2d(x, kernel, stride)
+    oh, ow = (7 - kh) // stride + 1, (6 - kw) // stride + 1
+    want = np.zeros((2, oh, ow, 4))
+    for i in range(oh):
+        for j in range(ow):
+            window = x[:, i * stride:i * stride + kh, j * stride:j * stride + kw, :]
+            want[:, i, j, :] = np.tensordot(window, kernel, axes=3)
+    assert np.array_equal(out, want)
+
+
+def _unfused_conv2d(x, kernel, stride, bias):
+    """Convolution as the five-node chain: a fancy-index window gather
+    (batch-inner) with the window scatter as its backward, reshape to im2col
+    rows, reshape of the kernel, matmul, reshape, then ``+ bias``."""
+    val = ad.payload(x)
+    kh, kw, c_in, c_out = np.shape(kernel)
+    oh, ow = ad._window_grid(val.shape, kh, kw, stride, stride)
+    rows = (np.arange(oh) * stride)[:, None, None, None] + np.arange(kh)[None, None, :, None]
+    cols = (np.arange(ow) * stride)[None, :, None, None] + np.arange(kw)[None, None, None, :]
+    gathered = val[:, rows, cols, :]
+    windows = ad._node(gathered, (x,),
+                       lambda g: ad._scatter_windows(g, val.shape, stride, stride))
+    batch = val.shape[0]
+    flat = windows.reshape(batch * oh * ow, kh * kw * c_in)
+    out = (flat @ kernel.reshape(kh * kw * c_in, c_out)).reshape(batch, oh, ow, c_out)
+    return out if bias is None else out + bias
+
+
+_CONV_CASES = [(kh, kw, stride, c_in) for kh, kw in ((2, 3), (3, 3))
+               for stride in (1, 2) for c_in in (1, 3)]
+
+
+@pytest.mark.parametrize("kh, kw, stride, c_in", _CONV_CASES)
+@pytest.mark.parametrize("kinds", [("T", "T", "T"), ("T", "T", None), ("T", "ndarray", "ndarray"),
+                                   ("ndarray", "T", "T"), ("ndarray", "ndarray", "T"),
+                                   ("ndarray", "ndarray", "ndarray")])
+def test_conv2d_is_one_node_bitwise_the_unfused_chain(kh, kw, stride, c_in, kinds):
+    rng = np.random.default_rng(kh * 100 + kw * 10 + stride + c_in)
+
+    def draw(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, shape)
+
+    x_val, k_val, b_val = draw(2, 7, 8, c_in), draw(kh, kw, c_in, 4), draw(4)
+    oh, ow = (7 - kh) // stride + 1, (8 - kw) // stride + 1
+    upstream = draw(2, oh, ow, 4)
+
+    def run(conv):
+        x, k = _operand(kinds[0], x_val), _operand(kinds[1], k_val)
+        b = None if kinds[2] is None else _operand(kinds[2], b_val)
+        out = conv(x, k, stride, b)
+        if not isinstance(out, Tensor):
+            return out, []
+        (out * upstream).sum().backward()
+        return out, [t.grad for t in (x, k, b) if isinstance(t, Tensor)]
+
+    out, grads = run(ad.conv2d)
+    ref, ref_grads = run(_unfused_conv2d)
+    assert np.array_equal(_bits(ad.payload(out)), _bits(ad.payload(ref)))
+    if isinstance(out, Tensor):
+        assert len(out._parents) == kinds.count("T")
+        assert all(not parent._parents for parent in out._parents)  # one node
+    assert len(grads) == len(ref_grads)
+    for got, want in zip(grads, ref_grads):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("kh, kw, stride, c_in", _CONV_CASES)
+def test_conv2d_gradient_matches_finite_differences(kh, kw, stride, c_in):
+    rng = np.random.default_rng(kh * 100 + kw * 10 + stride + c_in)
+    x = Tensor(rng.normal(size=(2, 6, 7, c_in)))
+    kernel = Tensor(rng.normal(size=(kh, kw, c_in, 2)))
+    bias = Tensor(rng.normal(size=2))
+    oh, ow = (6 - kh) // stride + 1, (7 - kw) // stride + 1
+    weights = rng.normal(size=(2, oh, ow, 2))
+
+    def build():
+        return (ad.conv2d(x, kernel, stride, bias) * weights).sum()
+
+    assert ad.grad_check(build, [x, kernel, bias], rng=rng, max_coords=30) <= 1e-8
+
+
+def test_conv2d_refuses_a_channel_mismatch_and_what_sliding_windows_refuses():
+    with pytest.raises(ValueError, match="kernel channels 2"):
+        ad.conv2d(np.zeros((1, 4, 4, 3)), np.zeros((2, 2, 2, 1)), 1)
+    with pytest.raises(ValueError, match="does not fit"):
+        ad.conv2d(np.zeros((1, 3, 3, 1)), np.zeros((4, 2, 1, 1)), 1)
+    with pytest.raises(ValueError, match="NHWC"):
+        ad.conv2d(np.zeros((3, 3, 1)), np.zeros((2, 2, 1, 1)), 1)
+
+
+@pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_disjoint_window_max_routing_is_bitwise_the_summed_form(window, stride, channels):
+    # Windows that cannot overlap write each part once; the summed form adds
+    # every part onto zeros. Ties, signed zeros, inf and NaN must agree.
+    rng = np.random.default_rng(window * 10 + stride + channels)
+    x = np.round(rng.normal(size=(3, 9, 8, channels)))  # many ties
+    x[0] = rng.choice([0.0, -0.0], size=x[0].shape)
+    x[1, 0, 0, 0] = np.nan
+    out = ad.window_max(x, window, stride)
+    grad = rng.normal(size=out.shape) * 10.0 ** rng.uniform(-5, 5, out.shape)
+    grad[rng.uniform(size=grad.shape) < 0.3] = -0.0
+    grad[rng.uniform(size=grad.shape) < 0.1] = 0.0
+    grad[2, 0, 0, 0], grad[2, 1, 0, 0] = np.inf, np.nan
+    oh, ow = out.shape[1:3]
+    row_end, col_end = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    keys = [(slice(None), slice(i, i + row_end, stride), slice(j, j + col_end, stride))
+            for i in range(window) for j in range(window)]
+    with np.errstate(invalid="ignore"):
+        got = ad._route_window_max(grad, x, out, keys, True)
+        want = ad._route_window_max(grad, x, out, keys, False)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert not np.signbit(got[got == 0.0]).any()  # a -0.0 part lands as +0.0
+    node = ad.window_max(Tensor(x), window, stride)
+    with np.errstate(invalid="ignore"):
+        taped = node._forms[0](grad)
+    assert np.array_equal(_bits(taped), _bits(got))
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(5, 4))

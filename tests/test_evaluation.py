@@ -172,6 +172,25 @@ def test_one_clip_projection_is_bitwise_the_two_clip_reference():
         assert np.array_equal(one, two)
 
 
+def test_signed_step_is_bitwise_the_clip_form():
+    # Zero, signed-zero and NaN gradients, inputs on both box faces and on
+    # -0.0, radii from 0 up past the box, steps that overshoot the ball.
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        x = _inputs_on_box_faces(rng, (20, 3))
+        x[rng.uniform(size=x.shape) < 0.1] = -0.0
+        eps = float(rng.choice([0.0, 1e-300, 1e-9, 0.05, 0.4, 2.0]))
+        step = eps * rng.uniform(0.25, 3.0) if eps else float(rng.uniform(0.0, 0.1))
+        low, high = np.maximum(x - eps, 0.0), np.minimum(x + eps, 1.0)
+        grad = rng.normal(size=x.shape)
+        grad[rng.uniform(size=x.shape) < 0.2] = 0.0
+        grad[rng.uniform(size=x.shape) < 0.1] = -0.0
+        grad[0, 0] = np.nan
+        want = np.clip(x + step * np.sign(grad), low, high)
+        got = ev._signed_step(x, grad, step, low, high)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("random_start", [False, True])
 def test_pgd_is_bitwise_the_two_clip_reference(random_start):
     rng = np.random.default_rng(13)

@@ -136,25 +136,6 @@ def test_conv_matches_corner_hull_exactly_on_dyadic_boxes():
     assert np.array_equal(out.upper[0, :, :, :], hi)
 
 
-@pytest.mark.parametrize("kh, kw, stride", [(2, 3, 1), (3, 2, 2), (3, 3, 2)])
-def test_conv2d_reads_windows_in_im2col_order(kh, kw, stride):
-    # Dyadic inputs and weights make every product and sum exact, so the
-    # patch matmul must equal a direct loop over windows bit for bit,
-    # whatever order it sums in, unless it pairs a pixel with the wrong
-    # kernel position or channel.
-    rng = np.random.default_rng(kh * 10 + kw + stride)
-    x = rng.integers(-8, 9, size=(2, 7, 6, 3)) / 8.0
-    kernel = rng.integers(-8, 9, size=(kh, kw, 3, 4)) / 8.0
-    out = iv.conv2d(x, kernel, stride)
-    oh, ow = (7 - kh) // stride + 1, (6 - kw) // stride + 1
-    want = np.zeros((2, oh, ow, 4))
-    for i in range(oh):
-        for j in range(ow):
-            window = x[:, i * stride:i * stride + kh, j * stride:j * stride + kw, :]
-            want[:, i, j, :] = np.tensordot(window, kernel, axes=3)
-    assert np.array_equal(out, want)
-
-
 def test_relu_interval():
     box = IntervalTensor(np.array([[-1.0, 0.5]]), np.array([[2.0, 1.5]]))
     out = iv.interval_activation(box, "relu")
