@@ -15,17 +15,15 @@ from intervalcl import IntervalTensor, soundness_oracle
 from intervalcl.autodiff import onehot
 from intervalcl.evaluation import certified_margin, certify
 from intervalcl.losses import worst_case_logits
-from intervalcl.nets import (
-    NetworkSpec, ParamSet, forward_interval, forward_point, mlp_layers,
-)
+from intervalcl.nets import NetworkSpec, forward_interval, forward_point, mlp_layers
 
 rng = np.random.default_rng(0)
 
 # A 2-16-16-3 classifier with random weights. ``NetworkSpec`` lays out a
-# flat parameter vector; ``ParamSet`` views slices of it as weight
-# matrices and biases.
+# flat parameter vector; every pass takes that vector and reads its weight
+# matrices and biases out of it as views.
 spec = NetworkSpec((2,), mlp_layers([16, 16], 3), 3)
-params = ParamSet(spec, rng.normal(scale=0.5, size=spec.total_params))
+params = rng.normal(scale=0.5, size=spec.total_params)
 print(f"network: {spec.input_shape} -> 16 -> 16 -> {spec.classes} classes, "
       f"{spec.total_params} parameters")
 

@@ -14,9 +14,7 @@ import numpy as np
 from intervalcl import Tensor, grad_check
 from intervalcl.autodiff import sigmoid
 from intervalcl.losses import ibp_loss
-from intervalcl.nets import (
-    NetworkSpec, ParamSet, forward_interval, forward_point, mlp_layers,
-)
+from intervalcl.nets import NetworkSpec, forward_interval, forward_point, mlp_layers
 
 # d/dx of x^2 * sigmoid(x) at x = 1.5, against the product rule.
 x = Tensor(np.array(1.5))
@@ -28,7 +26,9 @@ print(f"tape gradient {float(x.grad):.10f}, product rule {by_hand:.10f}")
 
 # The same tape differentiates a whole certified-training loss: point
 # logits, interval bounds, and the worst-case blend all live on one graph,
-# so one backward() yields the gradient for every parameter.
+# so one backward() yields the gradient for every parameter. The passes
+# take the flat weight vector as a Tensor and read each layer's weights out
+# of it as one tape node.
 rng = np.random.default_rng(3)
 spec = NetworkSpec((4,), mlp_layers([8], 3), 3)
 flat = Tensor(rng.normal(scale=0.7, size=spec.total_params))
@@ -37,9 +37,8 @@ labels = rng.integers(0, 3, size=6)
 
 
 def build():
-    params = ParamSet(spec, flat)
-    logits = forward_point(spec, params, inputs)
-    bounds = forward_interval(spec, params, inputs, eps=0.05)
+    logits = forward_point(spec, flat, inputs)
+    bounds = forward_interval(spec, flat, inputs, eps=0.05)
     return ibp_loss(bounds, logits, labels, kappa=0.7)
 
 

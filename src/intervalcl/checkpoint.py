@@ -69,7 +69,7 @@ def spec_to_json(spec: NetworkSpec) -> dict:
 def spec_from_json(obj) -> NetworkSpec:
     try:
         layers = [LayerDescriptor(**layer) for layer in obj["layers"]]
-        return NetworkSpec(tuple(obj["input_shape"]), layers, int(obj["classes"]))
+        return NetworkSpec(tuple(obj["input_shape"]), layers, obj["classes"])
     except (TypeError, KeyError, ValueError) as exc:
         raise CheckpointError(f"malformed network description: {exc}") from exc
 

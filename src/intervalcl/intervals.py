@@ -229,30 +229,30 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _affine_norms(params, magnitudes, index, layer, moments):
-    """``(‖W‖∞ rounded up, max |b|, n)`` of an affine layer: ``n`` terms per
-    output (1 for batchnorm, whose ``W`` is diagonal), and ``‖W‖∞`` the
-    largest sum of |W| over one output's terms. ``magnitudes`` is ``params``
-    with every parameter replaced by its absolute value."""
-    if layer.kind == "batchnorm":
-        weight, bias = _bn_fold((1,) + params.spec.shapes[index],
-                                params.get(index, "gamma"),
-                                params.get(index, "shift"), moments)
+def _affine_norms(spec, flat, index, kind, moments):
+    """``(‖W‖∞ rounded up, max |b|, n)`` of affine layer ``index`` of the
+    task's checked weight vector ``flat``: ``n`` terms per output (1 for
+    batchnorm, whose ``W`` is diagonal), and ``‖W‖∞`` the largest sum of
+    |W| over one output's terms."""
+    if kind == "batchnorm":
+        weight, bias = _bn_fold((1,) + spec.shapes[index],
+                                spec.slot(flat, index, "gamma"),
+                                spec.slot(flat, index, "shift"), moments)
         return float(np.abs(weight).max()), float(np.abs(bias).max()), 1
-    if layer.kind == "dense":
-        weight = magnitudes.get(index, "weight")
+    if kind == "dense":
+        weight = np.abs(spec.slot(flat, index, "weight"))
         n = weight.shape[1]
         sums = weight.sum(axis=1)
     else:
-        kernel = magnitudes.get(index, "kernel")
+        kernel = np.abs(spec.slot(flat, index, "kernel"))
         n = math.prod(kernel.shape[:3])
         sums = kernel.reshape(n, -1).sum(axis=0)
     # The float sum is at most a factor (1 - γ_{n-1}) low.
     return (float(sums.max()) * (1.0 + _gamma(n)),
-            float(magnitudes.get(index, "bias").max()), n)
+            float(np.abs(spec.slot(flat, index, "bias")).max()), n)
 
 
-def rounding_budget(spec, params, box: IntervalTensor, bn_stats=None) -> np.ndarray:
+def rounding_budget(spec, flat, box: IntervalTensor, bn_stats=None) -> np.ndarray:
     """Per-sample float64 rounding budget of the interval pass, per layer.
 
     Row ``k`` of the ``(len(spec.layers) + 1, B)`` result is ``e`` for the
@@ -307,10 +307,7 @@ def rounding_budget(spec, params, box: IntervalTensor, bn_stats=None) -> np.ndar
     the intercepts), and one outer product over the batch gives the rows:
     no reduction over any layer's bounds.
     """
-    from intervalcl.nets import ParamSet
-
-    spec.check_bn_stats(bn_stats, boxed=True)
-    magnitudes = ParamSet(spec, np.abs(params.flat))
+    flat = spec.check_pass(flat, box, bn_stats)
     moments = iter(bn_stats or ())
     slope, intercept = (_U, 1.0), (0.0, 0.0)  # of (e, big)
     rows = [(slope[0], intercept[0])]
@@ -319,7 +316,7 @@ def rounding_budget(spec, params, box: IntervalTensor, bn_stats=None) -> np.ndar
         update = None
         if kind in ("dense", "conv", "batchnorm"):
             stats = next(moments) if kind == "batchnorm" else None
-            norm, shift, n = _affine_norms(params, magnitudes, index, layer, stats)
+            norm, shift, n = _affine_norms(spec, flat, index, kind, stats)
             g = _gamma(n + 2)
 
             def update(e, big, one):

@@ -77,12 +77,8 @@ def flatten() -> LayerDescriptor:
 
 def mlp_layers(hidden: list[int], classes: int, activation: str = "relu") -> list[LayerDescriptor]:
     """Dense stack: hidden widths with activations, then a linear head."""
-    layers: list[LayerDescriptor] = []
-    for width in hidden:
-        layers.append(dense(width))
-        layers.append(act(activation))
-    layers.append(dense(classes))
-    return layers
+    hidden_layers = [layer for width in hidden for layer in (dense(width), act(activation))]
+    return hidden_layers + [dense(classes)]
 
 
 # ---- network architecture ------------------------------------------------
@@ -91,6 +87,11 @@ def mlp_layers(hidden: list[int], classes: int, activation: str = "relu") -> lis
 # The descriptor sizes each layer kind reads.
 _SIZES = {"dense": ("units",), "conv": ("channels", "kernel", "stride"),
           "pool": ("window", "stride")}
+
+
+def _require_int(what: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class NetworkSpec:
@@ -104,9 +105,12 @@ class NetworkSpec:
     """
 
     def __init__(self, input_shape, layers, classes: int):
-        self.input_shape = tuple(int(d) for d in input_shape)
+        self.input_shape = tuple(input_shape)
         self.layers = tuple(layers)
-        self.classes = int(classes)
+        self.classes = classes
+        for value in self.input_shape:
+            _require_int("input shape entry", value)
+        _require_int("classes", classes)
         if self.classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.classes}")
         if any(d < 1 for d in self.input_shape):
@@ -140,6 +144,30 @@ class NetworkSpec:
         # The layers that ``bn_stats`` entries belong to, in order.
         self.batchnorm_layers = tuple(index for index, layer in enumerate(self.layers)
                                       if layer.kind == "batchnorm")
+
+    def check_flat(self, flat):
+        """The task's weight vector if it has ``total_params`` entries: a
+        Tensor as it is, else a float64 array (a copy only if it is not)."""
+        flat = flat if isinstance(flat, Tensor) else np.asarray(flat, dtype=np.float64)
+        size = math.prod(flat.shape)
+        if size != self.total_params:
+            raise ValueError(f"flat vector has {size} entries, spec needs {self.total_params}")
+        return flat
+
+    def check_pass(self, flat, x, bn_stats):
+        """:meth:`check_flat` of ``flat`` once ``x`` (points or a box) is
+        shaped ``(B,) + input_shape`` and ``bn_stats`` fits the pass."""
+        shape = tuple(np.shape(x)[1:])
+        if shape != self.input_shape:
+            raise ValueError(f"input shape {shape} does not match spec {self.input_shape}")
+        self.check_bn_stats(bn_stats, isinstance(x, IntervalTensor))
+        return self.check_flat(flat)
+
+    def slot(self, flat, layer_index: int, name: str):
+        """Parameter ``name`` of layer ``layer_index`` in ``flat``: a no-copy
+        view of an ndarray, one tape node on a Tensor (``ad.slot``)."""
+        offset, shape = self._slots[(layer_index, name)]
+        return ad.slot(flat, offset, shape)
 
     def check_bn_stats(self, bn_stats, boxed: bool) -> None:
         """Refuse ``bn_stats`` unless it holds one (mean, var) pair per
@@ -181,9 +209,7 @@ class NetworkSpec:
         ``shape``; windows take their geometry from the kernels' own rule."""
         kind = layer.kind
         for name in _SIZES.get(kind, ()):
-            value = getattr(layer, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{kind} {name} must be an integer, got {value!r}")
+            _require_int(f"{kind} {name}", getattr(layer, name))
         if kind == "dense":
             if len(shape) != 1:
                 raise ValueError(f"dense needs a flat input, got {shape} (add flatten)")
@@ -215,35 +241,14 @@ class NetworkSpec:
         raise ValueError(f"unknown kind {kind!r}")
 
 
-class ParamSet:
-    """Flat parameter vector viewed through a spec's layout.
-
-    ``flat`` may be an ndarray (evaluation) or a Tensor (training, keeping
-    the generated weights differentiable). ``get`` reads one slot through
-    :func:`intervalcl.autodiff.slot`: a no-copy view of an ndarray, or one
-    tape node on a Tensor.
-    """
-
-    def __init__(self, spec: NetworkSpec, flat):
-        size = np.size(ad.payload(flat))
-        if size != spec.total_params:
-            raise ValueError(
-                f"flat vector has {size} entries, spec needs {spec.total_params}")
-        self.spec = spec
-        self.flat = flat if isinstance(flat, Tensor) else np.asarray(flat, dtype=np.float64)
-
-    def get(self, layer_index: int, name: str):
-        offset, shape = self.spec._slots[(layer_index, name)]
-        return ad.slot(self.flat, offset, shape)
-
-
 # ---- forward passes ------------------------------------------------------
 
 
-def forward_point(spec: NetworkSpec, params: ParamSet, x, *,
+def forward_point(spec: NetworkSpec, flat, x, *,
                   bn_stats=None, record=None, bn_capture=None):
     """Plain forward pass over a batch; returns logits (B, classes).
 
+    ``flat`` is the task's weight vector, an ndarray or a Tensor.
     ``bn_stats`` supplies frozen (mean, var) pairs for the batchnorm layers
     in order; without it each batchnorm normalizes with the moments of the
     current batch. ``bn_capture``, if a list, receives the (mean, var) pair
@@ -251,40 +256,38 @@ def forward_point(spec: NetworkSpec, params: ParamSet, x, *,
     :func:`forward_interval`. ``record``, if a list, receives the input and
     every layer output.
     """
-    return _walk(spec, params, x, bn_stats, record, bn_capture)
+    return _walk(spec, flat, x, bn_stats, record, bn_capture)
 
 
-def forward_interval(spec: NetworkSpec, params: ParamSet, box, *,
+def forward_interval(spec: NetworkSpec, flat, box, *,
                      eps=None, bn_stats=None, record=None):
     """Interval forward pass; returns an IntervalTensor of logit bounds.
 
-    ``box`` is either an IntervalTensor or, with ``eps`` given, a batch of
-    points expanded to radius ``eps``. A box takes no moments from itself:
-    a spec with batchnorm needs ``bn_stats``, the (mean, var) pairs frozen
-    after training or captured by :func:`forward_point`.
+    ``flat`` is the task's weight vector; ``box`` is an IntervalTensor or,
+    with ``eps`` given, a batch of points expanded to radius ``eps``. A box
+    takes no moments from itself: a spec with batchnorm needs ``bn_stats``,
+    the (mean, var) pairs frozen after training or captured by
+    :func:`forward_point`.
     """
     if not isinstance(box, IntervalTensor):
         if eps is None:
             raise ValueError("pass an IntervalTensor or points with eps")
         box = IntervalTensor.from_ball(box, eps)
-    return _walk(spec, params, box, bn_stats, record, None)
+    return _walk(spec, flat, box, bn_stats, record, None)
 
 
-def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
+def _walk(spec: NetworkSpec, flat, x, bn_stats, record, bn_capture):
     """The one layer loop behind both forward passes.
 
-    ``x`` is a point batch (ndarray or Tensor) or an IntervalTensor. Point
+    ``x`` is a point batch (ndarray or Tensor) or an IntervalTensor, and
+    each layer reads its parameters out of ``flat`` by ``spec.slot``. Point
     layers call the kernels of :mod:`intervalcl.intervals`, boxes the
     interval rules wrapping them. Both are looked up on the module at each
     call, so a wrapper installed on a module attribute (as the span tracer
     in ``perfbench/spans.py`` does) sees every layer.
     """
+    flat = spec.check_pass(flat, x, bn_stats)
     boxed = isinstance(x, IntervalTensor)
-    shape = np.shape(x)
-    if tuple(shape[1:]) != spec.input_shape:
-        raise ValueError(f"input shape {tuple(shape[1:])} does not match spec "
-                         f"{spec.input_shape}")
-    spec.check_bn_stats(bn_stats, boxed)
     if record is not None:
         record.append(x)
     bn_index = 0
@@ -292,13 +295,13 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
     for index, layer in enumerate(spec.layers):
         kind = layer.kind
         if kind == "dense":
-            weight = params.get(index, "weight")
-            bias = params.get(index, "bias")
+            weight = spec.slot(flat, index, "weight")
+            bias = spec.slot(flat, index, "bias")
             out = (iv.interval_affine(out, weight, bias) if boxed
                    else ad.linear(out, weight, bias))
         elif kind == "conv":
-            kernel = params.get(index, "kernel")
-            bias = params.get(index, "bias")
+            kernel = spec.slot(flat, index, "kernel")
+            bias = spec.slot(flat, index, "bias")
             out = (iv.interval_conv2d(out, kernel, bias, layer.stride) if boxed
                    else ad.conv2d(out, kernel, layer.stride, bias))
         elif kind == "activation":
@@ -307,7 +310,7 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
         elif kind == "batchnorm":
             stats = bn_stats[bn_index] if bn_stats is not None else None
             bn_index += 1
-            gamma, shift = params.get(index, "gamma"), params.get(index, "shift")
+            gamma, shift = spec.slot(flat, index, "gamma"), spec.slot(flat, index, "shift")
             out = (iv.interval_batchnorm(out, gamma, shift, stats=stats) if boxed
                    else iv.point_batchnorm(out, gamma, shift, stats=stats,
                                            capture=bn_capture))
@@ -316,9 +319,9 @@ def _walk(spec: NetworkSpec, params: ParamSet, x, bn_stats, record, bn_capture):
                    if boxed else iv.pool(out, layer.pool, layer.window, layer.stride))
         elif kind == "flatten":
             # The recorded width, not -1: numpy cannot infer -1 for 0 rows.
-            flat = (shape[0],) + spec.shapes[index]
-            out = (IntervalTensor(out.lower.reshape(flat), out.upper.reshape(flat))
-                   if boxed else out.reshape(flat))
+            rows = np.shape(x)[:1] + spec.shapes[index]
+            out = (IntervalTensor(out.lower.reshape(rows), out.upper.reshape(rows))
+                   if boxed else out.reshape(rows))
         if record is not None:
             record.append(out)
     return out
@@ -430,6 +433,6 @@ class Hypernetwork:
         return self._generate(block, weights), leaves
 
 
-def generate_params(h: Hypernetwork, spec: NetworkSpec, task: int) -> ParamSet:
-    """Evaluation-time parameters for one task."""
-    return ParamSet(spec, h.generate_flat(task))
+def generate_params(h: Hypernetwork, spec: NetworkSpec, task: int) -> np.ndarray:
+    """Evaluation-time weight vector of one task, checked against ``spec``."""
+    return spec.check_flat(h.generate_flat(task))

@@ -25,7 +25,7 @@ from intervalcl import autodiff as ad
 from intervalcl import evaluation
 from intervalcl import losses as L
 from intervalcl import nets
-from intervalcl.nets import Hypernetwork, NetworkSpec, ParamSet
+from intervalcl.nets import Hypernetwork, NetworkSpec
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -222,12 +222,12 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
     frozen_before = h.embeddings[:task].copy()
     regularized = task > 0 and cfg.loss.beta > 0.0
 
-    def objective(params, earlier, kappa, x, labels_a, labels_b, lam, radius):
+    def objective(flat, earlier, kappa, x, labels_a, labels_b, lam, radius):
         """``(total, task loss, regularizer)``, on the tape or on arrays;
         ``earlier`` (the earlier tasks' rows) is read only if regularized."""
         stats: list = []
-        logits = nets.forward_point(spec, params, x, bn_capture=stats)
-        bounds = nets.forward_interval(spec, params, x, eps=radius, bn_stats=stats)
+        logits = nets.forward_point(spec, flat, x, bn_capture=stats)
+        bounds = nets.forward_interval(spec, flat, x, eps=radius, bn_stats=stats)
         task_loss = (L.ibp_loss(bounds, logits, labels_a, kappa) if lam is None else
                      L.interval_mixup_loss(bounds, logits, labels_a, labels_b, lam, kappa))
         if not regularized:  # the task loss itself: no extra tape node
@@ -246,7 +246,7 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
 
         block, _ = h.tape_generate(task, leaves=leaves)
         total, task_loss, reg = objective(
-            ParamSet(spec, ad.slot(block, task * size, (size,))),
+            ad.slot(block, task * size, (size,)),
             ad.slot(block, 0, (task, size)) if regularized else None,
             kappa, x, labels_a, labels_b, lam, radius)
         if not np.isfinite(total.value):

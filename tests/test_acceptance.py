@@ -60,7 +60,6 @@ from intervalcl.losses import (
 from intervalcl.nets import (
     Hypernetwork,
     NetworkSpec,
-    ParamSet,
     act,
     avgpool,
     batchnorm,
@@ -211,7 +210,7 @@ def test_a1_interval_soundness():
     for i in range(draws):
         rng = np.random.default_rng(1000 + i)
         spec = archs[i % len(archs)]()
-        params = ParamSet(spec, rng.normal(scale=0.6, size=spec.total_params))
+        params = rng.normal(scale=0.6, size=spec.total_params)
         center = rng.uniform(0.2, 0.8, size=(1,) + spec.input_shape)
         radius = rng.uniform(0.0, 0.15, size=(1,) + spec.input_shape)
         box = IntervalTensor.from_ball(center, radius)
@@ -233,7 +232,7 @@ def test_a1_interval_soundness():
         b = irng.integers(-16, 17, size=2) / 16.0
         center = irng.integers(4, 13, size=(1, 3)) / 16.0
         radius = irng.integers(0, 4, size=(1, 3)) / 16.0
-        params = ParamSet(spec1, np.concatenate([w.reshape(-1), b]))
+        params = np.concatenate([w.reshape(-1), b])
         bounds = forward_interval(spec1, params,
                                   IntervalTensor.from_ball(center, radius))
         outs = (center + radius * corners_sign) @ w.T + b
@@ -265,9 +264,8 @@ def test_a2_gradient_correctness():
         spec, flat, x, y = _loss_net(rng)
 
         def build_ibp():
-            params = ParamSet(spec, flat)
-            logits = forward_point(spec, params, x)
-            bounds = forward_interval(spec, params, x, eps=0.05)
+            logits = forward_point(spec, flat, x)
+            bounds = forward_interval(spec, flat, x, eps=0.05)
             return ibp_loss(bounds, logits, y, 0.7)
 
         err = grad_check(build_ibp, [flat], rng=rng, max_coords=6)
@@ -282,8 +280,7 @@ def test_a2_gradient_correctness():
         x_mix = mixup_interpolate(x, x[::-1], 0.6)
 
         def build_mixup():
-            params = ParamSet(spec, flat)
-            logits = forward_point(spec, params, x_mix)
+            logits = forward_point(spec, flat, x_mix)
             # At kappa = 1 only the clean MixUp cross-entropy counts.
             box = IntervalTensor.from_ball(logits, 0.1)
             return interval_mixup_loss(box, logits, ya, yb, lam, 1.0)
@@ -300,9 +297,8 @@ def test_a2_gradient_correctness():
         radius = scaled_radius(lam, 0.05)[:, None]
 
         def build_imix():
-            params = ParamSet(spec, flat)
-            logits = forward_point(spec, params, x)
-            bounds = forward_interval(spec, params,
+            logits = forward_point(spec, flat, x)
+            bounds = forward_interval(spec, flat,
                                       IntervalTensor.from_ball(x, radius))
             return interval_mixup_loss(bounds, logits, ya, yb, lam, 0.7)
 
@@ -329,7 +325,7 @@ def test_a2_gradient_correctness():
 
         def build_total():
             block, _ = h.tape_generate(2, leaves=leaves)
-            params = ParamSet(spec, slot(block, 2 * size, (size,)))
+            params = slot(block, 2 * size, (size,))
             logits = forward_point(spec, params, x)
             bounds = forward_interval(spec, params,
                                       IntervalTensor.from_ball(x, radius))

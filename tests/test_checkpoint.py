@@ -365,6 +365,15 @@ def _wider_input(payload):
     return payload
 
 
+def _spec_entry(key, value):
+    # Both values truncate to a valid network, so only the integer rule
+    # refuses them.
+    def tamper(payload):
+        payload["spec"][key] = value
+        return payload
+    return tamper
+
+
 def _trained_tasks(count):
     def tamper(payload):
         payload["hypernet"]["trained_tasks"] = count
@@ -379,6 +388,10 @@ LOADER_DEFECTS = {
     "generator-size": (_wider_input, "hypernetwork emits 42 parameters, network needs 47"),
     "trained-tasks-above": (_trained_tasks(4), "4 trained tasks out of range"),
     "trained-tasks-negative": (_trained_tasks(-1), "-1 trained tasks out of range"),
+    "classes-fraction": (_spec_entry("classes", 2.5), "malformed network "
+                         "description: classes must be an integer, got 2.5"),
+    "input-shape-float": (_spec_entry("input_shape", [3.0]), "malformed network "
+                          "description: input shape entry must be an integer, got 3.0"),
 }
 
 

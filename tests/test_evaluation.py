@@ -21,8 +21,7 @@ def identity_head_spec():
 
 
 def identity_params(spec, scale=1.0):
-    flat = np.concatenate([(scale * np.eye(2)).reshape(-1), np.zeros(2)])
-    return nets.ParamSet(spec, flat)
+    return np.concatenate([(scale * np.eye(2)).reshape(-1), np.zeros(2)])
 
 
 def fgsm_reference(spec, params, x, y, eps, bn_stats=None):
@@ -112,7 +111,7 @@ def test_pgd_single_full_step_equals_fgsm():
                     nets.maxpool(2), nets.flatten(), nets.dense(3)], classes=3)
     stats = [(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))]
     for spec, bn_stats in ((dense, None), (conv, None), (conv, stats)):
-        params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+        params = rng.normal(size=spec.total_params)
         x = rng.uniform(size=(7,) + spec.input_shape)
         x.reshape(7, -1)[:2, 0] = 0.0, 1.0  # steps may leave both box faces
         y = rng.integers(0, spec.classes, size=7)
@@ -128,7 +127,7 @@ def test_pgd_single_full_step_equals_fgsm():
 def test_pgd_respects_ball_and_box():
     spec = nets.NetworkSpec((4,), nets.mlp_layers([6], 3), classes=3)
     rng = np.random.default_rng(2)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     x = rng.uniform(size=(10, 4))
     y = rng.integers(0, 3, size=10)
     cfg = ev.AttackConfig(kind="pgd", eps=0.1, iters=20, seed=3)
@@ -196,7 +195,7 @@ def test_pgd_is_bitwise_the_two_clip_reference(random_start):
     rng = np.random.default_rng(13)
     spec = nets.NetworkSpec((3,), nets.mlp_layers([5], 3), classes=3)
     for seed in range(20):
-        params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+        params = rng.normal(size=spec.total_params)
         x = _inputs_on_box_faces(rng, (9, 3))
         y = rng.integers(0, 3, size=9)
         eps = float(rng.choice([1e-9, 0.05, 0.4, 2.0]))
@@ -333,7 +332,7 @@ def test_empty_batch_passes_through_and_refuses_a_mean(layers, input_shape):
     # empty label vector had no minimum; a mean over no samples was NaN.
     spec = nets.NetworkSpec(input_shape, layers, classes=3)
     rng = np.random.default_rng(4)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     stats: list = []
     nets.forward_point(spec, params, rng.uniform(size=(3,) + input_shape),
                        bn_capture=stats)
@@ -361,7 +360,7 @@ def _conv_batchnorm_case(seed):
          nets.flatten(), nets.dense(3)],
         classes=3)
     rng = np.random.default_rng(seed)
-    params = nets.ParamSet(spec, rng.normal(scale=0.5, size=spec.total_params))
+    params = rng.normal(scale=0.5, size=spec.total_params)
     stats: list = []
     nets.forward_point(spec, params, rng.uniform(size=(20, 6, 6, 2)), bn_capture=stats)
     x = rng.uniform(size=(16, 6, 6, 2))
@@ -663,7 +662,7 @@ def test_cil_infer_matches_brute_force_scan():
     for i in range(20):
         best_task, best_entropy = None, np.inf
         for t in range(3):
-            params = nets.ParamSet(spec, h.flats[t])
+            params = h.flats[t]
             logits = nets.forward_point(spec, params, x[i:i + 1])
             p = np.exp(logits[0] - logits[0].max())
             p /= p.sum()
@@ -671,7 +670,7 @@ def test_cil_infer_matches_brute_force_scan():
             if entropy < best_entropy:
                 best_task, best_entropy = t, entropy
         assert task_pred[i] == best_task
-        params = nets.ParamSet(spec, h.flats[best_task])
+        params = h.flats[best_task]
         logits = nets.forward_point(spec, params, x[i:i + 1])
         assert class_pred[i] == np.argmax(logits[0])
 

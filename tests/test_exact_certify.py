@@ -32,7 +32,7 @@ SPEC = nets.NetworkSpec((1,), [nets.dense(2)], 2)
 
 
 def _params(weight, bias):
-    return nets.ParamSet(SPEC, np.concatenate([weight, bias]))
+    return np.concatenate([weight, bias])
 
 
 def _exact_dense(box, weight, bias):
@@ -158,7 +158,7 @@ def _dead_centre_cases(seed: int, count: int):
         c = rng.uniform(0.1, 10.0, size=2)
         b = rng.uniform(-50.0, 50.0)
         flat = np.array([1.0, -x - eps * k, c[0], -c[1], b, np.nextafter(b, np.inf)])
-        cases.append((np.array([[x]]), eps, nets.ParamSet(CENTRE, flat)))
+        cases.append((np.array([[x]]), eps, flat))
     return cases
 
 
@@ -166,7 +166,7 @@ def test_dead_centre_cases_predict_the_rival_at_their_centre():
     for x, eps, params in _dead_centre_cases(seed=1, count=1000):
         point: list = []
         logits = nets.forward_point(CENTRE, params, x, record=point)[0]
-        b = params.flat[-2]
+        b = params[-2]
         assert logits.tolist() == [b, np.nextafter(b, np.inf)]
         assert point[1][0, 0] < 0
         box: list = []
@@ -188,7 +188,7 @@ TWO = nets.NetworkSpec((3,), nets.mlp_layers([3], 2), 2)
 
 
 def _two_params(w0, b0, w1, b1):
-    return nets.ParamSet(TWO, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+    return np.concatenate([w0.ravel(), b0, w1.ravel(), b1])
 
 
 def exact_two_layer_boxes(lower, upper, w0, b0, w1, b1):
@@ -302,23 +302,23 @@ def exact_conv_logits(x, eps, params):
     """Exact logit box of CONV: its one 2x2 window is the whole input, so
     the conv box is ``_exact_dense`` with the kernel as a (c_out, kh*kw*c_in)
     matrix, and flatten keeps the channel order."""
-    kernel = params.get(0, "kernel")
+    kernel = CONV.slot(params, 0, "kernel")
     conv = _exact_dense(_float_box(x, eps), kernel.reshape(-1, kernel.shape[3]).T,
-                        params.get(0, "bias"))
-    return _exact_dense(conv, params.get(2, "weight"), params.get(2, "bias"))
+                        CONV.slot(params, 0, "bias"))
+    return _exact_dense(conv, CONV.slot(params, 2, "weight"), CONV.slot(params, 2, "bias"))
 
 
 def exact_norm_logits(x, eps, params, stats):
     """Exact logit box of NORM under the frozen ``stats``: batchnorm is the
     per-feature map ``weight * h + bias`` in the doubles ``_bn_fold`` gives,
     the map the point pass applies."""
-    hidden = _exact_dense(_float_box(x, eps), params.get(0, "weight"),
-                          params.get(0, "bias"))
-    weight, bias = iv._bn_fold((1, 2), params.get(1, "gamma"),
-                               params.get(1, "shift"), stats[0])
+    hidden = _exact_dense(_float_box(x, eps), NORM.slot(params, 0, "weight"),
+                          NORM.slot(params, 0, "bias"))
+    weight, bias = iv._bn_fold((1, 2), NORM.slot(params, 1, "gamma"),
+                               NORM.slot(params, 1, "shift"), stats[0])
     normed = [_exact_dense([h], [[w]], [c])[0]
               for h, w, c in zip(hidden, weight.ravel(), bias.ravel())]
-    return _exact_dense(normed, params.get(2, "weight"), params.get(2, "bias"))
+    return _exact_dense(normed, NORM.slot(params, 2, "weight"), NORM.slot(params, 2, "bias"))
 
 
 def exact_pool_logits(x, eps, params):
@@ -329,7 +329,7 @@ def exact_pool_logits(x, eps, params):
     pooled = [tuple(sum(at(2 * i + a, 2 * j + b)[k] for a in (0, 1) for b in (0, 1)) / 4
                     for k in (0, 1))
               for i in (0, 1) for j in (0, 1)]
-    return _exact_dense(pooled, params.get(2, "weight"), params.get(2, "bias"))
+    return _exact_dense(pooled, POOL.slot(params, 2, "weight"), POOL.slot(params, 2, "bias"))
 
 
 # Far above the 60-digit error of a sigmoid, far below any float margin.
@@ -340,14 +340,14 @@ def exact_sigmoid_logits(x, eps, params):
     """Logit box of SIG around the exact one: the hidden box is exact, its
     sigmoid is taken to 60 digits and widened by ``SIGMOID_SLACK`` each way,
     so it contains the exact image, and the head is exact on that."""
-    hidden = _exact_dense(_float_box(x, eps), params.get(0, "weight"),
-                          params.get(0, "bias"))
+    hidden = _exact_dense(_float_box(x, eps), SIG.slot(params, 0, "weight"),
+                          SIG.slot(params, 0, "bias"))
     with localcontext() as ctx:
         ctx.prec = 60
         sig = [[Fraction(1 / (1 + (-Decimal(v.numerator) / v.denominator).exp()))
                 for v in unit] for unit in hidden]
     widened = [(lo - SIGMOID_SLACK, hi + SIGMOID_SLACK) for lo, hi in sig]
-    return _exact_dense(widened, params.get(2, "weight"), params.get(2, "bias"))
+    return _exact_dense(widened, SIG.slot(params, 2, "weight"), SIG.slot(params, 2, "bias"))
 
 
 def _draw_conv(rng):
@@ -381,11 +381,10 @@ def _deep_near_tie_cases(spec, draw, seed: int, count: int):
     for _ in range(count):
         x, eps, flat, stats = draw(rng)
         flat[-1] = 0.0
-        box = nets.forward_interval(spec, nets.ParamSet(spec, flat), x, eps=eps,
-                                    bn_stats=stats)
+        box = nets.forward_interval(spec, flat, x, eps=eps, bn_stats=stats)
         margin = float(box.lower[0, 0] - box.upper[0, 1])
         flat[-1] = margin - rng.integers(1, 6) * np.spacing(abs(margin))
-        cases.append((x, eps, nets.ParamSet(spec, flat), stats))
+        cases.append((x, eps, flat, stats))
     return cases
 
 
@@ -409,8 +408,7 @@ def _check_reference_agrees_with_certify(spec, draw):
     rng = np.random.default_rng(10)
     outcomes = []
     for _ in range(300):
-        x, eps, flat, stats = draw(rng)
-        params = nets.ParamSet(spec, flat)
+        x, eps, params, stats = draw(rng)
         label = int(rng.integers(0, 2))
         margin = _deep_exact_margin(spec, x, eps, params, stats, label)
         if abs(margin) < Fraction(1, 10**6):
@@ -500,8 +498,9 @@ def test_rounding_site_references_agree_within_two_ulps():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: average pooling rounds its window sum to nearest; "
-    "284 of these 800 lower bounds lie above the exact window mean"))
+    "average pooling rounds its window sum to nearest; 284 of these 800 lower "
+    "bounds lie above the exact window mean, which their budget covers in "
+    "test_avg_pool_lower_bound_less_its_budget_never_exceeds_the_exact_mean"))
 def test_avg_pool_lower_bound_never_exceeds_the_exact_mean():
     got, exact = _avg_pool_lower_and_exact_means()
     assert [i for i, (g, e) in enumerate(zip(got, exact)) if g > e] == []
@@ -511,7 +510,7 @@ def test_avg_pool_lower_bound_less_its_budget_never_exceeds_the_exact_mean():
     # The same windows through POOL, whose layer 1 is the pooling: its row
     # of the rounding budget covers what the raw rule rounds away.
     lower = np.random.default_rng(0).uniform(size=(200, 4, 4, 1))
-    budget = iv.rounding_budget(POOL, nets.ParamSet(POOL, np.zeros(POOL.total_params)),
+    budget = iv.rounding_budget(POOL, np.zeros(POOL.total_params),
                                 IntervalTensor(lower, lower + 0.1))[1]
     got, exact = _avg_pool_lower_and_exact_means()
     assert len(got) == 4 * len(budget)
@@ -520,8 +519,9 @@ def test_avg_pool_lower_bound_less_its_budget_never_exceeds_the_exact_mean():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: ad.sigmoid rounds 1 / (1 + exp(-x)) to nearest; 953 "
-    "of these 2000 upper bounds lie below the exact sigmoid"))
+    "ad.sigmoid rounds 1 / (1 + exp(-x)) to nearest; 953 of these 2000 upper "
+    "bounds lie below the exact sigmoid, which their budget covers in "
+    "test_sigmoid_upper_bound_plus_its_budget_never_falls_below_the_exact_sigmoid"))
 def test_sigmoid_upper_bound_never_falls_below_the_exact_sigmoid():
     got, exact = _sigmoid_upper_and_exact()
     assert [i for i, (g, e) in enumerate(zip(got, exact)) if g < e] == []
@@ -532,7 +532,7 @@ def test_sigmoid_upper_bound_plus_its_budget_never_falls_below_the_exact_sigmoid
     # row of the rounding budget covers what the raw rule rounds away.
     spec = nets.NetworkSpec((1,), [nets.act("sigmoid"), nets.dense(2)], 2)
     x = np.random.default_rng(0).normal(0.0, 3.0, size=(2000, 1))
-    budget = iv.rounding_budget(spec, nets.ParamSet(spec, np.zeros(spec.total_params)),
+    budget = iv.rounding_budget(spec, np.zeros(spec.total_params),
                                 IntervalTensor(x, x))[1]
     got, exact = _sigmoid_upper_and_exact()
     assert [i for i, (g, e) in enumerate(zip(got, exact))

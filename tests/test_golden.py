@@ -174,7 +174,7 @@ def _conv_net():
          nets.flatten(), nets.dense(3)],
         classes=3)
     rng = np.random.default_rng(41)
-    params = nets.ParamSet(spec, rng.normal(scale=0.5, size=spec.total_params))
+    params = rng.normal(scale=0.5, size=spec.total_params)
     inputs = rng.uniform(size=(16, 6, 6, 2))
     # Predicted classes, four of them shifted: certificates then fall from
     # 12 of 16 toward none as the radius grows.
@@ -186,7 +186,7 @@ def _conv_net():
 def _mlp_net():
     spec = nets.NetworkSpec((5,), nets.mlp_layers([7], 3), classes=3)
     rng = np.random.default_rng(42)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     return spec, params, rng.uniform(size=(16, 5)), rng.integers(0, 3, size=16)
 
 

@@ -385,7 +385,7 @@ def test_zero_radius_collapse_is_bitwise_for_every_rule():
 def test_soundness_linear_network_is_exact():
     spec = nets.NetworkSpec((3,), [nets.dense(2)], classes=2)
     rng = np.random.default_rng(10)
-    params = nets.ParamSet(spec, rng.integers(-16, 17, size=spec.total_params) / 8.0)
+    params = rng.integers(-16, 17, size=spec.total_params) / 8.0
     centre = rng.integers(0, 17, size=(1, 3)) / 16.0
     box = IntervalTensor(centre - 0.125, centre + 0.125)
     report = iv.soundness_oracle(spec, params, box, samples=2000, seed=0)
@@ -396,7 +396,7 @@ def test_soundness_linear_network_is_exact():
 def test_soundness_relu_mlp():
     spec = nets.NetworkSpec((4,), nets.mlp_layers([8, 8], 3), classes=3)
     rng = np.random.default_rng(11)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     x = rng.uniform(size=(3, 4))
     box = IntervalTensor.from_ball(x, 0.1)
     report = iv.soundness_oracle(spec, params, box, samples=3000, seed=1)
@@ -411,7 +411,7 @@ def test_soundness_conv_batchnorm_pool():
          nets.flatten(), nets.dense(8), nets.act("relu"), nets.dense(2)],
         classes=2)
     rng = np.random.default_rng(12)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.5)
+    params = rng.normal(size=spec.total_params) * 0.5
     x = rng.uniform(size=(4, 6, 6, 1))
     box = IntervalTensor.from_ball(x, 0.05)
     report = iv.soundness_oracle(spec, params, box, samples=1500, seed=2)
@@ -424,7 +424,7 @@ def test_soundness_max_pool_path():
         [nets.maxpool(2), nets.flatten(), nets.dense(2)],
         classes=2)
     rng = np.random.default_rng(13)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     x = rng.uniform(size=(2, 4, 4, 2))
     box = IntervalTensor.from_ball(x, 0.2)
     report = iv.soundness_oracle(spec, params, box, samples=2000, seed=3)
@@ -434,7 +434,7 @@ def test_soundness_max_pool_path():
 def test_soundness_zero_radius_has_zero_violation():
     spec = nets.NetworkSpec((4,), nets.mlp_layers([6], 2), classes=2)
     rng = np.random.default_rng(14)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     x = rng.uniform(size=(2, 4))
     report = iv.soundness_oracle(spec, params, IntervalTensor(x, x),
                                  samples=50, seed=4)
@@ -448,7 +448,7 @@ def test_soundness_zero_radius_has_zero_violation():
 ])
 def test_soundness_oracle_refuses_bad_sample_counts(samples, match):
     spec = nets.NetworkSpec((4,), nets.mlp_layers([6], 2), classes=2)
-    params = nets.ParamSet(spec, np.zeros(spec.total_params))
+    params = np.zeros(spec.total_params)
     box = IntervalTensor.from_ball(np.zeros((1, 4)), 0.1)
     with pytest.raises(ValueError, match=match):
         iv.soundness_oracle(spec, params, box, samples=samples, seed=0)
@@ -478,7 +478,7 @@ def _counting_passes(monkeypatch):
 def test_soundness_oracle_runs_one_point_and_one_interval_pass(monkeypatch, layers):
     spec = nets.NetworkSpec((4,), layers, classes=2)
     rng = np.random.default_rng(15)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     box = IntervalTensor.from_ball(rng.uniform(size=(3, 4)), 0.1)
     calls, _ = _counting_passes(monkeypatch)
     assert iv.soundness_oracle(spec, params, box, samples=200, seed=5).sound
@@ -493,7 +493,7 @@ def test_soundness_oracle_takes_batchnorm_moments_from_its_samples(monkeypatch):
     spec = nets.NetworkSpec((6,), [nets.dense(8), nets.batchnorm(),
                                    nets.act("relu"), nets.dense(3)], classes=3)
     rng = np.random.default_rng(1004)
-    params = nets.ParamSet(spec, rng.normal(scale=0.6, size=spec.total_params))
+    params = rng.normal(scale=0.6, size=spec.total_params)
     center = rng.uniform(0.2, 0.8, size=(1, 6))
     radius = rng.uniform(0.0, 0.15, size=(1, 6))
     box = IntervalTensor.from_ball(center, radius)
@@ -518,7 +518,7 @@ def test_soundness_oracle_catches_a_bias_below_a_relative_tolerance(monkeypatch)
     # 1e-9 relative tolerance and far over the rounding budget.
     spec = nets.NetworkSpec((4,), nets.mlp_layers([6], 2), classes=2)
     rng = np.random.default_rng(14)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     x = rng.uniform(size=(2, 4))
     exact_rule = iv.interval_affine
 
@@ -540,7 +540,7 @@ def _mixed_spec_and_box(seed):
          nets.flatten(), nets.dense(5), nets.act("sigmoid"), nets.dense(3)],
         classes=3)
     rng = np.random.default_rng(seed)
-    params = nets.ParamSet(spec, rng.normal(scale=0.6, size=spec.total_params))
+    params = rng.normal(scale=0.6, size=spec.total_params)
     x = rng.uniform(size=(5, 6, 6, 1))
     stats: list = []
     nets.forward_point(spec, params, x, bn_capture=stats)
@@ -578,7 +578,7 @@ def test_rounding_budget_refuses_moments_that_do_not_fit_the_network():
             (mlp, [pair], "bn_stats holds 1 batchnorm moment pairs, network has 0 "),
             (spec, [pair, pair], "bn_stats holds 2 batchnorm moment pairs, network has 1 "),
             (spec, None, "layer 1: batchnorm on boxes needs moments")):
-        params = nets.ParamSet(net, rng.normal(size=net.total_params))
+        params = rng.normal(size=net.total_params)
         with pytest.raises(ValueError, match=match):
             nets.forward_interval(net, params, box, bn_stats=stats)
         with pytest.raises(ValueError, match=match):
@@ -591,7 +591,7 @@ def test_soundness_oracle_refuses_one_point_through_batchnorm():
     spec = nets.NetworkSpec((3,), [nets.dense(4), nets.batchnorm(), nets.dense(2)],
                             classes=2)
     rng = np.random.default_rng(21)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     box = IntervalTensor.from_ball(rng.uniform(0.2, 0.8, size=(1, 3)), 0.05)
     with pytest.raises(ValueError, match="2 or more sampled points, got 1"):
         iv.soundness_oracle(spec, params, box, samples=1, seed=0)

@@ -1,5 +1,7 @@
 """Network spec layout, forward passes, and hypernetwork generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,21 +98,47 @@ def test_spec_refuses_layers_it_cannot_run(layer, match):
         nets.NetworkSpec((4,) if flat else (4, 4, 1), [layer] + tail, classes=2)
 
 
+@pytest.mark.parametrize("input_shape, classes, match", [
+    ((2.7,), 3, "input shape entry must be an integer, got 2.7"),
+    ((True, 3, 1), 3, "input shape entry must be an integer, got True"),
+    ((np.int64(4),), 3, "input shape entry must be an integer"),
+    ((4,), 3.9, "classes must be an integer, got 3.9"),
+    # Equal to the head's 3 units, so only the integer rule refuses it.
+    ((4,), 3.0, "classes must be an integer, got 3.0"),
+    ((4,), True, "classes must be an integer, got True"),
+])
+def test_spec_refuses_non_integer_input_sizes_and_classes(input_shape, classes, match):
+    layers = nets.mlp_layers([4], 3)
+    if len(input_shape) == 3:
+        layers = [nets.flatten()] + layers
+    with pytest.raises(ValueError, match=match):
+        nets.NetworkSpec(input_shape, layers, classes)
+
+
 def test_param_set_size_check():
+    # ``check_flat`` is the one size rule; it returns a Tensor as it is and
+    # anything else as float64, without a copy when it is float64 already.
     spec = small_mlp_spec()
-    with pytest.raises(ValueError):
-        nets.ParamSet(spec, np.zeros(spec.total_params + 1))
+    for size in (spec.total_params - 1, spec.total_params + 1):
+        with pytest.raises(ValueError, match=f"flat vector has {size} entries, "
+                                             f"spec needs {spec.total_params}$"):
+            spec.check_flat(np.zeros(size))
+    flat = np.zeros(spec.total_params)
+    leaf = Tensor(flat)
+    assert spec.check_flat(flat) is flat and spec.check_flat(leaf) is leaf
+    for value in (np.zeros(spec.total_params, np.float32), [0] * spec.total_params):
+        assert spec.check_flat(value).dtype == np.float64
 
 
 def test_param_set_get_is_a_view_or_one_tape_node():
     spec = small_cnn_spec()
     flat = np.arange(float(spec.total_params))
     for index, name, shape, offset, size in spec.slots:
-        view = nets.ParamSet(spec, flat).get(index, name)
+        view = spec.slot(flat, index, name)
         assert view.shape == shape and np.shares_memory(view, flat)
         assert np.array_equal(view.reshape(-1), flat[offset:offset + size])
         leaf = Tensor(flat)
-        node = nets.ParamSet(spec, leaf).get(index, name)
+        node = spec.slot(leaf, index, name)
         assert node._parents == (leaf,)
         node.sum().backward()
         want = np.zeros(spec.total_params)
@@ -118,24 +146,84 @@ def test_param_set_get_is_a_view_or_one_tape_node():
         assert np.array_equal(leaf.grad, want)
 
 
+def test_every_pass_refuses_a_vector_sized_for_another_spec():
+    # Read through the 23-entry layout, the 37-entry vector would give
+    # another network's logits.
+    spec = nets.NetworkSpec((4,), nets.mlp_layers([3], 2), classes=2)
+    other = nets.NetworkSpec((4,), nets.mlp_layers([5], 2), classes=2)
+    rng = np.random.default_rng(0)
+    flat = rng.normal(size=other.total_params)
+    h = nets.Hypernetwork(other.total_params, 3, [4], 1, rng)
+    x, y = rng.uniform(size=(3, 4)), np.array([0, 1, 0])
+    box = IntervalTensor.from_ball(x, 0.05)
+    attack = ev.AttackConfig(eps=0.05, iters=2)
+    for call in (lambda: nets.forward_point(spec, flat, x),
+                 lambda: nets.forward_point(spec, Tensor(flat), x),
+                 lambda: nets.forward_interval(spec, flat, box),
+                 lambda: nets.forward_interval(spec, Tensor(flat), x, eps=0.05),
+                 lambda: ev.clean_accuracy(spec, flat, x, y),
+                 lambda: ev.pgd(spec, flat, x, y, attack),
+                 lambda: ev.certify(spec, flat, x, y, 0.05),
+                 lambda: iv.rounding_budget(spec, flat, box),
+                 lambda: nets.generate_params(h, spec, 0)):
+        with pytest.raises(ValueError, match="^flat vector has 37 entries, spec needs 23$"):
+            call()
+
+
+def test_a_float32_vector_gives_the_bits_of_its_float64_promotion():
+    # ``rounding_budget``'s proof assumes float64 weights; every pass
+    # promotes a float32 vector before it reads a slot.
+    spec = nets.NetworkSpec((5,), [nets.dense(6), nets.batchnorm(), nets.act("relu"),
+                                   nets.dense(3)], classes=3)
+    rng = np.random.default_rng(4)
+    single = rng.normal(size=spec.total_params).astype(np.float32)
+    x, y = rng.uniform(size=(6, 5)), rng.integers(0, 3, size=6)
+    attack = ev.AttackConfig(eps=0.05, iters=3, seed=1)
+    runs = []
+    for flat in (single, single.astype(np.float64)):
+        stats: list = []
+        logits = nets.forward_point(spec, flat, x, bn_capture=stats)
+        box = nets.forward_interval(spec, flat, x, eps=0.05, bn_stats=stats)
+        runs.append([logits, box.lower, box.upper,
+                     iv.rounding_budget(spec, flat, IntervalTensor.from_ball(x, 0.05),
+                                        stats),
+                     ev.certified_margin(spec, flat, x, y, 0.05, bn_stats=stats),
+                     ev.pgd(spec, flat, x, y, attack, bn_stats=stats)])
+    for got, want in zip(*runs):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("per_sample", [(5,), (2, 2, 1)])
+def test_rounding_budget_refuses_a_box_the_interval_pass_refuses(per_sample):
+    # A budget for a box no pass accepts would bound nothing.
+    spec = nets.NetworkSpec((2,), nets.mlp_layers([3], 2), classes=2)
+    flat = np.zeros(spec.total_params)
+    box = IntervalTensor(np.zeros((3,) + per_sample), np.ones((3,) + per_sample))
+    match = re.escape(f"input shape {per_sample} does not match spec (2,)")
+    for call in (lambda: nets.forward_interval(spec, flat, box),
+                 lambda: iv.rounding_budget(spec, flat, box)):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 def test_forward_point_matches_manual_mlp():
     spec = small_mlp_spec()
     rng = np.random.default_rng(1)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     x = rng.normal(size=(5, 4))
     got = nets.forward_point(spec, params, x)
 
     h = x
-    h = np.maximum(h @ params.get(0, "weight").T + params.get(0, "bias"), 0.0)
-    h = np.maximum(h @ params.get(2, "weight").T + params.get(2, "bias"), 0.0)
-    ref = h @ params.get(4, "weight").T + params.get(4, "bias")
+    h = np.maximum(h @ spec.slot(params, 0, "weight").T + spec.slot(params, 0, "bias"), 0.0)
+    h = np.maximum(h @ spec.slot(params, 2, "weight").T + spec.slot(params, 2, "bias"), 0.0)
+    ref = h @ spec.slot(params, 4, "weight").T + spec.slot(params, 4, "bias")
     assert np.allclose(got, ref, atol=1e-12)
     assert got.shape == (5, 3)
 
 
 def test_forward_point_rejects_wrong_input_shape():
     spec = small_mlp_spec()
-    params = nets.ParamSet(spec, np.zeros(spec.total_params))
+    params = np.zeros(spec.total_params)
     with pytest.raises(ValueError):
         nets.forward_point(spec, params, np.zeros((2, 5)))
 
@@ -145,7 +233,7 @@ def test_interval_forward_collapses_bitwise_at_zero_radius():
     # batchnorm over NHWC and flat features.
     for spec in (small_mlp_spec(), small_cnn_spec(), small_maxpool_sigmoid_spec()):
         rng = np.random.default_rng(2)
-        params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
+        params = rng.normal(size=spec.total_params) * 0.3
         x = rng.uniform(size=(3,) + spec.input_shape)
         stats: list = []
         point = nets.forward_point(spec, params, x, bn_capture=stats)
@@ -165,7 +253,7 @@ def test_forward_point_tensor_input_matches_ndarray_bitwise():
     for spec in (small_cnn_spec(), overlapping_avg):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
+            params = rng.normal(size=spec.total_params) * 0.3
             x = rng.uniform(size=(3,) + spec.input_shape)
             plain = nets.forward_point(spec, params, x)
             taped = nets.forward_point(spec, params, Tensor(x))
@@ -174,7 +262,7 @@ def test_forward_point_tensor_input_matches_ndarray_bitwise():
 
 
 def test_forward_interval_tensor_params_match_ndarray_bitwise():
-    # Training runs the interval pass on a Tensor-backed ParamSet with the
+    # Training runs the interval pass on the flat vector as a Tensor with the
     # moment Tensors its point pass captured, certification on the same flat
     # vector as an ndarray with frozen moments: the bounds must agree bit
     # for bit.
@@ -193,10 +281,9 @@ def test_forward_interval_tensor_params_match_ndarray_bitwise():
             x = rng.uniform(size=(4,) + spec.input_shape)
             eps = rng.uniform(0.0, 0.1)
             frozen: list = []
-            nets.forward_point(spec, nets.ParamSet(spec, flat), x, bn_capture=frozen)
-            plain = nets.forward_interval(spec, nets.ParamSet(spec, flat), x,
-                                          eps=eps, bn_stats=frozen)
-            taped_params = nets.ParamSet(spec, Tensor(flat))
+            nets.forward_point(spec, flat, x, bn_capture=frozen)
+            plain = nets.forward_interval(spec, flat, x, eps=eps, bn_stats=frozen)
+            taped_params = Tensor(flat)
             captured: list = []
             nets.forward_point(spec, taped_params, x, bn_capture=captured)
             assert isinstance(captured[0][0], Tensor)
@@ -214,7 +301,7 @@ def test_bn_stats_must_hold_one_pair_per_batchnorm_layer(extra):
         (5,), [nets.dense(4), nets.batchnorm(), nets.act("relu"), nets.dense(3)],
         classes=3)
     rng = np.random.default_rng(0)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     x = rng.uniform(size=(3, 5))
     stats: list = []
     nets.forward_point(spec, params, x, bn_capture=stats)
@@ -226,7 +313,7 @@ def test_bn_stats_must_hold_one_pair_per_batchnorm_layer(extra):
         nets.forward_interval(spec, params, x, eps=0.1, bn_stats=wrong)
     # A network without batchnorm takes an empty list as it takes None.
     mlp = small_mlp_spec()
-    mlp_params = nets.ParamSet(mlp, rng.normal(size=mlp.total_params))
+    mlp_params = rng.normal(size=mlp.total_params)
     assert np.array_equal(nets.forward_point(mlp, mlp_params, x[:, :4], bn_stats=[]),
                           nets.forward_point(mlp, mlp_params, x[:, :4]))
 
@@ -246,7 +333,7 @@ def test_every_pass_refuses_misshapen_moments(pair, match):
         (4,), [nets.dense(8), nets.batchnorm(), nets.act("relu"), nets.dense(3)],
         classes=3)
     rng = np.random.default_rng(17)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     x = rng.uniform(size=(5, 4))
     y = rng.integers(0, 3, size=5)
     stats = [pair]
@@ -270,13 +357,13 @@ def test_captured_and_frozen_moment_shapes_pass_the_check():
     for spec, shapes in ((dense, [(1, 8), (8,)]), (conv, [(1, 1, 1, 2), (1, 2), (2,)])):
         for shape in shapes:
             spec.check_bn_stats([(np.zeros(shape), np.ones(shape))], boxed=True)
-        params = nets.ParamSet(spec, np.random.default_rng(2).normal(size=spec.total_params))
+        params = np.random.default_rng(2).normal(size=spec.total_params)
         captured: list = []
         nets.forward_point(spec, params, np.zeros((3,) + spec.input_shape),
                            bn_capture=captured)
         spec.check_bn_stats(captured, boxed=True)
         taped: list = []
-        nets.forward_point(spec, nets.ParamSet(spec, Tensor(params.flat)),
+        nets.forward_point(spec, Tensor(params),
                            np.zeros((3,) + spec.input_shape), bn_capture=taped)
         assert isinstance(taped[0][0], Tensor)
         spec.check_bn_stats(taped, boxed=True)
@@ -304,7 +391,7 @@ def test_spec_refuses_window_geometry_naming_the_layer(input_shape, layers, matc
 def test_interval_forward_nests_with_radius():
     spec = small_mlp_spec()
     rng = np.random.default_rng(3)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params))
+    params = rng.normal(size=spec.total_params)
     x = rng.uniform(size=(4, 4))
     tight = nets.forward_interval(spec, params, x, eps=0.01)
     loose = nets.forward_interval(spec, params, x, eps=0.05)
@@ -315,7 +402,7 @@ def test_interval_forward_nests_with_radius():
 def test_interval_forward_record_aligns_with_point_record():
     spec = small_cnn_spec()
     rng = np.random.default_rng(4)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
+    params = rng.normal(size=spec.total_params) * 0.3
     x = rng.uniform(size=(2,) + spec.input_shape)
     boxes: list = []
     acts: list = []
@@ -468,12 +555,11 @@ def test_end_to_end_gradient_through_generator_and_target():
         x = rng.uniform(size=(4,) + spec.input_shape)
         y = rng.integers(0, spec.classes, size=4)
         shared: dict = {}
-        generated = nets.ParamSet(spec, h.generate_flat(0))
+        generated = h.generate_flat(0)
         assert _relu_input_margin(spec, generated, x, 0.05) > 1e-6
 
         def build():
-            block, _ = h.tape_generate(0, leaves=shared)
-            params = nets.ParamSet(spec, block)
+            params, _ = h.tape_generate(0, leaves=shared)
             stats: list = []
             logits = nets.forward_point(spec, params, x, bn_capture=stats)
             bounds = nets.forward_interval(spec, params, x, eps=0.05, bn_stats=stats)

@@ -35,7 +35,7 @@ def test_forward_passes_record_layer_spans(pool):
          nets.flatten(), nets.dense(2)],
         classes=2)
     rng = np.random.default_rng(0)
-    params = nets.ParamSet(spec, rng.normal(size=spec.total_params) * 0.3)
+    params = rng.normal(size=spec.total_params) * 0.3
     x = rng.uniform(size=(3,) + spec.input_shape)
 
     tracer = load_spans().Tracer()
@@ -90,7 +90,7 @@ def test_backward_records_its_pruned_node_count():
                           rng=np.random.default_rng(2))
     flat, _ = h.tape_generate(0)
     x = np.random.default_rng(3).uniform(size=(2, 3))
-    logits = nets.forward_point(spec, nets.ParamSet(spec, flat), x)
+    logits = nets.forward_point(spec, flat, x)
     loss = ad.softmax_cross_entropy(logits, ad.onehot(np.array([0, 1]), 2))
     expected = len(ad.topological_order(loss))
 

@@ -614,7 +614,7 @@ def second_task_step_loss():
     snapshots = [h.generate_flat(0)]
     leaves = {}
     block, _ = h.tape_generate(1, leaves=leaves)
-    params = nets.ParamSet(spec, ad.slot(block, size, (size,)))
+    params = ad.slot(block, size, (size,))
     logits = nets.forward_point(spec, params, x)
     bounds = nets.forward_interval(spec, params, x, eps=0.05)
     task_loss = L.interval_mixup_loss(bounds, logits, labels, labels[::-1],
