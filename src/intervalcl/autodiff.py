@@ -19,7 +19,7 @@ during evaluation without a second implementation.
 The op set is deliberately small: exactly what dense/conv interval
 networks, their losses, and gradient-based attacks need, and nothing else:
 
-- arithmetic: ``+``, ``-``, ``*``, ``/``, ``@`` and the dense node ``linear``;
+- arithmetic: ``+``, ``-``, ``*``, ``/`` and the dense node ``linear``;
 - elementwise: ``absolute``, ``relu``, ``sigmoid``, ``sqrt``;
 - reductions: ``sum`` and ``mean``;
 - shape: ``reshape``, the parameter-slot read ``slot``, the row stack
@@ -120,13 +120,6 @@ def _div(x, y):
                  lambda g: _unbroadcast(-g * a / (b * b), b.shape))
 
 
-def _matmul(x, y):
-    a, b = payload(x), payload(y)
-    if np.ndim(a) != 2 or np.ndim(b) != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {np.shape(a)} @ {np.shape(b)}")
-    return _node(a @ b, (x, y), lambda g: g @ b.T, lambda g: a.T @ g)
-
-
 # ---- elementwise helpers (Tensor or ndarray in, same kind out) ----------
 
 
@@ -186,16 +179,12 @@ class Tensor:
     __mul__ = __rmul__ = _mul
     __sub__ = _sub
     __truediv__ = _div
-    __matmul__ = _matmul
 
     def __rsub__(self, other):
         return _sub(other, self)
 
     def __rtruediv__(self, other):
         return _div(other, self)
-
-    def __rmatmul__(self, other):
-        return _matmul(other, self)
 
     # ---- reductions ------------------------------------------------------
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from intervalcl.evaluation import ResultMatrix
-from intervalcl.nets import Hypernetwork, LayerDescriptor, NetworkSpec
+from intervalcl.nets import Hypernetwork, LayerDescriptor, NetworkSpec, _require_int
 
 FORMAT_VERSION = 2
 
@@ -140,10 +140,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         spec = spec_from_json(payload["spec"])
         stored = payload["hypernet"]
         layout = stored["layout"]
-        hypernet = Hypernetwork(
-            int(layout["target_size"]), int(layout["embedding_dim"]),
-            [int(h) for h in layout["hidden"]], int(layout["task_count"]),
-            np.random.default_rng(0))
+        hypernet = Hypernetwork(layout["target_size"], layout["embedding_dim"],
+                                layout["hidden"], layout["task_count"],
+                                np.random.default_rng(0))
         _restore_array(hypernet.embeddings, stored["embeddings"], "embeddings")
         if len(stored["weights"]) != len(hypernet.weights):
             raise CheckpointError(
@@ -157,10 +156,12 @@ def load_checkpoint(path: str) -> Checkpoint:
                         for s in stats]
             for task, stats in stored["bn_stats"].items()
         }
-        hypernet.trained_tasks = int(stored["trained_tasks"])
+        hypernet.trained_tasks = stored["trained_tasks"]
         results_obj = payload["results"]
         values = None if results_obj is None else _decode_array(results_obj)
-        seed = int(payload["seed"])
+        seed = payload["seed"]
+        _require_int("trained tasks", hypernet.trained_tasks)
+        _require_int("seed", seed)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     except (TypeError, KeyError, ValueError) as exc:

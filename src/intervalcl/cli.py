@@ -177,7 +177,6 @@ def make_trainer_config(cfg) -> TrainerConfig:
     t = cfg["train"]
     return TrainerConfig(
         steps=t["steps"], batch_size=t["batch"], lr=t["lr"],
-        optimizer=t["optimizer"],
         loss=LossConfig(beta=t["beta"], eps=t["eps"], alpha=t["alpha"],
                         decay=t["decay"]),
         use_interval_mixup=t["use_interval_mixup"], seed=t["seed"],

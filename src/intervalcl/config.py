@@ -71,8 +71,6 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "steps": Field("int", 1000, "optimization steps per task"),
         "batch": Field("int", 32, "batch size"),
         "lr": Field("float", 0.001, "learning rate"),
-        "optimizer": Field("str", "adam", "optimizer kind",
-                           choices=("adam", "sgd")),
         "beta": Field("float", 0.01, "hypernetwork output regularizer weight"),
         "eps": Field("float", 0.0, "target certification radius"),
         "alpha": Field("float", 0.1, "Beta(alpha, alpha) mixing parameter"),
@@ -110,8 +108,11 @@ SCHEMA: dict[str, dict[str, Field]] = {
 
 OUTPUT_ROOT_ENV = "INTERVALCL_OUTPUT_ROOT"
 
-# Keys that left the schema, with what replaced them.
-_REPLACED = {("attack", "kind"): "attack.enabled, a true/false switch"}
+# Keys that left the schema, with the note their refusal carries.
+_REPLACED = {
+    ("attack", "kind"): "replaced by attack.enabled, a true/false switch",
+    ("train", "optimizer"): "removed: training always uses Adam",
+}
 
 _BOOL_STATES = {"1": True, "yes": True, "true": True, "on": True,
                 "0": False, "no": False, "false": False, "off": False}
@@ -165,7 +166,7 @@ def _field(where: str, section: str, key: str | None = None) -> Field | None:
         return None
     if key not in SCHEMA[section]:
         hint = _REPLACED.get((section, key))
-        note = f" (replaced by {hint})" if hint else ""
+        note = f" ({hint})" if hint else ""
         raise ConfigError(f"{where}: unknown key {section}.{key}{note}")
     return SCHEMA[section][key]
 

@@ -60,6 +60,9 @@ class AttackConfig:
             raise ValueError(f"attack step must be finite and positive, got {self.step}")
         if isinstance(self.iters, bool) or not isinstance(self.iters, (int, np.integer)):
             raise ValueError(f"attack iters must be an integer, got {self.iters!r}")
+        if not isinstance(self.random_start, (bool, np.bool_)):
+            raise ValueError(
+                f"random_start must be a bool, got {self.random_start!r}")
         if self.iters < 1:
             raise ValueError(f"attack needs at least one iteration, got {self.iters}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))

@@ -351,13 +351,17 @@ class Hypernetwork:
 
     def __init__(self, target_size: int, embedding_dim: int, hidden,
                  task_count: int, rng: np.random.Generator):
+        hidden = tuple(hidden)
+        for what, value in [("target size", target_size),
+                            ("embedding dim", embedding_dim),
+                            ("task count", task_count),
+                            *(("hidden width", h) for h in hidden)]:
+            _require_int(what, value)
         if target_size < 1 or embedding_dim < 1 or task_count < 1:
             raise ValueError("target size, embedding dim, and task count must be positive")
-        hidden = tuple(int(h) for h in hidden)
         if any(h < 1 for h in hidden):
             raise ValueError(f"bad hidden widths {hidden}")
-        self.layout = HypernetLayout(int(target_size), int(embedding_dim),
-                                     hidden, int(task_count))
+        self.layout = HypernetLayout(target_size, embedding_dim, hidden, task_count)
         self.embeddings = rng.normal(size=(task_count, embedding_dim))
         self.weights: list[tuple[np.ndarray, np.ndarray]] = []
         widths = [embedding_dim, *hidden, target_size]

@@ -117,28 +117,11 @@ class Adam:
             flat[lo:hi] -= a
 
 
-class SGD:
-    """Plain gradient descent, for comparisons."""
-
-    def __init__(self, lr=0.01):
-        if not 0.0 < lr < np.inf:  # NaN fails too
-            raise ValueError(f"learning rate must be finite and positive, got {lr}")
-        self.lr = lr
-
-    def update(self, name: str, param: np.ndarray, grad: np.ndarray):
-        param -= self.lr * grad
-
-
-def make_optimizer(kind: str, lr: float):
-    if kind == "adam":
-        return Adam(lr=lr)
-    if kind == "sgd":
-        return SGD(lr=lr)
-    raise ValueError(f"unknown optimizer {kind!r}")
-
-
 @dataclass
 class TrainerConfig:
+    """Training settings. ``optimizer`` accepts only ``"adam"``: training
+    always uses :class:`Adam`, and ROADMAP item 12 removes the field."""
+
     steps: int = 1000
     batch_size: int = 32
     lr: float = 0.001
@@ -154,10 +137,15 @@ class TrainerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("use_interval_mixup", "model_selection"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be positive, got {self.steps}")
-        # Building one refuses an unknown optimizer kind and lr <= 0.
-        make_optimizer(self.optimizer, self.lr)
+        if self.optimizer != "adam":
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        Adam(self.lr)  # refuses lr <= 0
         if self.batch_size < 1:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
         if self.use_interval_mixup and self.batch_size < 2:
@@ -236,7 +224,7 @@ def _train(h: Hypernetwork, spec: NetworkSpec, task: int, cfg: TrainerConfig,
         return task_loss + cfg.loss.beta * reg, task_loss, reg
 
     leaves: dict = {}
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
+    optimizer = Adam(cfg.lr)
     log: list[LogRow] = []
     best: tuple[float, np.ndarray, list] | None = None
 

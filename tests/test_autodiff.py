@@ -93,11 +93,12 @@ def test_constant_operands_form_no_gradient(monkeypatch):
     assert shapes == [(2, 3)] * 3
     assert np.array_equal(p.grad, scale / denom)
 
-    # ``-`` and ``@`` with a constant on either side: the node's one parent
-    # is the parameter's path, and backward runs its form once.
+    # ``-`` and ``linear`` with a constant on either side: the node's one
+    # parent is the parameter's path, and backward runs its form once.
     square = np.eye(2) * 2.0
     for build in [lambda: p - shift, lambda: shift - p,
-                  lambda: square @ p, lambda: p.reshape(3, 2) @ square]:
+                  lambda: ad.linear(square, p.reshape(3, 2)),
+                  lambda: ad.linear(p.reshape(3, 2), square)]:
         out = build()
         assert len(out._parents) == len(out._forms) == 1
         ran = []
@@ -122,11 +123,11 @@ def test_linear_regression_matches_finite_differences_tightly():
     rng = np.random.default_rng(42)
     x = rng.normal(size=(16, 3))
     y = rng.normal(size=(16, 1))
-    w = Tensor(rng.normal(size=(3, 1)))
-    b = Tensor(np.zeros((1, 1)))
+    w = Tensor(rng.normal(size=(1, 3)))
+    b = Tensor(np.zeros(1))
 
     def build():
-        pred = x @ w + b
+        pred = ad.linear(x, w, b)
         diff = pred - y
         return (diff * diff).sum() * (1.0 / 16)
 
@@ -134,9 +135,10 @@ def test_linear_regression_matches_finite_differences_tightly():
 
 
 def test_linear_is_bitwise_the_matmul_transpose_add_chain():
-    # Reference: ``x @ wT + b`` with ``wT`` its own parameter holding w.T,
-    # its gradient compared transposed. Covers one row and a batch, an
-    # ndarray input beside Tensor weights, and the bias-free form.
+    # Reference: the matmul -> transpose -> add chain in plain numpy, in its
+    # own order: value ``x @ w.T + b``; gradients ``g @ w`` for x,
+    # ``(x.T @ g).T`` for w and ``g.sum(0)`` for b. Covers one row and a
+    # batch, an ndarray input beside Tensor weights, and the bias-free form.
     rng = np.random.default_rng(11)
     for batch, array_x, with_bias in [(1, False, True), (6, False, True),
                                       (6, True, True), (4, False, False),
@@ -146,26 +148,20 @@ def test_linear_is_bitwise_the_matmul_transpose_add_chain():
         b_val = rng.normal(size=5)
         upstream = rng.normal(size=(batch, 5))
 
-        def leaves(w_init):
-            x = x_val.copy() if array_x else Tensor(x_val.copy())
-            return x, Tensor(w_init), Tensor(b_val.copy())
-
-        x, w, b = leaves(w_val.copy())
+        x = x_val.copy() if array_x else Tensor(x_val.copy())
+        w, b = Tensor(w_val.copy()), Tensor(b_val.copy())
         out = ad.linear(x, w, b) if with_bias else ad.linear(x, w)
         (out * upstream).sum().backward()
 
-        rx, wT, rb = leaves(w_val.copy().T)
-        ref = rx @ wT + rb if with_bias else rx @ wT
-        (ref * upstream).sum().backward()
-
-        assert np.array_equal(out.value, ref.value)
-        assert np.array_equal(w.grad, wT.grad.T)
+        ref = x_val @ w_val.T + b_val if with_bias else x_val @ w_val.T
+        assert np.array_equal(out.value, ref)
+        assert np.array_equal(w.grad, (x_val.T @ upstream).T)
         assert w.grad.flags.c_contiguous
         assert all(not parent._parents for parent in out._parents)  # one node
         if not array_x:
-            assert np.array_equal(x.grad, rx.grad)
+            assert np.array_equal(x.grad, upstream @ w_val)
         if with_bias:
-            assert np.array_equal(b.grad, rb.grad)
+            assert np.array_equal(b.grad, upstream.sum(0))
         else:
             assert b.grad is None
 
@@ -232,11 +228,11 @@ def test_mean_matches_finite_differences():
 @pytest.mark.parametrize("seed", range(5))
 def test_composite_ops_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    w = Tensor(rng.normal(size=(4, 3)))
-    v = Tensor(rng.normal(size=(3, 2)))
+    w = Tensor(rng.normal(size=(3, 4)))
+    v = Tensor(rng.normal(size=(2, 3)))
 
     def build():
-        h = ad.relu(rng2 @ w) @ v
+        h = ad.linear(ad.relu(ad.linear(rng2, w)), v)
         mixed = ad.sigmoid(h) + ad.absolute(h) * 0.25 + ad.sqrt(h * h + 1.0)
         return mixed.sum() + (h * 1e-2).sum() * (1.0 / 12)
 
@@ -268,13 +264,6 @@ def test_division_and_pow():
     assert ad.grad_check(build, [a, b]) <= 1e-8
 
 
-def test_matmul_rejects_non_2d():
-    a = Tensor(np.zeros((2, 3, 4)))
-    b = Tensor(np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        a @ b
-
-
 def test_max_reduction_routes_to_first_tie():
     # One 2x2 window whose maximum 3 sits at kernel positions 1 and 2.
     w = Tensor(np.array([1.0, 3.0, 3.0, 0.0]).reshape(1, 2, 2, 1))
@@ -289,9 +278,9 @@ def test_slot_gradient_matches_finite_differences():
     def build():
         # Overlapping slots, one read twice, and an untouched tail.
         a = ad.slot(w, 0, (3, 2))
-        b = ad.slot(w, 4, (2, 3))
+        b = ad.slot(w, 4, (3, 2))
         c = ad.slot(w, 10, (4,))
-        return (a @ b).sum() + (c * c).sum() + ad.slot(w, 0, (3, 2)).sum()
+        return ad.linear(a, b).sum() + (c * c).sum() + ad.slot(w, 0, (3, 2)).sum()
 
     assert ad.grad_check(build, [w]) <= 1e-8
 
@@ -587,6 +576,12 @@ def test_conv2d_reads_windows_in_im2col_order(kh, kw, stride):
     assert np.array_equal(out, want)
 
 
+def _matmul_node(x, y):
+    """``x @ y`` of 2-d operands as one tape node, as the chain had it."""
+    a, b = ad.payload(x), ad.payload(y)
+    return ad._node(a @ b, (x, y), lambda g: g @ b.T, lambda g: a.T @ g)
+
+
 def _unfused_conv2d(x, kernel, stride, bias):
     """Convolution as the five-node chain: a fancy-index window gather
     (batch-inner) with the window scatter as its backward, reshape to im2col
@@ -601,7 +596,8 @@ def _unfused_conv2d(x, kernel, stride, bias):
                        lambda g: ad._scatter_windows(g, val.shape, stride, stride))
     batch = val.shape[0]
     flat = windows.reshape(batch * oh * ow, kh * kw * c_in)
-    out = (flat @ kernel.reshape(kh * kw * c_in, c_out)).reshape(batch, oh, ow, c_out)
+    out = _matmul_node(flat, kernel.reshape(kh * kw * c_in, c_out)).reshape(
+        batch, oh, ow, c_out)
     return out if bias is None else out + bias
 
 

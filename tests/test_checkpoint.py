@@ -381,6 +381,21 @@ def _trained_tasks(count):
     return tamper
 
 
+def _layout_entry(key, value):
+    # Each value used to truncate to a size the checkpoint could hold.
+    def tamper(payload):
+        payload["hypernet"]["layout"][key] = value
+        return payload
+    return tamper
+
+
+def _seed(value):
+    def tamper(payload):
+        payload["seed"] = value
+        return payload
+    return tamper
+
+
 LOADER_DEFECTS = {
     "json-array": (_json_array, "expected a JSON object"),
     "weights-short": (_one_weight_layer_short, "1 weight layers stored, layout has 2"),
@@ -392,6 +407,16 @@ LOADER_DEFECTS = {
                          "description: classes must be an integer, got 2.5"),
     "input-shape-float": (_spec_entry("input_shape", [3.0]), "malformed network "
                           "description: input shape entry must be an integer, got 3.0"),
+    "hidden-fraction": (_layout_entry("hidden", [6.9]), "malformed checkpoint: "
+                        "hidden width must be an integer, got 6.9"),
+    "task-count-fraction": (_layout_entry("task_count", 3.5), "malformed checkpoint: "
+                            "task count must be an integer, got 3.5"),
+    "embedding-float": (_layout_entry("embedding_dim", 4.0), "malformed checkpoint: "
+                        "embedding dim must be an integer, got 4.0"),
+    "trained-tasks-fraction": (_trained_tasks(0.7), "malformed checkpoint: "
+                               "trained tasks must be an integer, got 0.7"),
+    "seed-fraction": (_seed(1.9), "malformed checkpoint: seed must be an integer, "
+                      "got 1.9"),
 }
 
 

@@ -386,6 +386,20 @@ class TestExitCodes:
         assert "attack.enabled" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_removed_optimizer_key_says_training_uses_adam(self, tmp_path, capsys):
+        # Every file that ``intervalcl defaults`` wrote before the key went
+        # sets ``optimizer = adam``.
+        source = tmp_path / "old.ini"
+        source.write_text("[train]\noptimizer = adam\n")
+        want = "unknown key train.optimizer (removed: training always uses Adam)"
+        assert run("train", "--config", str(source),
+                   "--set", f"output.dir={tmp_path}/x") == 2
+        assert want in capsys.readouterr().err
+        assert run("train", "--set", "train.optimizer=adam",
+                   "--set", f"output.dir={tmp_path}/x") == 2
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         assert run("train", "--config", str(tmp_path / "absent.ini"),
                    "--set", f"output.dir={tmp_path}/x") == 2
@@ -523,24 +537,29 @@ class TestExitCodes:
             run("train", "--set", f"output.dir={tmp_path}/x")
 
     def test_divergence_exit_code(self, tmp_path, capsys):
+        # An Adam step moves each coordinate by about lr: the first leaves
+        # weights near 1e300, whose loss at step 2 overflows.
         rc = run("train", "--set", f"output.dir={tmp_path}/x", *TINY_ARGS,
-                 "--set", "train.optimizer=sgd", "--set", "train.lr=1e12")
+                 "--set", "train.lr=1e300")
         assert rc == 4
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+        assert err == ["error: non-finite loss at task 0 step 2"], err
 
     @pytest.mark.parametrize("selection", ["false", "true"])
     def test_diverged_last_step_exit_code(self, tmp_path, capsys, selection):
         # The one step's loss is finite; the weights it leaves are not usable.
+        # Model selection meets them in its validation score, else the
+        # point pass after the last step does.
+        where = "validation loss" if selection == "true" else "training logits"
         rc = run("train", "--set", f"output.dir={tmp_path}/x",
                  "--set", "data.tasks=1", "--set", "train.steps=1",
-                 "--set", "train.optimizer=sgd", "--set", "train.lr=1e300",
+                 "--set", "train.lr=1e300",
                  "--set", f"train.model_selection={selection}",
                  "--set", "data.train_size=40", "--set", "data.val_size=10",
                  "--set", "data.test_size=10")
         assert rc == 4
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+        assert len(err) == 1 and err[0].startswith(f"error: non-finite {where}"), err
         assert not (tmp_path / "x" / "results.csv").exists()
 
     def test_toy2d_diverged_last_step_exit_code(self, tmp_path, capsys):
@@ -550,11 +569,10 @@ class TestExitCodes:
         rc = run("toy2d", "--set", f"output.dir={out}",
                  "--set", "data.points=4", "--set", "net.hidden=4",
                  "--set", "hypernet.hidden=4", "--set", "hypernet.embedding=2",
-                 "--set", "train.steps=1", "--set", "train.optimizer=sgd",
-                 "--set", "train.lr=1e300")
+                 "--set", "train.steps=1", "--set", "train.lr=1e300")
         assert rc == 4
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+        assert err == ["error: non-finite training logits after task 0"], err
         for name in ("checkpoint.json", "points.csv", "grid.csv"):
             assert not (out / name).exists(), name
 

@@ -42,7 +42,7 @@ class TestParsing:
 steps = 250
 lr = 0.05
 use_interval_mixup = false
-optimizer = sgd
+decay = cos
 [net]
 hidden = 32, 16
 [data]
@@ -51,7 +51,7 @@ angles = 0, 45.5, 90
         assert cfg["train"]["steps"] == 250
         assert cfg["train"]["lr"] == 0.05
         assert cfg["train"]["use_interval_mixup"] is False
-        assert cfg["train"]["optimizer"] == "sgd"
+        assert cfg["train"]["decay"] == "cos"
         assert cfg["net"]["hidden"] == (32, 16)
         assert cfg["data"]["angles"] == (0.0, 45.5, 90.0)
 

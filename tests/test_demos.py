@@ -16,9 +16,12 @@ def test_demo_exits_cleanly(demo, tmp_path):
     # TMPDIR keeps scratch directories a demo creates (mkdtemp) inside
     # the test's own temporary directory.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    # The suite's own warning rule (pyproject.toml): a RuntimeWarning fails
-    # the demo, and a clean run writes nothing to stderr.
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+    # The suite's own warning rules (pyproject.toml): a runtime or
+    # deprecation warning fails the demo, and a clean run writes nothing to
+    # stderr.
+    rules = ["error::RuntimeWarning", "error::DeprecationWarning",
+             "error::PendingDeprecationWarning", "error::FutureWarning"]
+    proc = subprocess.run([sys.executable, *(f"-W{rule}" for rule in rules), str(demo)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -439,6 +439,16 @@ def test_hypernetwork_validates_arguments():
         h.generate_flat(3)
 
 
+@pytest.mark.parametrize("args, what", [
+    ((10.9, 4, [2], 1), "target size"), ((10, 4.0, [2], 1), "embedding dim"),
+    ((10, 4, [2], 2.5), "task count"), ((10, 4, [2.7, True], 1), "hidden width"),
+    ((10, 4, [2, True], 1), "hidden width"), ((True, 4, [2], 1), "target size")])
+def test_hypernetwork_refuses_non_integer_sizes(args, what):
+    # Each used to truncate (a width of True built one unit) or die in numpy.
+    with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+        nets.Hypernetwork(*args, np.random.default_rng(0))
+
+
 # A row of the generated block may round differently from the one-row pass
 # by a few units in the last place of the row's largest entry (the most
 # measured: 8.9e-16 of it, over the benchmark's generator shapes).

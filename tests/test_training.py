@@ -168,22 +168,17 @@ def test_adam_allocates_only_its_moments():
     assert all(np.all(p < 0.0) for p in params)
 
 
-def test_sgd_update():
-    param = np.array([1.0])
-    training.SGD(lr=0.1).update("p", param, np.array([2.0]))
-    assert param[0] == pytest.approx(0.8)
-
-
 def test_make_optimizer_validation():
-    with pytest.raises(ValueError):
-        training.make_optimizer("rmsprop", 0.1)
+    # Adam is the one optimizer: the kind that was removed is refused by name.
+    with pytest.raises(ValueError, match="'sgd'"):
+        training.TrainerConfig(optimizer="sgd")
     with pytest.raises(ValueError):
         training.Adam(lr=0.0)
 
 
-@pytest.mark.parametrize("build", [training.Adam, training.SGD,
+@pytest.mark.parametrize("build", [training.Adam,
                                    lambda lr: training.TrainerConfig(lr=lr)],
-                         ids=["Adam", "SGD", "TrainerConfig"])
+                         ids=["Adam", "TrainerConfig"])
 @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
 def test_optimizers_refuse_non_finite_learning_rate(build, lr):
     with pytest.raises(ValueError, match="learning rate"):
@@ -222,6 +217,18 @@ def test_configs_refuse_bad_seeds(make, value):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         make(value)
     assert make(np.int64(4)).seed == 4
+
+
+@pytest.mark.parametrize("make, name", [
+    (training.TrainerConfig, "use_interval_mixup"),
+    (training.TrainerConfig, "model_selection"),
+    (ev.AttackConfig, "random_start")])
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_configs_refuse_non_bool_switches(make, name, value):
+    # Each used to construct, and a non-empty string then counted as on.
+    with pytest.raises(ValueError, match=f"^{name} must be a bool, got {value!r}"):
+        make(**{name: value})
+    assert not getattr(make(**{name: np.bool_(False)}), name)
 
 
 # ---- single-task training ------------------------------------------------
@@ -355,7 +362,7 @@ def test_divergence_raises():
 @pytest.mark.parametrize("selection, message", [(False, "training logits"),
                                                 (True, "validation loss")])
 def test_diverged_last_step_raises(selection, message):
-    # One SGD step at lr 1e300 is taken from a finite loss, and leaves
+    # One Adam step at lr 1e300 is taken from a finite loss, and leaves
     # weights whose logits overflow to inf and NaN. Without model selection
     # the point pass after the last step sees them first; with it, a NaN
     # first score would become the best one, since no later score compares
@@ -365,7 +372,7 @@ def test_diverged_last_step_raises(selection, message):
     task.train = Data(task.inputs[:60], task.labels[:60])
     task.val = Data(task.inputs[60:75], task.labels[60:75])
     task.test = Data(task.inputs[75:], task.labels[75:])
-    cfg = quick_cfg(steps=1, optimizer="sgd", lr=1e300, model_selection=selection)
+    cfg = quick_cfg(steps=1, lr=1e300, model_selection=selection)
     with pytest.raises(training.NumericalDivergenceError, match=message):
         training.train_sequence(h, spec, [task], cfg)
 
